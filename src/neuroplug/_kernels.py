@@ -1,48 +1,16 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels: integer convolution, NSQF masks, zero run-length
+coding, canonical Huffman bit packing and the NIST runs count.
 
-Each kernel exists in two flavors: a numba ``@njit`` loop (``*_jit``) and a
-numpy/Python fallback (``*_np``).  Public names bind to the jit flavor when
-numba is active, otherwise to the fallback (see `_njit`).  Keep the two
-flavors bit-identical; tests compare them directly.
+Each operation has one numpy/Python implementation.
 """
 
 import numpy as np
-
-from ._njit import HAVE_NUMBA, njit
 
 # ---------------------------------------------------------------------------
 # integer convolution (cross-correlation with zero padding), int8 -> int32
 
 
-@njit(cache=True)
-def _conv2d_acc_jit(ifmap, weights, stride, pad, out):
-    C, H, W = ifmap.shape
-    K = weights.shape[0]
-    R = weights.shape[2]
-    S = weights.shape[3]
-    P = out.shape[1]
-    Q = out.shape[2]
-    for k in range(K):
-        for p in range(P):
-            hb = p * stride - pad
-            for q in range(Q):
-                wb = q * stride - pad
-                acc = 0
-                for c in range(C):
-                    for r in range(R):
-                        h = hb + r
-                        if h < 0 or h >= H:
-                            continue
-                        for s in range(S):
-                            w = wb + s
-                            if w < 0 or w >= W:
-                                continue
-                            acc += int(ifmap[c, h, w]) * int(weights[k, c, r, s])
-                out[k, p, q] = acc
-    return out
-
-
-def conv2d_acc_np(ifmap, weights, stride, pad):
+def conv2d_acc(ifmap, weights, stride, pad):
     """Windowed sum of products on int32 accumulators, vectorized."""
     C, H, W = ifmap.shape
     K, _, R, S = weights.shape
@@ -54,18 +22,6 @@ def conv2d_acc_np(ifmap, weights, stride, pad):
     win = win[:, ::stride, ::stride][:, :P, :Q]
     out = np.tensordot(weights.astype(np.int32), win, axes=([1, 2, 3], [0, 3, 4]))
     return np.ascontiguousarray(out, dtype=np.int32)
-
-
-def conv2d_acc(ifmap, weights, stride, pad):
-    if HAVE_NUMBA:
-        C, H, W = ifmap.shape
-        K, _, R, S = weights.shape
-        P = (H + 2 * pad - R) // stride + 1
-        Q = (W + 2 * pad - S) // stride + 1
-        out = np.empty((K, P, Q), dtype=np.int32)
-        _conv2d_acc_jit(ifmap, weights, stride, pad, out)
-        return out
-    return conv2d_acc_np(ifmap, weights, stride, pad)
 
 
 def maxpool2d(arr, pool):
@@ -81,26 +37,7 @@ def maxpool2d(arr, pool):
 # some d >= 2 has d*d | n
 
 
-@njit(cache=True)
-def _nsqf_mask_jit(lo, out):
-    for i in range(out.size):
-        m = lo + i
-        d = 2
-        flag = 0
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    flag = 1
-                    break
-                d += 1
-            else:
-                d += 1
-        out[i] = flag
-    return out
-
-
-def nsqf_mask_np(lo, hi):
+def nsqf_mask(lo, hi):
     """Mark n in [lo, hi] with d*d | n for some d >= 2."""
     n = hi - lo + 1
     out = np.zeros(n, dtype=np.uint8)
@@ -112,54 +49,12 @@ def nsqf_mask_np(lo, hi):
     return out
 
 
-def nsqf_mask(lo, hi):
-    if HAVE_NUMBA:
-        out = np.zeros(hi - lo + 1, dtype=np.uint8)
-        return _nsqf_mask_jit(lo, out)
-    return nsqf_mask_np(lo, hi)
-
-
-def is_nsqf_scalar(n):
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return True
-            d += 1
-        else:
-            d += 1
-    return False
-
-
 # ---------------------------------------------------------------------------
 # zero run-length coding: 0x00 runs become (0, runlen) pairs, runlen in 1..255
 
 
-@njit(cache=True)
-def _rle_encode_jit(data, out):
-    n = data.size
-    i = 0
-    j = 0
-    while i < n:
-        b = data[i]
-        if b == 0:
-            run = 1
-            while i + run < n and data[i + run] == 0 and run < 255:
-                run += 1
-            out[j] = 0
-            out[j + 1] = run
-            j += 2
-            i += run
-        else:
-            out[j] = b
-            j += 1
-            i += 1
-    return j
-
-
-def _rle_encode_np(data):
+def rle_encode(data):
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     n = data.size
     out = np.empty(2 * n + 2, dtype=np.uint8)
     i = 0
@@ -185,35 +80,6 @@ def _rle_encode_np(data):
     return out[:j].copy()
 
 
-def rle_encode(data):
-    data = np.ascontiguousarray(data, dtype=np.uint8)
-    if HAVE_NUMBA:
-        out = np.empty(2 * data.size + 2, dtype=np.uint8)
-        j = _rle_encode_jit(data, out)
-        return out[:j].copy()
-    return _rle_encode_np(data)
-
-
-@njit(cache=True)
-def _rle_decode_jit(tokens, out):
-    n = tokens.size
-    i = 0
-    j = 0
-    while i < n:
-        b = tokens[i]
-        if b == 0:
-            run = tokens[i + 1]
-            for _ in range(run):
-                out[j] = 0
-                j += 1
-            i += 2
-        else:
-            out[j] = b
-            j += 1
-            i += 1
-    return j
-
-
 def _rle_decoded_size(tokens):
     n = tokens.size
     i = 0
@@ -228,7 +94,8 @@ def _rle_decoded_size(tokens):
     return total
 
 
-def _rle_decode_np(tokens):
+def rle_decode(tokens):
+    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
     out = np.empty(_rle_decoded_size(tokens), dtype=np.uint8)
     n = tokens.size
     i = 0
@@ -251,40 +118,14 @@ def _rle_decode_np(tokens):
     return out
 
 
-def rle_decode(tokens):
-    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
-    if HAVE_NUMBA:
-        out = np.empty(_rle_decoded_size(tokens), dtype=np.uint8)
-        j = _rle_decode_jit(tokens, out)
-        return out[:j]
-    return _rle_decode_np(tokens)
-
-
 # ---------------------------------------------------------------------------
 # canonical Huffman bitstream, MSB first
 
 
-@njit(cache=True)
-def _huff_encode_jit(tokens, codes, lens, out):
-    acc = np.uint64(0)
-    nb = 0
-    j = 0
-    for i in range(tokens.size):
-        t = tokens[i]
-        l = int(lens[t])
-        acc = (acc << np.uint64(l)) | np.uint64(codes[t])
-        nb += l
-        while nb >= 8:
-            nb -= 8
-            out[j] = np.uint8((acc >> np.uint64(nb)) & np.uint64(0xFF))
-            j += 1
-    if nb > 0:
-        out[j] = np.uint8((acc << np.uint64(8 - nb)) & np.uint64(0xFF))
-        j += 1
-    return j
-
-
-def _huff_encode_np(tokens, codes, lens, out):
+def huff_encode(tokens, codes, lens):
+    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
+    total_bits = int(lens[tokens].astype(np.int64).sum())
+    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
     acc = 0
     nb = 0
     j = 0
@@ -299,23 +140,13 @@ def _huff_encode_np(tokens, codes, lens, out):
         acc &= (1 << nb) - 1
     if nb > 0:
         out[j] = (acc << (8 - nb)) & 0xFF
-        j += 1
-    return j
-
-
-def huff_encode(tokens, codes, lens):
-    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
-    total_bits = int(lens[tokens].astype(np.int64).sum())
-    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    if HAVE_NUMBA:
-        _huff_encode_jit(tokens, codes, lens, out)
-    else:
-        _huff_encode_np(tokens, codes, lens, out)
     return out
 
 
-@njit(cache=True)
-def _huff_decode_jit(bits, n_tokens, first, count, offset, symtab, maxlen, out):
+def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):
+    """Decode n_tokens symbols, or return None if the bits run out or a code
+    grows past maxlen."""
+    out = np.empty(n_tokens, dtype=np.uint8)
     code = 0
     l = 0
     bi = 0
@@ -323,38 +154,13 @@ def _huff_decode_jit(bits, n_tokens, first, count, offset, symtab, maxlen, out):
     nbits = bits.size * 8
     while oi < n_tokens:
         if bi >= nbits:
-            return -1
-        bit = (bits[bi >> 3] >> (7 - (bi & 7))) & 1
-        bi += 1
-        code = (code << 1) | int(bit)
-        l += 1
-        if l > maxlen:
-            return -1
-        if count[l] > 0:
-            idx = code - first[l]
-            if 0 <= idx < count[l]:
-                out[oi] = symtab[offset[l] + idx]
-                oi += 1
-                code = 0
-                l = 0
-    return oi
-
-
-def _huff_decode_np(bits, n_tokens, first, count, offset, symtab, maxlen, out):
-    code = 0
-    l = 0
-    bi = 0
-    oi = 0
-    nbits = bits.size * 8
-    while oi < n_tokens:
-        if bi >= nbits:
-            return -1
+            return None
         bit = (int(bits[bi >> 3]) >> (7 - (bi & 7))) & 1
         bi += 1
         code = (code << 1) | bit
         l += 1
         if l > maxlen:
-            return -1
+            return None
         if count[l] > 0:
             idx = code - int(first[l])
             if 0 <= idx < count[l]:
@@ -362,15 +168,6 @@ def _huff_decode_np(bits, n_tokens, first, count, offset, symtab, maxlen, out):
                 oi += 1
                 code = 0
                 l = 0
-    return oi
-
-
-def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):
-    out = np.empty(n_tokens, dtype=np.uint8)
-    fn = _huff_decode_jit if HAVE_NUMBA else _huff_decode_np
-    got = fn(bits, n_tokens, first, count, offset, symtab, maxlen, out)
-    if got != n_tokens:
-        return None
     return out
 
 
@@ -378,19 +175,8 @@ def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):
 # NIST runs count
 
 
-@njit(cache=True)
-def _runs_count_jit(bits):
-    v = 1
-    for i in range(1, bits.size):
-        if bits[i] != bits[i - 1]:
-            v += 1
-    return v
-
-
 def runs_count(bits):
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     if bits.size == 0:
         return 0
-    if HAVE_NUMBA:
-        return int(_runs_count_jit(bits))
     return int(1 + np.count_nonzero(np.diff(bits)))

@@ -1,37 +1,7 @@
-"""Numba dispatch helper.
+"""Kept only so that ``perfbench/worker.py`` can record ``HAVE_NUMBA``.
 
-Hot kernels in this package are written twice: a nopython loop version
-compiled with numba, and a numpy (or plain Python) fallback.  The active
-path is chosen at import time.  Set ``NP_DISABLE_NUMBA=1`` to force the
-fallback, e.g. for debugging or for benchmarks/bench_kernels.py which
-times both paths side by side.
+Every kernel in `_kernels` has a single numpy/Python implementation; numba
+is neither used nor required.
 """
 
-import os
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("NP_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-NUMBA_DISABLED = _env_disabled()
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via NP_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator standing in for numba.njit."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]) and len(args) == 1 and not kwargs:
-            return args[0]
-        return wrap
-
-    HAVE_NUMBA = False
+HAVE_NUMBA = False

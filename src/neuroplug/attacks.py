@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mellin, tracegen
-from .errors import DomainError, InapplicableError
+from .errors import ConfigError, DomainError, InapplicableError
 from .mellin import GridPdf
 from .model import LayerShape, Tensor3D, nsqf_in_range
 from .tracegen import FMAP_REGION, OP_READ, OP_WRITE, REGION_SHIFT, Trace
@@ -427,16 +427,19 @@ def _plateau_half_width(series: np.ndarray) -> int:
     return 0
 
 
-def huffduff_attack(scenario: tracegen.Scenario, max_filter: int = 9) -> AttackReport:
+def huffduff_attack(scenario: tracegen.Scenario) -> AttackReport:
     """Impulse-position sweep; the rise to the plateau reveals the filter.
 
     Sweeping a single 1 along the first row, outputs shrink while the
     filter window still hangs over the edge; the first position matching
     the mid-row volume marks half the filter width.  A column sweep gives
-    the height the same way.
+    the height the same way.  Applies to an unprotected trace (``cm="none"``)
+    or a NeuroPlug one (``cm="neuroplug"``).
     """
     net = scenario.net
     shape0 = net.layers[0].shape
+    if scenario.cm not in ("none", "neuroplug"):
+        raise ConfigError(f"huffduff_attack has no trace model for cm={scenario.cm!r}")
     if scenario.cm == "none" and not scenario.sparse:
         raise InapplicableError("boundary-effect volumes need a sparse accelerator trace")
 

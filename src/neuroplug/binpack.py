@@ -71,28 +71,6 @@ class NoiseSpec:
             raise ConfigError("dummy byte count must be nonnegative")
 
 
-def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> int:
-    """One draw: alpha plus a variance-randomized half-normal, clipped."""
-    sigma2 = rng.uniform(0.0, spec.sigma2_max)
-    n_prime = abs(rng.normal(0.0, math.sqrt(sigma2))) if sigma2 > 0 else 0.0
-    return spec.alpha + int(min(n_prime, spec.support_r))
-
-
-def noise_stream(
-    spec: NoiseSpec, rng: np.random.Generator, n: int, resample_every: int = 64
-) -> np.ndarray:
-    """n draws where the Gaussian variance is refreshed once per block."""
-    out = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        m = min(resample_every, n - i)
-        sigma2 = rng.uniform(0.0, spec.sigma2_max)
-        vals = np.abs(rng.normal(0.0, math.sqrt(sigma2), size=m)) if sigma2 > 0 else np.zeros(m)
-        out[i : i + m] = spec.alpha + np.minimum(vals, spec.support_r).astype(np.int64)
-        i += m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compression
 

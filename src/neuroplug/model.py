@@ -247,13 +247,6 @@ def generate_input(shape: LayerShape, seed: int, policy: str = "natural") -> Ten
 # NSQF numbers
 
 
-def is_nsqf(n: int) -> bool:
-    """True iff some prime square divides n (non-square-free)."""
-    if n < 1:
-        raise DomainError("is_nsqf needs n >= 1")
-    return _kernels.is_nsqf_scalar(int(n))
-
-
 def nsqf_mask(lo: int, hi: int) -> np.ndarray:
     """uint8 mask over [lo, hi], 1 where the integer is NSQF."""
     if lo < 1:

@@ -1,16 +1,17 @@
-"""1-D space-filling-curve orders over a layer's 3-D tile space.
+"""1-D space-filling-curve order over a layer's 3-D tile space.
 
-An ifmap is walked as deep tiles: row-major over the (row, col) grid with
-the channel groups of one position kept adjacent.  Filters are walked as
-kernels grouped by output map.  Execution planning decides how the walk is
-chopped when weights and/or inputs overflow the on-chip capacity (cases I,
-II, III) and how weight re-reads are hidden by unrolling.
+A feature map is walked as deep tiles: row-major over the (row, col) grid
+with the channel groups of one position kept adjacent.  `ifmap_walk` and
+`ofmap_walk` are the one walk every trace generator uses.  Execution
+planning decides how the walk is chopped when weights and/or inputs
+overflow the on-chip capacity (cases I, II, III) and how weight re-reads
+are hidden by unrolling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,37 +24,9 @@ CASE_II = "II"
 CASE_III = "III"
 
 
-@dataclass(frozen=True)
-class DeepTileId:
-    layer: int
-    row: int
-    col: int
-    chan_lo: int
-    chan_hi: int
-
-    def key(self):
-        return (self.row, self.col, self.chan_lo, self.chan_hi)
-
-
-@dataclass(frozen=True)
-class SfcOrder:
-    kind: str  # ifmap | filter | ofmap | fused-filter | halo
-    sequence: tuple
-
-    def __len__(self):
-        return len(self.sequence)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "sequence": [list(e) for e in self.sequence]}
-
-
 def grid_dims(shape_h: int, shape_w: int, channels: int, th: int, tw: int, tc: int):
     """(n_rows, n_cols, n_chan_groups) with ceil division for remainders."""
     return (math.ceil(shape_h / th), math.ceil(shape_w / tw), math.ceil(channels / tc))
-
-
-def ifmap_grid(layer: LayerShape, tiling: TilingSpec):
-    return grid_dims(layer.h, layer.w, layer.c, tiling.th, tiling.tw, tiling.tc)
 
 
 def ofmap_tile_dims(layer: LayerShape, tiling: TilingSpec):
@@ -63,43 +36,41 @@ def ofmap_tile_dims(layer: LayerShape, tiling: TilingSpec):
     return th_out, tw_out
 
 
-def ofmap_grid(layer: LayerShape, tiling: TilingSpec):
-    th_out, tw_out = ofmap_tile_dims(layer, tiling)
-    return grid_dims(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk)
+def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int, bytes_per_elem: int):
+    """Deep tiles in curve order: rows outer, cols inner, channel groups innermost.
 
-
-def _deep_tile_walk(layer_idx, n_rows, n_cols, n_groups, tc, channels):
-    seq = []
+    Returns ([(byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...],
+    full_tile_bytes).  The tensor is stored densely in curve order, so
+    offsets are running sums of the actual tile bytes; any tiling of the
+    same tensor covers the identical byte extent.
+    """
+    n_rows, n_cols, n_groups = grid_dims(h, w, ch, th, tw, tch)
+    out = []
+    offset = 0
     for row in range(n_rows):
+        r0 = row * th
+        r1 = min(h, r0 + th)
         for col in range(n_cols):
+            w0 = col * tw
+            w1 = min(w, w0 + tw)
             for g in range(n_groups):
-                lo = g * tc
-                seq.append(DeepTileId(layer_idx, row, col, lo, min(channels, lo + tc)))
-    return tuple(seq)
+                lo = g * tch
+                hi = min(ch, lo + tch)
+                actual = (hi - lo) * (r1 - r0) * (w1 - w0) * bytes_per_elem
+                out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
+                offset += actual
+    return out, tch * th * tw * bytes_per_elem
 
 
-def ifmap_sfc(layer: LayerShape, tiling: TilingSpec, layer_idx: int = 0) -> SfcOrder:
-    """Deep-tile read order: rows outer, cols inner, channel groups innermost."""
-    n_rows, n_cols, n_groups = ifmap_grid(layer, tiling)
-    return SfcOrder("ifmap", _deep_tile_walk(layer_idx, n_rows, n_cols, n_groups, tiling.tc, layer.c))
+def ifmap_walk(layer: LayerShape, tiling: TilingSpec):
+    """Read order of the input's deep tiles (see `_walk`)."""
+    return _walk(layer.h, layer.w, layer.c, tiling.th, tiling.tw, tiling.tc, layer.bytes_per_elem)
 
 
-def ofmap_sfc(layer: LayerShape, tiling: TilingSpec, layer_idx: int = 0) -> SfcOrder:
+def ofmap_walk(layer: LayerShape, tiling: TilingSpec):
     """Write order of the pooled output; same walk shape as an ifmap read."""
-    n_rows, n_cols, n_groups = ofmap_grid(layer, tiling)
-    return SfcOrder("ofmap", _deep_tile_walk(layer_idx, n_rows, n_cols, n_groups, tiling.tk, layer.k))
-
-
-def filter_sfc(layer: LayerShape) -> SfcOrder:
-    """All C kernels of output map 0, then of output map 1, and so on."""
-    return SfcOrder("filter", tuple((k, c) for k in range(layer.k) for c in range(layer.c)))
-
-
-def fused_filter_sfc(layer_a: LayerShape, k_hi: int, layer_b: LayerShape) -> SfcOrder:
-    """Kernels for layer A's partition [0, k_hi) followed by all of layer B's."""
-    seq = [(0, k, c) for k in range(k_hi) for c in range(layer_a.c)]
-    seq += [(1, k, c) for k in range(layer_b.k) for c in range(layer_b.c)]
-    return SfcOrder("fused-filter", tuple(seq))
+    th_out, tw_out = ofmap_tile_dims(layer, tiling)
+    return _walk(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk, layer.bytes_per_elem)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +88,12 @@ class ExecutionPlan:
     group_bin_capacity: int = 0
 
     def validate(self, k_total: int) -> None:
-        assert sum(self.ofmap_partition) == k_total
-        assert self.tau >= 1
-        assert 1 <= self.eta <= self.tau
-
-    def unrolled_weight_order(self) -> list[tuple[int, int]]:
-        """(part_idx, stored_copy_idx) stream of shape W1 W2 ... repeated tau times.
-
-        Reads cycle through the eta stored copies of the partitioned curve.
-        """
-        n = len(self.ofmap_partition)
-        return [
-            (part, pass_idx % self.eta)
-            for pass_idx in range(self.tau)
-            for part in range(n)
-        ]
+        if sum(self.ofmap_partition) != k_total:
+            raise PlanningError(f"partition {self.ofmap_partition} does not sum to k={k_total}")
+        if self.tau < 1:
+            raise PlanningError(f"tau={self.tau} must be >= 1")
+        if not 1 <= self.eta <= self.tau:
+            raise PlanningError(f"eta={self.eta} must lie in [1, tau={self.tau}]")
 
     def to_json(self) -> dict:
         return {
@@ -208,37 +170,37 @@ def plan_execution(
     ifmap_fits = i_bytes + tile_bytes <= npu_capacity_bytes
 
     if both_fit:
-        return ExecutionPlan(CASE_ALL_FIT, [layer.k], [est_ifmap_bins], 1, 1, seed,
+        plan = ExecutionPlan(CASE_ALL_FIT, [layer.k], [est_ifmap_bins], 1, 1, seed,
                              group_bin_capacity=est_ifmap_bins)
-
-    if not weights_fit and ifmap_fits:
+    elif not weights_fit and ifmap_fits:
         # case I: stream the weights in n randomly sized chunks of output maps
         headroom = npu_capacity_bytes - i_bytes
         k_cap = max(1, headroom // kernel_bytes)
         n_min = max(2, math.ceil(layer.k / k_cap))
         n = min(layer.k, n_min + _noise_int(rng, 1.5))
         partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
-        return ExecutionPlan(CASE_I, partition, [est_ifmap_bins], 1, 1, seed,
+        plan = ExecutionPlan(CASE_I, partition, [est_ifmap_bins], 1, 1, seed,
                              group_bin_capacity=est_ifmap_bins)
-
-    if weights_fit:
+    elif weights_fit:
         # case II: chop the ifmap walk into groups of bins that fit beside the weights
         g_max = max(1, (npu_capacity_bytes - w_bytes) // bin_size)
         groups = _chop(est_ifmap_bins, g_max)
-        return ExecutionPlan(CASE_II, [layer.k], groups, 1, 1, seed, group_bin_capacity=g_max)
-
-    # case III: both overflow; weights streamed per ifmap group, unrolled
-    half = npu_capacity_bytes // 2
-    k_cap = max(1, half // kernel_bytes)
-    n_min = max(2, math.ceil(layer.k / k_cap))
-    n = min(layer.k, n_min + _noise_int(rng, 1.5))
-    partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
-    g_max = max(1, half // bin_size)
-    groups = _chop(est_ifmap_bins, g_max)
-    tau = len(groups)
-    eta = 1 + _noise_int(rng, 1.0)
-    eta = max(1, min(eta, tau))
-    return ExecutionPlan(CASE_III, partition, groups, tau, eta, seed, group_bin_capacity=g_max)
+        plan = ExecutionPlan(CASE_II, [layer.k], groups, 1, 1, seed, group_bin_capacity=g_max)
+    else:
+        # case III: both overflow; weights streamed per ifmap group, unrolled
+        half = npu_capacity_bytes // 2
+        k_cap = max(1, half // kernel_bytes)
+        n_min = max(2, math.ceil(layer.k / k_cap))
+        n = min(layer.k, n_min + _noise_int(rng, 1.5))
+        partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
+        g_max = max(1, half // bin_size)
+        groups = _chop(est_ifmap_bins, g_max)
+        tau = len(groups)
+        eta = 1 + _noise_int(rng, 1.0)
+        eta = max(1, min(eta, tau))
+        plan = ExecutionPlan(CASE_III, partition, groups, tau, eta, seed, group_bin_capacity=g_max)
+    plan.validate(layer.k)
+    return plan
 
 
 def _chop(total: int, chunk: int) -> list[int]:
@@ -246,59 +208,3 @@ def _chop(total: int, chunk: int) -> list[int]:
     if total % chunk:
         out.append(total % chunk)
     return out or [0]
-
-
-# ---------------------------------------------------------------------------
-# halo pixels
-
-
-@dataclass(frozen=True)
-class HaloTransfer:
-    dest: tuple[int, int]
-    source: tuple[int, int]
-    strip_rows: int
-    strip_cols: int
-
-
-@dataclass
-class HaloPlan:
-    transfers: list[HaloTransfer] = field(default_factory=list)
-    overflow: SfcOrder | None = None
-
-    @property
-    def empty(self) -> bool:
-        return not self.transfers
-
-
-def halo_plan(layer: LayerShape, tiling: TilingSpec, onchip_halo_budget: int) -> HaloPlan:
-    """Plan boundary-pixel movement between neighbouring tiles.
-
-    Tiles source their halos from the western neighbour (same row, already
-    read) and the northern neighbour (previous row).  If holding one row's
-    worth of south-facing halo pixels exceeds the budget, the inter-row
-    strips are spilled to a halo curve written during row i and read back
-    in the same order during row i+1.
-    """
-    if layer.r <= 1 and layer.s <= 1:
-        return HaloPlan()
-    hw_w = (layer.s - 1) // 2  # columns needed from the west
-    hw_n = (layer.r - 1) // 2  # rows needed from the north
-    n_rows, n_cols, _ = ifmap_grid(layer, tiling)
-    transfers = []
-    for row in range(n_rows):
-        for col in range(n_cols):
-            if col > 0 and hw_w > 0:
-                transfers.append(HaloTransfer((row, col), (row, col - 1), tiling.th, hw_w))
-            if row > 0 and hw_n > 0:
-                transfers.append(HaloTransfer((row, col), (row - 1, col), hw_n, tiling.tw))
-    row_south_bytes = hw_n * layer.w * tiling.tc * layer.bytes_per_elem
-    overflow = None
-    if hw_n > 0 and n_rows > 1 and row_south_bytes > onchip_halo_budget:
-        seq = tuple((row, col) for row in range(n_rows - 1) for col in range(n_cols))
-        overflow = SfcOrder("halo", seq)
-    return HaloPlan(transfers=transfers, overflow=overflow)
-
-
-def default_halo_budget(layer: LayerShape, tiling: TilingSpec) -> int:
-    """Two tile rows of pixels."""
-    return 2 * tiling.th * layer.w * tiling.tc * layer.bytes_per_elem

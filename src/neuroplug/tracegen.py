@@ -13,8 +13,8 @@ Three generators share one address map:
   exactly one bin with a constant processing gap.
 
 Addresses are per-(tensor, stream) regions: feature map j lives at
-(1 + j) << 28, weights of layer i at WEIGHT_REGION + (i << 28), dummy and
-halo streams likewise.  Attacks may use the map (the NPU design is public;
+(1 + j) << 28, weights of layer i at WEIGHT_REGION + (i << 28), dummy
+streams likewise.  Attacks may use the map (the NPU design is public;
 only key material is secret).
 """
 
@@ -30,8 +30,8 @@ import numpy as np
 from . import binpack, sfc
 from .binpack import BinConfig, CompressedTile, NoiseSpec
 from .errors import ConfigError, DomainError, OrderingError
-from .model import LayerShape, NetworkSpec, Tensor3D, conv_forward, generate_weights
-from .sfc import ExecutionPlan, TilingSpec
+from .model import NetworkSpec, Tensor3D, conv_forward, generate_weights
+from .sfc import ExecutionPlan
 
 OP_READ = 0
 OP_WRITE = 1
@@ -44,7 +44,6 @@ REGION_SHIFT = 28
 FMAP_REGION = 1
 WEIGHT_REGION = 1 << 12
 DUMMY_REGION = 1 << 13
-HALO_REGION = 3 << 12
 
 DRAM_BURST_BYTES = 64
 DRAM_BURST_CYCLES = 4
@@ -63,14 +62,8 @@ def dummy_base(layer_idx: int) -> int:
     return (DUMMY_REGION + layer_idx) << REGION_SHIFT
 
 
-def halo_base(layer_idx: int) -> int:
-    return (HALO_REGION + layer_idx) << REGION_SHIFT
-
-
 def region_of(addr: int) -> tuple[str, int]:
     rid = addr >> REGION_SHIFT
-    if rid >= HALO_REGION:
-        return "halo", rid - HALO_REGION
     if rid >= DUMMY_REGION:
         return "dummy", rid - DUMMY_REGION
     if rid >= WEIGHT_REGION:
@@ -212,54 +205,6 @@ def _digest64(data: bytes) -> int:
 # tile geometry helpers
 
 
-def ifmap_tile_entries(shape: LayerShape, tiling: TilingSpec):
-    """(byte_offset, slice tuple, actual_bytes) per deep tile in curve order.
-
-    The tensor is stored densely in curve order, so offsets are running
-    sums of the actual tile bytes; any tiling of the same tensor covers
-    the identical byte extent.
-    """
-    n_rows, n_cols, n_groups = sfc.ifmap_grid(shape, tiling)
-    cap = tiling.tc * tiling.th * tiling.tw * shape.bytes_per_elem
-    out = []
-    offset = 0
-    for row in range(n_rows):
-        for col in range(n_cols):
-            for g in range(n_groups):
-                c0 = g * tiling.tc
-                c1 = min(shape.c, c0 + tiling.tc)
-                r0 = row * tiling.th
-                r1 = min(shape.h, r0 + tiling.th)
-                w0 = col * tiling.tw
-                w1 = min(shape.w, w0 + tiling.tw)
-                actual = (c1 - c0) * (r1 - r0) * (w1 - w0) * shape.bytes_per_elem
-                out.append((offset, (c0, c1, r0, r1, w0, w1), actual))
-                offset += actual
-    return out, cap
-
-
-def ofmap_tile_entries(shape: LayerShape, tiling: TilingSpec):
-    """Deep tiles of the pooled output in write order (dense curve layout)."""
-    th_out, tw_out = sfc.ofmap_tile_dims(shape, tiling)
-    n_rows, n_cols, n_groups = sfc.ofmap_grid(shape, tiling)
-    cap = tiling.tk * th_out * tw_out * shape.bytes_per_elem
-    out = []
-    offset = 0
-    for row in range(n_rows):
-        for col in range(n_cols):
-            for g in range(n_groups):
-                k0 = g * tiling.tk
-                k1 = min(shape.k, k0 + tiling.tk)
-                r0 = row * th_out
-                r1 = min(shape.p_out, r0 + th_out)
-                w0 = col * tw_out
-                w1 = min(shape.q_out, w0 + tw_out)
-                actual = (k1 - k0) * (r1 - r0) * (w1 - w0) * shape.bytes_per_elem
-                out.append((offset, (k0, k1, r0, r1, w0, w1), actual))
-                offset += actual
-    return out, cap
-
-
 def _tile_view(tensor: np.ndarray, sl) -> np.ndarray:
     c0, c1, r0, r1, w0, w1 = sl
     return tensor[c0:c1, r0:r1, w0:w1]
@@ -317,15 +262,15 @@ def baseline_trace(
         shp, til = layer.shape, layer.tiling
         n_k = math.ceil(shp.k / til.tk)
         n_c = math.ceil(shp.c / til.tc)
-        in_tiles, in_cap = ifmap_tile_entries(shp, til)
-        out_tiles, out_cap = ofmap_tile_entries(shp, til)
+        in_tiles, in_cap = sfc.ifmap_walk(shp, til)
+        out_tiles, out_cap = sfc.ofmap_walk(shp, til)
         wblock_cap = til.tk * til.tc * shp.r * shp.s * shp.bytes_per_elem
         in_tensor = data.fmaps[i] if need_values else None
         out_tensor = data.fmaps[i + 1] if need_values else None
 
         for src, _dst in (sk for sk in net.skips if sk[1] == i):
             src_layer = net.layers[src]
-            skip_tiles, skip_cap = ofmap_tile_entries(src_layer.shape, src_layer.tiling)
+            skip_tiles, skip_cap = sfc.ofmap_walk(src_layer.shape, src_layer.tiling)
             skip_tensor = data.fmaps[src + 1] if need_values else None
             for off, sl, actual in skip_tiles:
                 size, dig = _tile_size_digest(skip_tensor, sl, actual, sparse, observe_values)
@@ -419,7 +364,7 @@ def _with_dummy_writes(base: Trace, net: NetworkSpec, rng, ratio: float) -> Trac
     pos = 0
     arr = base.arr
     for i, layer in enumerate(net.layers):
-        out_tiles, out_cap = ofmap_tile_entries(layer.shape, layer.tiling)
+        out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
         is_out = (arr["op"] == OP_WRITE) & (arr["addr"] >> REGION_SHIFT == FMAP_REGION + i + 1)
         last = np.flatnonzero(is_out)
         if last.size == 0:
@@ -449,7 +394,7 @@ def _with_const_mean(base: Trace, net: NetworkSpec, rng, const: int, jitter) -> 
     pos = 0
     arr = base.arr
     for i, layer in enumerate(net.layers):
-        in_tiles, in_cap = ifmap_tile_entries(layer.shape, layer.tiling)
+        in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
         is_in = (arr["op"] == OP_READ) & (arr["addr"] >> REGION_SHIFT == FMAP_REGION + i)
         idx = np.flatnonzero(is_in)
         if idx.size == 0:
@@ -579,7 +524,7 @@ def prepare_neuroplug(
     data = compute_net_data(net, input_tensor, model_seed)
     fmap_tiles = []
     for i, layer in enumerate(net.layers):
-        entries, _ = ofmap_tile_entries(layer.shape, layer.tiling)
+        entries, _ = sfc.ofmap_walk(layer.shape, layer.tiling)
         chunks = _coalesced_raw_chunks(data.fmaps[i + 1], entries, chunk_target)
         fmap_tiles.append(
             [binpack.compress_tile(raw, tile_id=j) for j, raw in enumerate(chunks)]
@@ -604,7 +549,7 @@ def _first_layer_tiles(
 ) -> list[CompressedTile]:
     """Input tiles with fresh keyed dummy bytes, recompressed per run."""
     layer = net.layers[0]
-    entries, _ = ifmap_tile_entries(layer.shape, layer.tiling)
+    entries, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
     chunks = _coalesced_raw_chunks(input_tensor.values, entries, chunk_target)
     rng = np.random.default_rng([key.seed, run_index, 0xD0])
     total_dummy = key.noise.dummy_bytes_first_layer
@@ -723,13 +668,13 @@ def neuroplug_trace(
         elif plan.case == sfc.CASE_II:
             read_filter_pass(0)
             done = 0
-            for g in _regroup(n_in, plan.group_bin_capacity):
+            for g in sfc._chop(n_in, plan.group_bin_capacity):
                 emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
                 done += g
             emit_bins(OP_WRITE, out_base, n_out, region_tag=i + 1)
         else:  # case III
             done = 0
-            groups = _regroup(n_in, plan.group_bin_capacity)
+            groups = sfc._chop(n_in, plan.group_bin_capacity)
             for pass_idx, g in enumerate(groups):
                 emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
                 done += g
@@ -738,14 +683,6 @@ def neuroplug_trace(
         prev_out_bins = n_out
 
     return NeuroPlugRun(trace=em.build(), streams=streams, plans=plans, reports=reports)
-
-
-def _regroup(total: int, cap: int) -> list[int]:
-    cap = max(1, cap)
-    out = [cap] * (total // cap)
-    if total % cap:
-        out.append(total % cap)
-    return out or [0]
 
 
 # ---------------------------------------------------------------------------
@@ -798,30 +735,21 @@ def cdtv(trace: Trace) -> CdtvSummary:
 
 @dataclass
 class Scenario:
-    """One experiment configuration: a network, a countermeasure, inputs."""
+    """One experiment configuration: a network, a countermeasure, the
+    accelerator mode, the model seed and (for NeuroPlug) the key."""
 
     net: NetworkSpec
-    cm: str = "none"  # none | dummy-writes | const-mean | layer-divider | neuroplug
-    runs: int = 1
-    input_policy: str = "natural"
-    observe_addresses: bool = True
-    observe_values: bool = False
-    observe_timing: bool = True
+    cm: str = "none"  # none | neuroplug
     sparse: bool = False
     seed: int = 0
     key: NeuroPlugKey | None = None
-    cm_params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
 
 
 def ground_truth(net: NetworkSpec) -> dict:
     """Out-of-band labels for attack verdicts."""
     layers = []
     for i, layer in enumerate(net.layers):
-        out_tiles, _ = ofmap_tile_entries(layer.shape, layer.tiling)
+        out_tiles, _ = sfc.ofmap_walk(layer.shape, layer.tiling)
         shp = layer.shape
         layers.append(
             {

@@ -83,30 +83,40 @@ class TestInjectDummy:
             np.testing.assert_array_equal(binpack.strip_dummies(out, spans), raw)
 
 
+def bin_noise(spec, rng, n_bins=100):
+    """noise_reserved of n_bins one-entry bins packed by one pack_bins call."""
+    tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, comp_size=1, payload=None)
+             for i in range(n_bins)]
+    bins, _ = binpack.pack_bins(tiles, BinConfig(kappa=1), spec, rng, assemble=False)
+    assert len(bins) == n_bins
+    return [b.noise_reserved for b in bins]
+
+
 class TestSampleNoise:
     def test_zero_support_always_alpha(self):
         spec = NoiseSpec(alpha=123, support_r=0, sigma2_max=999)
-        rng = np.random.default_rng(0)
-        assert all(binpack.sample_noise(spec, rng) == 123 for _ in range(100))
+        assert bin_noise(spec, np.random.default_rng(0)) == [123] * 100
 
     def test_default_alpha_floor(self):
         spec = NoiseSpec()
-        rng = np.random.default_rng(1)
-        draws = [binpack.sample_noise(spec, rng) for _ in range(500)]
+        draws = bin_noise(spec, np.random.default_rng(1), n_bins=500)
         assert min(draws) >= 8000
+        assert max(draws) <= 8000 + 4096
         assert np.mean(draws) >= 8000
 
     def test_deterministic_per_seed(self):
         spec = NoiseSpec(alpha=10, support_r=100, sigma2_max=400)
-        a = [binpack.sample_noise(spec, np.random.default_rng(7)) for _ in range(1)]
-        b = [binpack.sample_noise(spec, np.random.default_rng(7)) for _ in range(1)]
-        assert a == b
+        a = bin_noise(spec, np.random.default_rng(7))
+        assert a == bin_noise(spec, np.random.default_rng(7))
+        assert a != bin_noise(spec, np.random.default_rng(8))
 
     def test_stream_blocks_share_variance(self):
-        spec = NoiseSpec(alpha=0, support_r=10**9, sigma2_max=10**6)
-        stream = binpack.noise_stream(spec, np.random.default_rng(3), 4096, resample_every=64)
-        assert stream.size == 4096
-        assert stream.min() >= 0
+        # one variance per call: the per-bin draws replay from a single sigma
+        spec = NoiseSpec(alpha=5, support_r=10**9, sigma2_max=10**6)
+        ref = np.random.default_rng(3)
+        sigma = np.sqrt(ref.uniform(0.0, spec.sigma2_max))
+        want = [spec.alpha + int(abs(ref.normal(0.0, sigma))) for _ in range(64)]
+        assert bin_noise(spec, np.random.default_rng(3), n_bins=64) == want
 
 
 class TestPackBins:

@@ -140,14 +140,14 @@ class TestGenerateWeights:
 
 class TestNsqf:
     def test_known_values(self):
-        assert model.is_nsqf(12) is True
-        assert model.is_nsqf(30) is False
-        assert model.is_nsqf(150528) is True  # 2^9 * 3 * 7^2
-        assert model.is_nsqf(1) is False
+        assert model.nsqf_mask(12, 12).tolist() == [1]
+        assert model.nsqf_mask(30, 30).tolist() == [0]
+        assert model.nsqf_mask(150528, 150528).tolist() == [1]  # 2^9 * 3 * 7^2
+        assert model.nsqf_mask(1, 1).tolist() == [0]
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            model.is_nsqf(0)
+            model.nsqf_mask(0, 0)
 
     def test_range_8_12(self):
         assert model.nsqf_in_range(8, 12).tolist() == [8, 9, 12]

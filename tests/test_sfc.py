@@ -12,70 +12,58 @@ def layer(h=8, w=8, c=4, k=4, r=3, s=3, pad=1, pool=1):
 
 class TestIfmapSfc:
     def test_single_tile(self):
-        order = sfc.ifmap_sfc(layer(h=4, w=4, c=2), TilingSpec(tk=4, tc=2, th=4, tw=4))
-        assert len(order) == 1
-        assert order.sequence[0].key() == (0, 0, 0, 2)
+        entries, cap = sfc.ifmap_walk(layer(h=4, w=4, c=2), TilingSpec(tk=4, tc=2, th=4, tw=4))
+        assert entries == [(0, (0, 2, 0, 4, 0, 4), 32)]
+        assert cap == 32
 
     def test_2x2_grid_row_major(self):
-        order = sfc.ifmap_sfc(layer(c=1), TilingSpec(tk=4, tc=1, th=4, tw=4))
-        assert [(t.row, t.col) for t in order.sequence] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        entries, _ = sfc.ifmap_walk(layer(c=1), TilingSpec(tk=4, tc=1, th=4, tw=4))
+        assert [(sl[2], sl[4]) for _, sl, _ in entries] == [(0, 0), (0, 4), (4, 0), (4, 4)]
 
     def test_2x2_grid_two_channel_groups(self):
         # oracle: the off-chip loop nest with the channel loop innermost
-        order = sfc.ifmap_sfc(layer(c=4), TilingSpec(tk=4, tc=2, th=4, tw=4))
+        entries, _ = sfc.ifmap_walk(layer(c=4), TilingSpec(tk=4, tc=2, th=4, tw=4))
         want = [
             (row, col, lo)
             for row in range(2)
             for col in range(2)
             for lo in (0, 2)
         ]
-        got = [(t.row, t.col, t.chan_lo) for t in order.sequence]
+        got = [(sl[2] // 4, sl[4] // 4, sl[0]) for _, sl, _ in entries]
         assert got == want
-        assert len(order) == 8
+        assert len(entries) == 8
 
     def test_starts_northwest(self):
-        order = sfc.ifmap_sfc(layer(h=16, w=16), TilingSpec(tk=4, tc=4, th=4, tw=4))
-        first = order.sequence[0]
-        assert (first.row, first.col) == (0, 0)
+        entries, _ = sfc.ifmap_walk(layer(h=16, w=16), TilingSpec(tk=4, tc=4, th=4, tw=4))
+        offset, (lo, _, r0, _, w0, _), _ = entries[0]
+        assert (offset, lo, r0, w0) == (0, 0, 0, 0)
 
     def test_permutation_no_repeats(self):
+        # ragged edges in every dimension; every element is covered exactly once
         lay = layer(h=10, w=14, c=5)
-        order = sfc.ifmap_sfc(lay, TilingSpec(tk=4, tc=2, th=4, tw=4))
-        keys = [t.key() for t in order.sequence]
+        entries, cap = sfc.ifmap_walk(lay, TilingSpec(tk=4, tc=2, th=4, tw=4))
+        keys = [sl for _, sl, _ in entries]
         assert len(keys) == len(set(keys))
-        n_rows, n_cols, n_groups = sfc.ifmap_grid(lay, TilingSpec(tk=4, tc=2, th=4, tw=4))
-        assert len(keys) == n_rows * n_cols * n_groups
+        assert len(keys) == 3 * 4 * 3
+        hits = np.zeros((lay.c, lay.h, lay.w), dtype=int)
+        offset = 0
+        for off, (lo, hi, r0, r1, w0, w1), actual in entries:
+            hits[lo:hi, r0:r1, w0:w1] += 1
+            assert off == offset and 0 < actual <= cap
+            assert actual == hits[lo:hi, r0:r1, w0:w1].size * lay.bytes_per_elem
+            offset += actual
+        assert (hits == 1).all()
 
     def test_channel_contiguity(self):
-        order = sfc.ifmap_sfc(layer(c=8), TilingSpec(tk=4, tc=2, th=4, tw=4))
+        entries, _ = sfc.ifmap_walk(layer(c=8), TilingSpec(tk=4, tc=2, th=4, tw=4))
         seen_positions = []
         prev_pos = None
-        for t in order.sequence:
-            pos = (t.row, t.col)
+        for _, sl, _ in entries:
+            pos = (sl[2], sl[4])
             if pos != prev_pos:
                 assert pos not in seen_positions  # channel groups never split
                 seen_positions.append(pos)
                 prev_pos = pos
-
-
-class TestFilterSfc:
-    def test_single_kernel(self):
-        order = sfc.filter_sfc(layer(c=1, k=1))
-        assert order.sequence == ((0, 0),)
-
-    def test_c2_k3_order(self):
-        order = sfc.filter_sfc(layer(c=2, k=3))
-        assert order.sequence == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
-
-    def test_fused_orders_partition_then_next_layer(self):
-        a, b = layer(c=2, k=4), layer(c=4, k=2)
-        order = sfc.fused_filter_sfc(a, 2, b)
-        assert order.kind == "fused-filter"
-        first_half = [e for e in order.sequence if e[0] == 0]
-        second_half = [e for e in order.sequence if e[0] == 1]
-        assert first_half == [(0, k, c) for k in range(2) for c in range(2)]
-        assert second_half == [(1, k, c) for k in range(2) for c in range(4)]
-        assert order.sequence.index(second_half[0]) == len(first_half)
 
 
 class TestPlanExecution:
@@ -119,13 +107,6 @@ class TestPlanExecution:
         assert plan.case == sfc.CASE_III
         assert plan.tau == len(plan.ifmap_bin_groups)
         assert 1 <= plan.eta <= plan.tau
-        stream = plan.unrolled_weight_order()
-        n = len(plan.ofmap_partition)
-        # de-unrolled: tau concatenated copies of the partitioned order
-        parts = [p for p, _ in stream]
-        assert parts == list(range(n)) * plan.tau
-        copies = {c for _, c in stream}
-        assert copies == set(range(min(plan.eta, plan.tau)))
 
     def test_capacity_too_small(self):
         with pytest.raises(PlanningError):
@@ -133,6 +114,13 @@ class TestPlanExecution:
                 layer(), TilingSpec(tk=4, tc=4, th=4, tw=4),
                 npu_capacity_bytes=32, rng=np.random.default_rng(0), bin_size=2048,
             )
+
+    def test_validate_rejects_bad_partition(self):
+        plan = sfc.ExecutionPlan(sfc.CASE_I, [3, 2], [1], 1, 1, 0)
+        with pytest.raises(PlanningError):
+            plan.validate(6)
+        with pytest.raises(PlanningError):
+            sfc.ExecutionPlan(sfc.CASE_III, [6], [1, 1], 2, 3, 0).validate(6)
 
     def test_deterministic_for_seed(self):
         lay = layer(h=64, w=64, c=32, k=64)
@@ -149,37 +137,11 @@ class TestOfmapMatchesNextIfmap:
         ta = TilingSpec(tk=4, tc=4, th=4, tw=4)
         b = layer(h=8, w=8, c=16, k=8)
         tb = TilingSpec(tk=8, tc=4, th=4, tw=4)
-        out_walk = [(t.row, t.col, t.chan_lo, t.chan_hi) for t in sfc.ofmap_sfc(a, ta).sequence]
-        in_walk = [(t.row, t.col, t.chan_lo, t.chan_hi) for t in sfc.ifmap_sfc(b, tb).sequence]
-        assert out_walk == in_walk
+        assert sfc.ofmap_walk(a, ta) == sfc.ifmap_walk(b, tb)
 
-
-class TestHaloPlan:
-    def test_1x1_filter_empty(self):
-        plan = sfc.halo_plan(layer(r=1, s=1, pad=0), TilingSpec(tk=4, tc=4, th=4, tw=4), 1 << 20)
-        assert plan.empty and plan.overflow is None
-
-    def test_west_and_north_sources(self):
-        plan = sfc.halo_plan(layer(), TilingSpec(tk=4, tc=4, th=4, tw=4), 1 << 20)
-        assert plan.overflow is None
-        by_dest = {}
-        for t in plan.transfers:
-            by_dest.setdefault(t.dest, []).append(t.source)
-        assert sorted(by_dest[(1, 1)]) == [(0, 1), (1, 0)]
-        assert by_dest[(0, 1)] == [(0, 0)]  # row 0: west only
-        assert by_dest[(1, 0)] == [(0, 0)]  # col 0: north only
-        assert (0, 0) not in by_dest
-
-    def test_strips_smaller_than_filter(self):
-        plan = sfc.halo_plan(layer(r=5, s=5, pad=2), TilingSpec(tk=4, tc=4, th=4, tw=4), 1 << 20)
-        for t in plan.transfers:
-            assert t.strip_rows < 5 or t.strip_cols < 5
-
-    def test_zero_budget_overflows_every_interrow_strip(self):
-        lay = layer(h=16, w=16)
-        plan = sfc.halo_plan(lay, TilingSpec(tk=4, tc=4, th=4, tw=4), 0)
-        assert plan.overflow is not None
-        n_rows, n_cols, _ = sfc.ifmap_grid(lay, TilingSpec(tk=4, tc=4, th=4, tw=4))
-        assert len(plan.overflow.sequence) == (n_rows - 1) * n_cols
-        # reading back follows the identical sequence
-        assert plan.overflow.sequence == tuple(sorted(plan.overflow.sequence))
+    def test_pooled_walk_matches_next_ifmap(self):
+        a = layer(h=16, w=16, c=4, k=8, pool=2)
+        b = layer(h=8, w=8, c=8, k=4)
+        walk, cap = sfc.ofmap_walk(a, TilingSpec(tk=4, tc=4, th=8, tw=8))
+        assert (walk, cap) == sfc.ifmap_walk(b, TilingSpec(tk=4, tc=4, th=4, tw=4))
+        assert sum(actual for _, _, actual in walk) == a.k * a.p_out * a.q_out

@@ -172,9 +172,17 @@ class TestHeteroskedasticity:
         assert np.isnan(out["bp_p"]) and flags["collinear"]
 
     def test_noise_generator_rejects_but_gaussian_control_does_not(self):
+        # the bin noise as packed: one variance per pack_bins call of 64 bins
         spec = binpack.NoiseSpec(alpha=0, support_r=10**9, sigma2_max=250_000)
         rng = np.random.default_rng(11)
-        stream = binpack.noise_stream(spec, rng, 100_000, resample_every=64)
+        cfg = binpack.BinConfig(kappa=1)
+        tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, comp_size=1, payload=None)
+                 for i in range(64)]
+        stream = np.array([
+            b.noise_reserved
+            for _ in range(-(-100_000 // 64))
+            for b in binpack.pack_bins(tiles, cfg, spec, rng, assemble=False)[0]
+        ])[:100_000]
         x, resid = stats.block_variance_regressor(stream, block=64)
         ps = stats.heteroskedasticity_tests(x, resid)
         assert ps["bp_p"] < 0.05 and ps["white_p"] < 0.05

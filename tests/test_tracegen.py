@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neuroplug import binpack, model, tracegen
+from neuroplug import binpack, model, sfc, tracegen
 from neuroplug.binpack import BinConfig, NoiseSpec
 from neuroplug.errors import ConfigError
 from neuroplug.model import Layer, LayerShape, NetworkSpec, Tensor3D, TilingSpec
@@ -10,6 +10,7 @@ from neuroplug.tracegen import (
     OP_READ,
     OP_WRITE,
     REGION_SHIFT,
+    WEIGHT_REGION,
     NeuroPlugKey,
     Trace,
     additive_cm_trace,
@@ -227,12 +228,68 @@ class TestNeuroPlug:
         )
         chunks = binpack.unpack_bins(bins)
         got = np.concatenate(chunks)
-        entries, _ = tracegen.ifmap_tile_entries(net.layers[0].shape, net.layers[0].tiling)
+        entries, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
         want = np.concatenate(
             tracegen._coalesced_raw_chunks(inp.values, entries, 2048)
         )
         np.testing.assert_array_equal(got, want)
         assert got.size == inp.values.size  # every input byte is in the stream
+
+
+@pytest.fixture(scope="module")
+def case_three_runs():
+    """One layer whose weights and ifmap both overflow the NPU (case III).
+
+    Runs 21 and 24 draw eta = 2 stored weight copies, runs 0 and 1 draw one.
+    """
+    shape = LayerShape(k=64, c=32, h=64, w=64, r=3, s=3, pad=1)
+    net = NetworkSpec(layers=[Layer(shape=shape, tiling=TilingSpec(64, 32, 8, 8))])
+    inp = toy_input(net, 0)
+    key = np_key(npu_capacity=16384)
+    cache = prepare_neuroplug(net, inp, model_seed=0)
+    runs = [neuroplug_trace(net, inp, key, run_index=r, cache=cache) for r in (0, 1, 21, 24)]
+    assert [run.plans[0].eta for run in runs] == [1, 1, 2, 2]
+    return runs
+
+
+class TestCaseThreeEmission:
+    @staticmethod
+    def read_passes(run):
+        """Maximal runs of consecutive reads per region: [(region, [bin index, ...])]."""
+        passes = []
+        for row in run.trace.arr[run.trace.op == OP_READ]:
+            region = int(row["addr"]) >> REGION_SHIFT
+            idx = (int(row["addr"]) & ((1 << REGION_SHIFT) - 1)) // 2048
+            if passes and passes[-1][0] == region:
+                passes[-1][1].append(idx)
+            else:
+                passes.append((region, [idx]))
+        return passes
+
+    def test_weight_passes_interleave_ifmap_groups(self, case_three_runs):
+        for run in case_three_runs:
+            plan = run.plans[0]
+            assert plan.case == sfc.CASE_III
+            groups = sfc._chop(run.bins_of(0, "ifmap"), plan.group_bin_capacity)
+            passes = self.read_passes(run)
+            assert [r for r, _ in passes] == [FMAP_REGION, WEIGHT_REGION] * len(groups)
+            fmap_reads = [idx for r, idx in passes if r == FMAP_REGION]
+            assert [len(idx) for idx in fmap_reads] == groups
+            assert sum(fmap_reads, []) == list(range(sum(groups)))
+
+    def test_pass_reads_copy_p_mod_eta(self, case_three_runs):
+        for run in case_three_runs:
+            eta = run.plans[0].eta
+            weight_reads = [idx for r, idx in self.read_passes(run) if r == WEIGHT_REGION]
+            for idx in weight_reads:
+                assert idx == list(range(idx[0], idx[0] + len(idx)))
+            # the stored copies lie back to back in the weight region, in copy order
+            copies = sorted({(idx[0], idx[-1]) for idx in weight_reads})
+            assert len(copies) == min(eta, len(weight_reads))
+            assert copies[0][0] == 0 and copies[-1][1] == run.bins_of(0, "filter") - 1
+            assert all(b[0] == a[1] + 1 for a, b in zip(copies, copies[1:]))
+            for p, idx in enumerate(weight_reads):
+                assert (idx[0], idx[-1]) == copies[p % eta]
 
 
 class TestCdtv:
