@@ -20,7 +20,6 @@ treated as public NPU design knowledge; only key material is secret.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +239,6 @@ def kk_attack(report: AttackReport, leaked_constants: dict) -> AttackReport:
 
 def si_attack(
     traces,
-    value_observability: bool = True,
     prior: dict[int, tuple[int, int]] | tuple[int, int] | None = None,
     base_report: AttackReport | None = None,
 ) -> AttackReport:
@@ -263,19 +261,18 @@ def si_attack(
         runs += 1
         arr = trace.arr
         fake = np.zeros(len(arr), dtype=bool)
-        if value_observability:
-            last_digest: dict[int, int] = {}
-            for idx in range(len(arr)):
-                if arr["op"][idx] != OP_WRITE:
-                    continue
-                a = int(arr["addr"][idx])
-                d = int(arr["digest"][idx])
-                if last_digest.get(a) == d and d != 0:
-                    fake[idx] = True
-                    kind, t_idx = tracegen.region_of(a)
-                    if kind == "fmap":
-                        removed_per_tensor[t_idx] = removed_per_tensor.get(t_idx, 0) + 1
-                last_digest[a] = d
+        last_digest: dict[int, int] = {}
+        for idx in range(len(arr)):
+            if arr["op"][idx] != OP_WRITE:
+                continue
+            a = int(arr["addr"][idx])
+            d = int(arr["digest"][idx])
+            if last_digest.get(a) == d and d != 0:
+                fake[idx] = True
+                kind, t_idx = tracegen.region_of(a)
+                if kind == "fmap":
+                    removed_per_tensor[t_idx] = removed_per_tensor.get(t_idx, 0) + 1
+            last_digest[a] = d
         removed_total += int(fake.sum())
         covered_arr = arr[~fake]
         covered = _writes_overlapping_reads(covered_arr)
@@ -313,16 +310,6 @@ def si_attack(
         runs_used=runs,
         extra={"fake_writes_removed": removed_total},
     )
-
-
-def sskksi_pipeline(traces: list[Trace], leaked_constants: dict | None = None,
-                    value_observability: bool = True) -> AttackReport:
-    """The full three-generation pipeline in order."""
-    rep = ss_attack(traces)
-    rep = kk_attack(rep, leaked_constants or {})
-    rep = si_attack(traces, value_observability, base_report=rep)
-    rep.kind = "ss+kk+si"
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +350,8 @@ class CraftedInputSet:
     tensors: list[Tensor3D]
 
 
-def craft_inputs(
-    policy: str,
-    shape: LayerShape,
-    count: int,
-    seed: int = 0,
-    base: Tensor3D | None = None,
-    amplitude: int = 1,
-) -> CraftedInputSet:
-    """Attack inputs: impulse sweeps or speckled variants of a base input."""
+def craft_inputs(policy: str, shape: LayerShape, count: int) -> CraftedInputSet:
+    """Attack inputs: a single 1 swept along the first row or column."""
     if count < 1:
         raise DomainError("count must be >= 1")
     tensors = []
@@ -388,21 +368,6 @@ def craft_inputs(
         for k in range(count):
             vals = np.zeros((shape.c, shape.h, shape.w), dtype=np.int8)
             vals[0, k, 0] = 1
-            tensors.append(Tensor3D(vals))
-    elif policy == "speckle":
-        if base is None:
-            raise DomainError("speckle needs a base input")
-        rng = np.random.default_rng([seed, 0x5E])
-        for _ in range(count):
-            vals = base.values.copy()
-            if amplitude > 0:
-                nz = np.flatnonzero(vals.reshape(-1))
-                flat = vals.reshape(-1)
-                delta = rng.integers(-amplitude, amplitude + 1, size=nz.size).astype(np.int8)
-                bumped = flat[nz].astype(np.int16) + delta
-                # keep sign and nonzero-ness so the sparse footprint is stable
-                bumped = np.clip(bumped, 1, 63).astype(np.int8)
-                flat[nz] = bumped
             tensors.append(Tensor3D(vals))
     else:
         raise DomainError(f"unknown crafted-input policy {policy!r}")
@@ -546,7 +511,6 @@ def _unique_volume(rows) -> int:
 def reverse_engg_attack(
     trace: Trace,
     bounds: dict | None = None,
-    bytes_per_elem: int = 1,
     uncertain: bool = False,
     v_band: tuple[float, float] = (V_LO_DEFAULT, V_HI_DEFAULT),
 ) -> AttackReport:
@@ -596,7 +560,7 @@ def reverse_engg_attack(
         vol_w = _unique_volume(other)
         vol_out = _unique_volume(writes)
         cands = _enumerate_candidates(
-            vol_in, vol_w, vol_out, bounds, bytes_per_elem, uncertain, v_band
+            vol_in, vol_w, vol_out, bounds, uncertain, v_band
         )
         layers.append(
             LayerEstimate(
@@ -624,7 +588,7 @@ def reverse_engg_attack(
     )
 
 
-def _enumerate_candidates(vol_in, vol_w, vol_out, bounds, b, uncertain, v_band):
+def _enumerate_candidates(vol_in, vol_w, vol_out, bounds, uncertain, v_band):
     """(C, H, K, RS) tuples consistent with the observed volumes."""
     out = []
     if uncertain:
@@ -633,31 +597,31 @@ def _enumerate_candidates(vol_in, vol_w, vol_out, bounds, b, uncertain, v_band):
         lo_out, hi_out = max(1, int(vol_out / v_band[1])), int(vol_out)
         lo_w, hi_w = max(1, int(vol_w / v_band[1])), int(vol_w)
     for h in range(1, bounds["h"] + 1):
-        h2b = h * h * b
+        h2 = h * h
         if not uncertain:
-            if vol_in % h2b or vol_out % h2b:
+            if vol_in % h2 or vol_out % h2:
                 continue
-            c = vol_in // h2b
-            k = vol_out // h2b
+            c = vol_in // h2
+            k = vol_out // h2
             if not (1 <= c <= bounds["c"] and 1 <= k <= bounds["k"]):
                 continue
-            rs_vol = vol_w // (k * c * b) if k * c else 0
-            if rs_vol == 0 or vol_w % (k * c * b):
+            rs_vol = vol_w // (k * c) if k * c else 0
+            if rs_vol == 0 or vol_w % (k * c):
                 continue
             if rs_vol > bounds["rs"] * bounds["rs"]:
                 continue
             out.append((int(c), int(h), int(k), int(rs_vol)))
         else:
-            c_lo = max(1, -(-lo_in // h2b))
-            c_hi = min(bounds["c"], hi_in // h2b)
-            k_lo = max(1, -(-lo_out // h2b))
-            k_hi = min(bounds["k"], hi_out // h2b)
+            c_lo = max(1, -(-lo_in // h2))
+            c_hi = min(bounds["c"], hi_in // h2)
+            k_lo = max(1, -(-lo_out // h2))
+            k_hi = min(bounds["k"], hi_out // h2)
             if c_lo > c_hi or k_lo > k_hi:
                 continue
             for c in range(c_lo, c_hi + 1):
                 for k in range(k_lo, k_hi + 1):
-                    rs_lo = max(1, -(-lo_w // (k * c * b)))
-                    rs_hi = min(bounds["rs"] * bounds["rs"], hi_w // (k * c * b))
+                    rs_lo = max(1, -(-lo_w // (k * c)))
+                    rs_hi = min(bounds["rs"] * bounds["rs"], hi_w // (k * c))
                     for rs in range(rs_lo, rs_hi + 1):
                         out.append((c, h, k, rs))
                         if len(out) >= 2_000_000:

@@ -9,15 +9,16 @@ a compression factor times the tile bytes plus keyed additive slack.
 Wire image of a bin (little-endian):
     [u16 n_entries][entries ...][payload segments ...][zero pad]
     entry: [u32 id | bit31 = continuation][u16 offset][u16 length]
-offsets are relative to the payload area, which starts right after the
-table.  Dummy-byte spans are keyed metadata and are not serialized.
+each entry is TABLE_ENTRY_BYTES = 8 bytes; offsets are relative to the
+payload area, which starts right after the table.  Dummy-byte spans are
+keyed metadata and are not serialized.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +29,18 @@ MODE_STORED = 0
 MODE_RLE_HUF = 1
 _CONT_BIT = 1 << 31
 _MAX_CODE_LEN = 56
+TABLE_ENTRY_BYTES = 8  # u32 id + u16 offset + u16 length
 
 
 @dataclass(frozen=True)
 class BinConfig:
     bin_size: int = 61440
     kappa: int = 8
-    table_entry_size: int = 8
 
     def validate(self) -> None:
         if self.kappa < 1:
             raise ConfigError("kappa must be >= 1")
-        if self.bin_size <= 2 + self.kappa * self.table_entry_size:
+        if self.bin_size <= 2 + self.kappa * TABLE_ENTRY_BYTES:
             raise ConfigError("bin_size must exceed the full table capacity")
         if self.bin_size > 0xFFFF:
             raise ConfigError("bin_size must fit 16-bit offsets")
@@ -62,7 +63,6 @@ class NoiseSpec:
     support_r: int = 4096
     sigma2_max: float = 1 << 20
     dummy_bytes_first_layer: int = 512
-    seed: int = 0
 
     def validate(self) -> None:
         if self.alpha < 0 or self.support_r < 0 or self.sigma2_max < 0:
@@ -82,7 +82,6 @@ class CompressedTile:
     comp_size: int
     payload: np.ndarray | None
     dummy_spans: tuple = ()
-    mode: str = "real"
 
 
 def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
@@ -176,7 +175,7 @@ def _varint_decode(data: np.ndarray, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def compress_tile(raw, tile_id: int = 0, mode: str = "real", dummy_spans: tuple = ()) -> CompressedTile:
+def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedTile:
     """Compress one tile's bytes into a self-describing container."""
     raw = np.ascontiguousarray(np.frombuffer(bytes(raw), dtype=np.uint8) if isinstance(raw, (bytes, bytearray)) else raw, dtype=np.uint8)
     if raw.size == 0:
@@ -202,15 +201,6 @@ def compress_tile(raw, tile_id: int = 0, mode: str = "real", dummy_spans: tuple 
         payload=packed,
         dummy_spans=tuple(dummy_spans),
     )
-
-
-def sample_compressed_tile(
-    raw_size: int, tile_id: int, beta: float
-) -> CompressedTile:
-    """Theory-mode tile: no payload, size drawn from a beta sampler."""
-    comp = max(1, round(beta * raw_size))
-    return CompressedTile(tile_id=tile_id, raw_size=raw_size, comp_size=comp,
-                          payload=None, mode="sampled")
 
 
 def decompress_tile(payload: np.ndarray) -> np.ndarray:
@@ -304,8 +294,8 @@ class Bin:
     empty_pad: int
     noise_reserved: int
 
-    def table_bytes(self, cfg: BinConfig) -> int:
-        return 2 + len(self.entries) * cfg.table_entry_size
+    def table_bytes(self) -> int:
+        return 2 + len(self.entries) * TABLE_ENTRY_BYTES
 
     def to_bytes(self, cfg: BinConfig) -> bytes:
         if self.payload is None:
@@ -320,8 +310,8 @@ class Bin:
             out[pos : pos + 4] = np.frombuffer(int(ident).to_bytes(4, "little"), dtype=np.uint8)
             out[pos + 4 : pos + 6] = np.frombuffer(int(e.offset).to_bytes(2, "little"), dtype=np.uint8)
             out[pos + 6 : pos + 8] = np.frombuffer(int(e.length).to_bytes(2, "little"), dtype=np.uint8)
-            pos += cfg.table_entry_size
-        base = 2 + n * cfg.table_entry_size
+            pos += TABLE_ENTRY_BYTES
+        base = 2 + n * TABLE_ENTRY_BYTES
         out[base : base + self.payload.size] = self.payload
         return out.tobytes()
 
@@ -331,11 +321,11 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
         raise IntegrityError(f"bin image must be exactly {cfg.bin_size} bytes")
     arr = np.frombuffer(data, dtype=np.uint8)
     n = int(arr[0]) | (int(arr[1]) << 8)
-    if n > cfg.kappa or 2 + n * cfg.table_entry_size > cfg.bin_size:
+    if n > cfg.kappa or 2 + n * TABLE_ENTRY_BYTES > cfg.bin_size:
         raise IntegrityError("entry count exceeds table capacity")
     entries = []
     pos = 2
-    payload_base = 2 + n * cfg.table_entry_size
+    payload_base = 2 + n * TABLE_ENTRY_BYTES
     payload_room = cfg.bin_size - payload_base
     used = 0
     for _ in range(n):
@@ -353,7 +343,7 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
             )
         )
         used += ln
-        pos += cfg.table_entry_size
+        pos += TABLE_ENTRY_BYTES
     payload = arr[payload_base:].copy()
     return Bin(index=index, entries=entries, payload=payload,
                empty_pad=cfg.bin_size - payload_base - used, noise_reserved=0)
@@ -391,20 +381,24 @@ def pack_bins(
     admitted; tiles split across bin boundaries get continuation entries;
     at most kappa entries start per bin.  The Gaussian noise variance is
     drawn once per call, so consecutive layers carry different variances.
+    The noise floor alpha must leave room for one entry and one payload
+    byte; only the half-normal tail above it is clamped to fit.
     """
     cfg.validate()
     noise.validate()
+    entry = TABLE_ENTRY_BYTES
+    room = cfg.bin_size - 2 - entry - 1
+    if noise.alpha > room:
+        raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
+                          f"{cfg.bin_size} B bin (at most {room})")
     if not tiles:
         return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
-    entry = cfg.table_entry_size
     sigma2 = rng.uniform(0.0, noise.sigma2_max)
     sigma = math.sqrt(sigma2)
 
     def draw_noise() -> int:
         n_prime = abs(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-        val = noise.alpha + int(min(n_prime, noise.support_r))
-        # always leave room for at least one entry and one payload byte
-        return min(val, cfg.bin_size - 2 - entry - 1)
+        return min(noise.alpha + int(min(n_prime, noise.support_r)), room)
 
     bins: list[Bin] = []
     cur_entries: list[BinEntry] = []
@@ -461,12 +455,7 @@ def pack_bins(
                 )
             )
             if assemble:
-                if tile.payload is not None:
-                    seg = tile.payload[taken : taken + take]
-                    if seg.size < take:  # sampled mode: size is synthetic
-                        seg = np.concatenate([seg, np.zeros(take - seg.size, dtype=np.uint8)])
-                else:
-                    seg = np.zeros(take, dtype=np.uint8)
+                seg = tile.payload[taken : taken + take]
                 cur_segments.append(np.ascontiguousarray(seg, dtype=np.uint8))
             cur_used += entry + take
             cur_payload_off += take

@@ -26,6 +26,7 @@ class LayerShape:
 
     k: output feature maps, c: input channels, h/w: input rows/cols,
     r/s: filter rows/cols, pool: downsample factor per axis (1 = none).
+    Elements are int8, one byte each.
     """
 
     k: int
@@ -37,7 +38,6 @@ class LayerShape:
     stride: int = 1
     pad: int = 0
     pool: int = 1
-    bytes_per_elem: int = 1
 
     @property
     def p(self) -> int:
@@ -58,7 +58,7 @@ class LayerShape:
         return self.q // self.pool
 
     def validate(self) -> None:
-        for name in ("k", "c", "h", "w", "r", "s", "stride", "pool", "bytes_per_elem"):
+        for name in ("k", "c", "h", "w", "r", "s", "stride", "pool"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"layer field {name} must be >= 1")
         if self.pad < 0:
@@ -92,7 +92,7 @@ class TilingSpec:
 def auto_tile(shape: LayerShape, target_bytes: int = 2048) -> TilingSpec:
     """Pick a deep-tile shape with roughly target_bytes per tile."""
     th = tw = min(shape.h, 8)
-    tc = max(1, min(shape.c, target_bytes // (th * tw * shape.bytes_per_elem)))
+    tc = max(1, min(shape.c, target_bytes // (th * tw)))
     return TilingSpec(tk=shape.k, tc=tc, th=th, tw=min(shape.w, tw))
 
 
@@ -144,14 +144,6 @@ class Tensor3D:
             raise ShapeError("Tensor3D needs 3 dims (channels, rows, cols)")
         if self.values.dtype != np.int8:
             raise ShapeError("Tensor3D holds int8 elements")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.values.shape
-
-    @classmethod
-    def zeros(cls, c: int, h: int, w: int) -> "Tensor3D":
-        return cls(np.zeros((c, h, w), dtype=np.int8))
 
 
 def _as_array(t) -> np.ndarray:
@@ -264,11 +256,6 @@ def nsqf_in_range(lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64) + lo
 
 
-def ifmap_volume(layer: LayerShape) -> int:
-    """Input feature map footprint in bytes."""
-    return layer.c * layer.h * layer.w * layer.bytes_per_elem
-
-
 # ---------------------------------------------------------------------------
 # network config files
 
@@ -284,7 +271,6 @@ def _layer_from_json(doc: dict) -> Layer:
         stride=doc.get("stride", 1),
         pad=doc.get("pad", 0),
         pool=doc.get("pool", 1),
-        bytes_per_elem=doc.get("bytes_per_elem", 1),
     )
     til = doc.get("tiling")
     tiling = (
@@ -317,7 +303,6 @@ def network_to_json(net: NetworkSpec) -> dict:
             {
                 "k": sh.k, "c": sh.c, "h": sh.h, "w": sh.w, "r": sh.r, "s": sh.s,
                 "stride": sh.stride, "pad": sh.pad, "pool": sh.pool,
-                "bytes_per_elem": sh.bytes_per_elem,
                 "sparsity": layer.sparsity,
                 "tiling": {"tk": ti.tk, "tc": ti.tc, "th": ti.th, "tw": ti.tw},
             }

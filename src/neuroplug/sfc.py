@@ -3,9 +3,12 @@
 A feature map is walked as deep tiles: row-major over the (row, col) grid
 with the channel groups of one position kept adjacent.  `ifmap_walk` and
 `ofmap_walk` are the one walk every trace generator uses.  Execution
-planning decides how the walk is chopped when weights and/or inputs
-overflow the on-chip capacity (cases I, II, III) and how weight re-reads
-are hidden by unrolling.
+planning picks the capacity case (AllFit, I, II, III) when weights and/or
+inputs overflow the on-chip capacity, and owns the chopping of the layer's
+real ifmap bin count into the groups read between weight passes (tau
+passes in case III, over eta stored weight copies); `neuroplug_trace`
+emits exactly that schedule.  Elements are int8, so every size here is
+an element count and a byte count at once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def ofmap_tile_dims(layer: LayerShape, tiling: TilingSpec):
     return th_out, tw_out
 
 
-def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int, bytes_per_elem: int):
+def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
     """Deep tiles in curve order: rows outer, cols inner, channel groups innermost.
 
     Returns ([(byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...],
@@ -56,21 +59,21 @@ def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int, bytes_per_elem: i
             for g in range(n_groups):
                 lo = g * tch
                 hi = min(ch, lo + tch)
-                actual = (hi - lo) * (r1 - r0) * (w1 - w0) * bytes_per_elem
+                actual = (hi - lo) * (r1 - r0) * (w1 - w0)
                 out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
                 offset += actual
-    return out, tch * th * tw * bytes_per_elem
+    return out, tch * th * tw
 
 
 def ifmap_walk(layer: LayerShape, tiling: TilingSpec):
     """Read order of the input's deep tiles (see `_walk`)."""
-    return _walk(layer.h, layer.w, layer.c, tiling.th, tiling.tw, tiling.tc, layer.bytes_per_elem)
+    return _walk(layer.h, layer.w, layer.c, tiling.th, tiling.tw, tiling.tc)
 
 
 def ofmap_walk(layer: LayerShape, tiling: TilingSpec):
     """Write order of the pooled output; same walk shape as an ifmap read."""
     th_out, tw_out = ofmap_tile_dims(layer, tiling)
-    return _walk(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk, layer.bytes_per_elem)
+    return _walk(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,6 @@ class ExecutionPlan:
     tau: int
     eta: int
     partition_seed: int
-    group_bin_capacity: int = 0
 
     def validate(self, k_total: int) -> None:
         if sum(self.ofmap_partition) != k_total:
@@ -130,15 +132,15 @@ def _random_composition(
 
 
 def weight_bytes(layer: LayerShape) -> int:
-    return layer.k * layer.c * layer.r * layer.s * layer.bytes_per_elem
+    return layer.k * layer.c * layer.r * layer.s
 
 
 def ifmap_bytes(layer: LayerShape) -> int:
-    return layer.c * layer.h * layer.w * layer.bytes_per_elem
+    return layer.c * layer.h * layer.w
 
 
 def deep_tile_bytes(layer: LayerShape, tiling: TilingSpec) -> int:
-    return tiling.tc * tiling.th * tiling.tw * layer.bytes_per_elem
+    return tiling.tc * tiling.th * tiling.tw
 
 
 def plan_execution(
@@ -146,13 +148,15 @@ def plan_execution(
     tiling: TilingSpec,
     npu_capacity_bytes: int,
     rng: np.random.Generator,
-    bin_size: int = 61440,
+    bin_size: int,
+    ifmap_bins: int,
 ) -> ExecutionPlan:
     """Choose the capacity case and randomized partitions for one layer.
 
-    The ofmap partition count and the unroll factor are random variables
-    drawn from the same sampler family as the bin noise, so the plan is a
-    per-run secret.
+    The case is chosen on raw byte footprints; the ifmap groups chop the
+    layer's real input bin count, ifmap_bins.  The ofmap partition count
+    and the unroll factor are random variables drawn from the same
+    sampler family as the bin noise, so the plan is a per-run secret.
     """
     w_bytes = weight_bytes(layer)
     i_bytes = ifmap_bytes(layer)
@@ -162,16 +166,14 @@ def plan_execution(
             f"capacity {npu_capacity_bytes} below one deep tile ({tile_bytes}) or bin ({bin_size})"
         )
     seed = int(rng.integers(0, 2**31 - 1))
-    est_ifmap_bins = max(1, math.ceil(i_bytes / bin_size))
 
-    kernel_bytes = layer.c * layer.r * layer.s * layer.bytes_per_elem
+    kernel_bytes = layer.c * layer.r * layer.s
     weights_fit = w_bytes + tile_bytes <= npu_capacity_bytes
     both_fit = w_bytes + i_bytes <= npu_capacity_bytes
     ifmap_fits = i_bytes + tile_bytes <= npu_capacity_bytes
 
     if both_fit:
-        plan = ExecutionPlan(CASE_ALL_FIT, [layer.k], [est_ifmap_bins], 1, 1, seed,
-                             group_bin_capacity=est_ifmap_bins)
+        plan = ExecutionPlan(CASE_ALL_FIT, [layer.k], [ifmap_bins], 1, 1, seed)
     elif not weights_fit and ifmap_fits:
         # case I: stream the weights in n randomly sized chunks of output maps
         headroom = npu_capacity_bytes - i_bytes
@@ -179,13 +181,12 @@ def plan_execution(
         n_min = max(2, math.ceil(layer.k / k_cap))
         n = min(layer.k, n_min + _noise_int(rng, 1.5))
         partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
-        plan = ExecutionPlan(CASE_I, partition, [est_ifmap_bins], 1, 1, seed,
-                             group_bin_capacity=est_ifmap_bins)
+        plan = ExecutionPlan(CASE_I, partition, [ifmap_bins], 1, 1, seed)
     elif weights_fit:
         # case II: chop the ifmap walk into groups of bins that fit beside the weights
         g_max = max(1, (npu_capacity_bytes - w_bytes) // bin_size)
-        groups = _chop(est_ifmap_bins, g_max)
-        plan = ExecutionPlan(CASE_II, [layer.k], groups, 1, 1, seed, group_bin_capacity=g_max)
+        groups = _chop(ifmap_bins, g_max)
+        plan = ExecutionPlan(CASE_II, [layer.k], groups, 1, 1, seed)
     else:
         # case III: both overflow; weights streamed per ifmap group, unrolled
         half = npu_capacity_bytes // 2
@@ -194,11 +195,11 @@ def plan_execution(
         n = min(layer.k, n_min + _noise_int(rng, 1.5))
         partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
         g_max = max(1, half // bin_size)
-        groups = _chop(est_ifmap_bins, g_max)
+        groups = _chop(ifmap_bins, g_max)
         tau = len(groups)
         eta = 1 + _noise_int(rng, 1.0)
         eta = max(1, min(eta, tau))
-        plan = ExecutionPlan(CASE_III, partition, groups, tau, eta, seed, group_bin_capacity=g_max)
+        plan = ExecutionPlan(CASE_III, partition, groups, tau, eta, seed)
     plan.validate(layer.k)
     return plan
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import binpack, sfc
 from .binpack import BinConfig, CompressedTile, NoiseSpec
-from .errors import ConfigError, DomainError, OrderingError
+from .errors import ConfigError, OrderingError
 from .model import NetworkSpec, Tensor3D, conv_forward, generate_weights
 from .sfc import ExecutionPlan
 
@@ -71,15 +71,6 @@ def region_of(addr: int) -> tuple[str, int]:
     return "fmap", rid - FMAP_REGION
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    op: int
-    addr: int
-    size: int
-    t: int
-    digest: int = 0
-
-
 class Trace:
     """Time-ordered event stream backed by a structured array."""
 
@@ -88,10 +79,6 @@ class Trace:
 
     def __len__(self):
         return len(self.arr)
-
-    def __getitem__(self, i) -> TraceEvent:
-        row = self.arr[i]
-        return TraceEvent(int(row["op"]), int(row["addr"]), int(row["size"]), int(row["t"]), int(row["digest"]))
 
     @property
     def op(self):
@@ -264,7 +251,7 @@ def baseline_trace(
         n_c = math.ceil(shp.c / til.tc)
         in_tiles, in_cap = sfc.ifmap_walk(shp, til)
         out_tiles, out_cap = sfc.ofmap_walk(shp, til)
-        wblock_cap = til.tk * til.tc * shp.r * shp.s * shp.bytes_per_elem
+        wblock_cap = til.tk * til.tc * shp.r * shp.s
         in_tensor = data.fmaps[i] if need_values else None
         out_tensor = data.fmaps[i + 1] if need_values else None
 
@@ -283,12 +270,12 @@ def baseline_trace(
             for co in range(n_c):
                 c0 = co * til.tc
                 c1 = min(shp.c, c0 + til.tc)
-                wsize = (k1 - k0) * (c1 - c0) * shp.r * shp.s * shp.bytes_per_elem
+                wsize = (k1 - k0) * (c1 - c0) * shp.r * shp.s
                 wdig = 0
                 if need_values:
                     blk = data.weights[i][k0:k1, c0:c1]
                     if sparse:
-                        wsize = int(np.count_nonzero(blk)) * shp.bytes_per_elem
+                        wsize = int(np.count_nonzero(blk))
                     if observe_values:
                         wdig = _digest64(np.ascontiguousarray(blk).tobytes())
                 if wsize > 0:
@@ -471,7 +458,6 @@ class StreamBins:
     layer: int
     stream: str
     n_bins: int
-    report: binpack.BinPackReport | None = None
 
 
 @dataclass
@@ -571,7 +557,6 @@ def neuroplug_trace(
     run_index: int = 0,
     model_seed: int = 0,
     cache: NeuroPlugCache | None = None,
-    assemble: bool = False,
 ) -> NeuroPlugRun:
     """Bin-granularity trace: every event is one bin, every gap is constant."""
     if cache is None:
@@ -594,24 +579,24 @@ def neuroplug_trace(
 
     prev_out_bins = 0
     for i, layer in enumerate(net.layers):
-        shp, til = layer.shape, layer.tiling
-        plan_rng = np.random.default_rng([key.seed, run_index, i, 0xA1])
-        plan = sfc.plan_execution(shp, til, key.npu_capacity, plan_rng, cfg.bin_size)
-        plans.append(plan)
-
         # input bins: layer 0 packs the (dummied) input; others inherit
         if i == 0:
             tiles = _first_layer_tiles(net, input_tensor, key, run_index)
             bins, rep = binpack.pack_bins(
                 tiles, cfg, key.noise,
                 np.random.default_rng([key.seed, run_index, i, 0xB0]),
-                layer=f"fmap0", assemble=assemble,
+                layer=f"fmap0", assemble=False,
             )
             reports.append(rep)
             n_in = len(bins)
         else:
             n_in = prev_out_bins
         streams.append(StreamBins(i, "ifmap", n_in))
+
+        plan_rng = np.random.default_rng([key.seed, run_index, i, 0xA1])
+        plan = sfc.plan_execution(layer.shape, layer.tiling, key.npu_capacity, plan_rng,
+                                  cfg.bin_size, n_in)
+        plans.append(plan)
 
         # weight bins: one compressed tile per output map, packed part by part
         parts = plan.ofmap_partition
@@ -624,7 +609,7 @@ def neuroplug_trace(
                 bins, rep = binpack.pack_bins(
                     tiles, cfg, key.noise,
                     np.random.default_rng([key.seed, run_index, i, 0xB1, copy, p_idx]),
-                    layer=f"w{i}", assemble=assemble,
+                    layer=f"w{i}", assemble=False,
                 )
                 weight_bin_layout.append((stored_bins, len(bins)))
                 stored_bins += len(bins)
@@ -636,7 +621,7 @@ def neuroplug_trace(
         out_bins, out_rep = binpack.pack_bins(
             cache.fmap_tiles[i], cfg, key.noise,
             np.random.default_rng([key.seed, run_index, i, 0xB2]),
-            layer=f"fmap{i + 1}", assemble=assemble,
+            layer=f"fmap{i + 1}", assemble=False,
         )
         reports.append(out_rep)
         n_out = len(out_bins)
@@ -652,7 +637,6 @@ def neuroplug_trace(
 
         in_base = fmap_base(i)
         w_base = weight_base(i)
-        out_base = fmap_base(i + 1)
         n_parts = len(parts)
 
         def read_filter_pass(pass_idx: int):
@@ -661,25 +645,17 @@ def neuroplug_trace(
                 start, count = weight_bin_layout[copy * n_parts + p_idx]
                 emit_bins(OP_READ, w_base, count, region_tag=-(i + 1), start=start)
 
-        if plan.case in (sfc.CASE_ALL_FIT, sfc.CASE_I):
-            emit_bins(OP_READ, in_base, n_in, region_tag=i)
+        # case II holds the weights on chip and streams the ifmap groups past
+        # them; every other case reads a weight pass after each ifmap group
+        if plan.case == sfc.CASE_II:
             read_filter_pass(0)
-            emit_bins(OP_WRITE, out_base, n_out, region_tag=i + 1)
-        elif plan.case == sfc.CASE_II:
-            read_filter_pass(0)
-            done = 0
-            for g in sfc._chop(n_in, plan.group_bin_capacity):
-                emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
-                done += g
-            emit_bins(OP_WRITE, out_base, n_out, region_tag=i + 1)
-        else:  # case III
-            done = 0
-            groups = sfc._chop(n_in, plan.group_bin_capacity)
-            for pass_idx, g in enumerate(groups):
-                emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
-                done += g
+        done = 0
+        for pass_idx, g in enumerate(plan.ifmap_bin_groups):
+            emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
+            done += g
+            if plan.case != sfc.CASE_II:
                 read_filter_pass(pass_idx)
-            emit_bins(OP_WRITE, out_base, n_out, region_tag=i + 1)
+        emit_bins(OP_WRITE, fmap_base(i + 1), n_out, region_tag=i + 1)
         prev_out_bins = n_out
 
     return NeuroPlugRun(trace=em.build(), streams=streams, plans=plans, reports=reports)
@@ -754,8 +730,8 @@ def ground_truth(net: NetworkSpec) -> dict:
         layers.append(
             {
                 "layer": i,
-                "ifmap_volume": shp.c * shp.h * shp.w * shp.bytes_per_elem,
-                "ofmap_volume": shp.k * shp.p_out * shp.q_out * shp.bytes_per_elem,
+                "ifmap_volume": sfc.ifmap_bytes(shp),
+                "ofmap_volume": shp.k * shp.p_out * shp.q_out,
                 "ofmap_write_tiles": len(out_tiles),
                 "k": shp.k, "c": shp.c, "h": shp.h, "w": shp.w,
                 "r": shp.r, "s": shp.s,

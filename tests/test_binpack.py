@@ -6,8 +6,8 @@ from neuroplug.binpack import BinConfig, NoiseSpec
 from neuroplug.errors import ConfigError, DomainError, IntegrityError
 
 
-def no_noise(seed=0):
-    return NoiseSpec(alpha=0, support_r=0, sigma2_max=0, dummy_bytes_first_layer=0, seed=seed)
+def no_noise():
+    return NoiseSpec(alpha=0, support_r=0, sigma2_max=0, dummy_bytes_first_layer=0)
 
 
 class TestCompressTile:
@@ -50,10 +50,6 @@ class TestCompressTile:
             raw = np.full(1, val, dtype=np.uint8)
             t = binpack.compress_tile(raw)
             np.testing.assert_array_equal(binpack.decompress_tile(t.payload), raw)
-
-    def test_sampled_mode_size(self):
-        t = binpack.sample_compressed_tile(1000, tile_id=3, beta=0.25)
-        assert t.comp_size == 250 and t.mode == "sampled" and t.payload is None
 
 
 class TestInjectDummy:
@@ -121,7 +117,7 @@ class TestSampleNoise:
 
 class TestPackBins:
     def test_spill_by_table_overhead(self):
-        cfg = BinConfig(bin_size=60000, kappa=8, table_entry_size=8)
+        cfg = BinConfig(bin_size=60000, kappa=8)
         tiles = [
             binpack.CompressedTile(tile_id=i, raw_size=20000, comp_size=20000,
                                    payload=np.zeros(20000, np.uint8))
@@ -188,12 +184,23 @@ class TestPackBins:
         bins, report = binpack.pack_bins(tiles, cfg, spec, np.random.default_rng(1))
         for b in bins:
             seg = sum(e.length for e in b.entries)
-            assert b.table_bytes(cfg) + seg + b.empty_pad == cfg.bin_size
+            assert b.table_bytes() + seg + b.empty_pad == cfg.bin_size
             assert b.empty_pad >= b.noise_reserved
         assert report.comp_total == sum(t.comp_size for t in tiles)
         assert report.beta == report.comp_total / report.raw_total
         # observed bins never undercut the compressed volume
         assert report.bins_out >= -(-report.comp_total // cfg.bin_size)
+
+    def test_noise_floor_must_fit_bin(self):
+        # the default floor (alpha = 8000) does not fit a 2048 B bin
+        tiles = [binpack.CompressedTile(0, 10, 10, np.zeros(10, np.uint8))]
+        with pytest.raises(ConfigError):
+            binpack.pack_bins(tiles, BinConfig(bin_size=2048), NoiseSpec(), np.random.default_rng(0))
+        # the largest floor that leaves one entry and one payload byte is accepted
+        room = 2048 - 2 - binpack.TABLE_ENTRY_BYTES - 1
+        bins, _ = binpack.pack_bins(tiles, BinConfig(bin_size=2048),
+                                    NoiseSpec(alpha=room, support_r=0), np.random.default_rng(0))
+        assert len(bins) == 10 and all(b.noise_reserved == room for b in bins)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

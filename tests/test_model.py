@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neuroplug import model
+from neuroplug import model, sfc
 from neuroplug.errors import ConfigError, DomainError, ShapeError
 
 from oracles import conv_brute, maxpool_brute, nsqf_sieve
@@ -170,12 +170,12 @@ class TestNsqf:
 
 class TestVolumesAndConfigs:
     def test_unit_volume(self):
-        assert model.ifmap_volume(model.LayerShape(k=1, c=1, h=1, w=1, r=1, s=1)) == 1
+        assert sfc.ifmap_bytes(model.LayerShape(k=1, c=1, h=1, w=1, r=1, s=1)) == 1
 
     def test_vgg16_head_layer1(self):
         net = model.load_network("vgg16-head")
-        assert model.ifmap_volume(net.layers[0].shape) == 150528
-        assert model.ifmap_volume(net.layers[2].shape) == 802816
+        assert sfc.ifmap_bytes(net.layers[0].shape) == 150528
+        assert sfc.ifmap_bytes(net.layers[2].shape) == 802816
 
     def test_bundled_configs_validate(self):
         for name in ("vgg16-32", "toy-sparse", "vgg16-head"):

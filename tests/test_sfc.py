@@ -50,7 +50,7 @@ class TestIfmapSfc:
         for off, (lo, hi, r0, r1, w0, w1), actual in entries:
             hits[lo:hi, r0:r1, w0:w1] += 1
             assert off == offset and 0 < actual <= cap
-            assert actual == hits[lo:hi, r0:r1, w0:w1].size * lay.bytes_per_elem
+            assert actual == hits[lo:hi, r0:r1, w0:w1].size
             offset += actual
         assert (hits == 1).all()
 
@@ -71,9 +71,11 @@ class TestPlanExecution:
         plan = sfc.plan_execution(
             layer(h=8, w=8, c=4, k=4), TilingSpec(tk=4, tc=4, th=4, tw=4),
             npu_capacity_bytes=1 << 20, rng=np.random.default_rng(0), bin_size=4096,
+            ifmap_bins=3,
         )
         assert plan.case == sfc.CASE_ALL_FIT
         assert plan.ofmap_partition == [4]
+        assert plan.ifmap_bin_groups == [3] and plan.tau == 1
         plan.validate(4)
 
     def test_case_one_weight_overflow(self):
@@ -81,9 +83,10 @@ class TestPlanExecution:
         cap = sfc.weight_bytes(lay) // 2
         plan = sfc.plan_execution(
             lay, TilingSpec(tk=64, tc=64, th=4, tw=4), cap,
-            np.random.default_rng(1), bin_size=2048,
+            np.random.default_rng(1), bin_size=2048, ifmap_bins=2,
         )
         assert plan.case == sfc.CASE_I
+        assert plan.ifmap_bin_groups == [2]
         assert len(plan.ofmap_partition) >= 2
         assert sum(plan.ofmap_partition) == 64
         assert all(k >= 1 for k in plan.ofmap_partition)
@@ -92,20 +95,22 @@ class TestPlanExecution:
         lay = layer(h=64, w=64, c=16, k=4)  # ifmap 65536 B, weights 576 B
         plan = sfc.plan_execution(
             lay, TilingSpec(tk=4, tc=16, th=8, tw=8), npu_capacity_bytes=20000,
-            rng=np.random.default_rng(2), bin_size=2048,
+            rng=np.random.default_rng(2), bin_size=2048, ifmap_bins=39,
         )
         assert plan.case == sfc.CASE_II
-        assert sum(plan.ifmap_bin_groups) == -(-sfc.ifmap_bytes(lay) // 2048)
-        assert max(plan.ifmap_bin_groups) <= plan.group_bin_capacity
+        # (20000 - 576) // 2048 = 9 bins fit beside the weights
+        assert plan.ifmap_bin_groups == [9, 9, 9, 9, 3]
 
     def test_case_three_unroll(self):
         lay = layer(h=64, w=64, c=32, k=64)  # ifmap 128 kB, weights 18 kB... force both
         plan = sfc.plan_execution(
             lay, TilingSpec(tk=64, tc=32, th=8, tw=8), npu_capacity_bytes=16384,
-            rng=np.random.default_rng(3), bin_size=2048,
+            rng=np.random.default_rng(3), bin_size=2048, ifmap_bins=79,
         )
         assert plan.case == sfc.CASE_III
-        assert plan.tau == len(plan.ifmap_bin_groups)
+        # half the capacity holds 8192 // 2048 = 4 ifmap bins per pass
+        assert plan.ifmap_bin_groups == [4] * 19 + [3]
+        assert plan.tau == 20
         assert 1 <= plan.eta <= plan.tau
 
     def test_capacity_too_small(self):
@@ -113,6 +118,7 @@ class TestPlanExecution:
             sfc.plan_execution(
                 layer(), TilingSpec(tk=4, tc=4, th=4, tw=4),
                 npu_capacity_bytes=32, rng=np.random.default_rng(0), bin_size=2048,
+                ifmap_bins=1,
             )
 
     def test_validate_rejects_bad_partition(self):
@@ -126,7 +132,7 @@ class TestPlanExecution:
         lay = layer(h=64, w=64, c=32, k=64)
         mk = lambda s: sfc.plan_execution(
             lay, TilingSpec(tk=64, tc=32, th=8, tw=8), 16384,
-            np.random.default_rng(s), bin_size=2048,
+            np.random.default_rng(s), bin_size=2048, ifmap_bins=79,
         )
         assert mk(7).to_json() == mk(7).to_json()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -236,51 +238,91 @@ class TestNeuroPlug:
         assert got.size == inp.values.size  # every input byte is in the stream
 
 
+def one_layer_runs(shape, tiling, npu_capacity, run_indices):
+    net = NetworkSpec(layers=[Layer(shape=shape, tiling=tiling)])
+    inp = toy_input(net, 0)
+    key = np_key(npu_capacity=npu_capacity)
+    cache = prepare_neuroplug(net, inp, model_seed=0)
+    return [neuroplug_trace(net, inp, key, run_index=r, cache=cache) for r in run_indices]
+
+
+@pytest.fixture(scope="module")
+def case_two_runs():
+    """One layer whose ifmap overflows the NPU beside its weights (case II), runs 0-3."""
+    runs = one_layer_runs(LayerShape(k=4, c=16, h=64, w=64, r=3, s=3, pad=1),
+                          TilingSpec(4, 16, 8, 8), 20000, range(4))
+    assert [run.plans[0].case for run in runs] == [sfc.CASE_II] * 4
+    return runs
+
+
 @pytest.fixture(scope="module")
 def case_three_runs():
     """One layer whose weights and ifmap both overflow the NPU (case III).
 
     Runs 21 and 24 draw eta = 2 stored weight copies, runs 0 and 1 draw one.
     """
-    shape = LayerShape(k=64, c=32, h=64, w=64, r=3, s=3, pad=1)
-    net = NetworkSpec(layers=[Layer(shape=shape, tiling=TilingSpec(64, 32, 8, 8))])
-    inp = toy_input(net, 0)
-    key = np_key(npu_capacity=16384)
-    cache = prepare_neuroplug(net, inp, model_seed=0)
-    runs = [neuroplug_trace(net, inp, key, run_index=r, cache=cache) for r in (0, 1, 21, 24)]
+    runs = one_layer_runs(LayerShape(k=64, c=32, h=64, w=64, r=3, s=3, pad=1),
+                          TilingSpec(64, 32, 8, 8), 16384, (0, 1, 21, 24))
     assert [run.plans[0].eta for run in runs] == [1, 1, 2, 2]
     return runs
 
 
-class TestCaseThreeEmission:
-    @staticmethod
-    def read_passes(run):
-        """Maximal runs of consecutive reads per region: [(region, [bin index, ...])]."""
-        passes = []
-        for row in run.trace.arr[run.trace.op == OP_READ]:
-            region = int(row["addr"]) >> REGION_SHIFT
-            idx = (int(row["addr"]) & ((1 << REGION_SHIFT) - 1)) // 2048
-            if passes and passes[-1][0] == region:
-                passes[-1][1].append(idx)
-            else:
-                passes.append((region, [idx]))
-        return passes
+def read_passes(run):
+    """Maximal runs of consecutive reads per region: [(region, [bin index, ...])]."""
+    passes = []
+    for row in run.trace.arr[run.trace.op == OP_READ]:
+        region = int(row["addr"]) >> REGION_SHIFT
+        idx = (int(row["addr"]) & ((1 << REGION_SHIFT) - 1)) // 2048
+        if passes and passes[-1][0] == region:
+            passes[-1][1].append(idx)
+        else:
+            passes.append((region, [idx]))
+    return passes
 
+
+def trace_digest(run):
+    return hashlib.blake2b(run.trace.arr.tobytes(), digest_size=16).hexdigest()
+
+
+class TestCaseTwoEmission:
+    def test_weights_first_then_ifmap_in_order_then_writes(self, case_two_runs):
+        for run in case_two_runs:
+            n_in = run.bins_of(0, "ifmap")
+            assert run.plans[0].ifmap_bin_groups == sfc._chop(n_in, 9)
+            passes = read_passes(run)
+            assert [r for r, _ in passes] == [WEIGHT_REGION, FMAP_REGION]
+            assert passes[0][1] == list(range(run.bins_of(0, "filter")))
+            assert passes[1][1] == list(range(n_in))
+            ops = run.trace.op.tolist()
+            n_out = run.bins_of(0, "ofmap")
+            assert ops == [OP_READ] * (len(ops) - n_out) + [OP_WRITE] * n_out
+
+    def test_pinned_digests(self, case_two_runs):
+        # bit-identity gate: these traces may change only with a deliberate schedule change
+        assert [trace_digest(run) for run in case_two_runs] == [
+            "6072178c0773b34c4ca54025f9645520",
+            "8c8d35dacf1376eb25951ff0f2430cf6",
+            "972da6afa25ea28d4b0e4dba5d68746c",
+            "5a61997bb3d450672c36059b9cc57e9a",
+        ]
+
+
+class TestCaseThreeEmission:
     def test_weight_passes_interleave_ifmap_groups(self, case_three_runs):
         for run in case_three_runs:
             plan = run.plans[0]
             assert plan.case == sfc.CASE_III
-            groups = sfc._chop(run.bins_of(0, "ifmap"), plan.group_bin_capacity)
-            passes = self.read_passes(run)
+            groups = plan.ifmap_bin_groups
+            passes = read_passes(run)
             assert [r for r, _ in passes] == [FMAP_REGION, WEIGHT_REGION] * len(groups)
             fmap_reads = [idx for r, idx in passes if r == FMAP_REGION]
             assert [len(idx) for idx in fmap_reads] == groups
-            assert sum(fmap_reads, []) == list(range(sum(groups)))
+            assert sum(fmap_reads, []) == list(range(run.bins_of(0, "ifmap")))
 
     def test_pass_reads_copy_p_mod_eta(self, case_three_runs):
         for run in case_three_runs:
             eta = run.plans[0].eta
-            weight_reads = [idx for r, idx in self.read_passes(run) if r == WEIGHT_REGION]
+            weight_reads = [idx for r, idx in read_passes(run) if r == WEIGHT_REGION]
             for idx in weight_reads:
                 assert idx == list(range(idx[0], idx[0] + len(idx)))
             # the stored copies lie back to back in the weight region, in copy order
@@ -290,6 +332,36 @@ class TestCaseThreeEmission:
             assert all(b[0] == a[1] + 1 for a, b in zip(copies, copies[1:]))
             for p, idx in enumerate(weight_reads):
                 assert (idx[0], idx[-1]) == copies[p % eta]
+
+    def test_pinned_digests(self, case_three_runs):
+        # bit-identity gate: these traces may change only with a deliberate schedule change
+        assert [trace_digest(run) for run in case_three_runs] == [
+            "091eaa4546f9ba487271e40a4b127b74",
+            "8627ff4ffda6d4cd7a4bbaebd9d6a2ee",
+            "387f81f27c1df5734ac4e71b76de9c68",
+            "23c7f24d90fa3d8a5c1cd78d942660d3",
+        ]
+
+
+class TestPlanMatchesEmission:
+    """The plan a run reports is the schedule it emitted."""
+
+    @staticmethod
+    def check(run):
+        passes = read_passes(run)
+        for i, plan in enumerate(run.plans):
+            assert sum(plan.ifmap_bin_groups) == run.bins_of(i, "ifmap")
+            if plan.case == sfc.CASE_III:
+                assert plan.tau == sum(r == WEIGHT_REGION + i for r, _ in passes)
+
+    def test_toy_sparse_default_key(self, toy_run):
+        net, inp, cache = toy_run
+        for ridx in range(12):
+            self.check(neuroplug_trace(net, inp, NeuroPlugKey(), run_index=ridx, cache=cache))
+
+    def test_case_two_and_three(self, case_two_runs, case_three_runs):
+        for run in case_two_runs + case_three_runs:
+            self.check(run)
 
 
 class TestCdtv:
