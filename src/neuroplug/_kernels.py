@@ -10,18 +10,31 @@ import numpy as np
 # integer convolution (cross-correlation with zero padding), int8 -> int32
 
 
+_IM2COL_ELEMS = 1 << 16  # float64 im2col elements per GEMM: 512 KiB
+
+
 def conv2d_acc(ifmap, weights, stride, pad):
-    """Windowed sum of products on int32 accumulators, vectorized."""
+    """Windowed sum of products as im2col float64 GEMMs, returned as int32.
+
+    Exact: every product and partial sum is an integer of magnitude at most
+    C*R*S*2**14, far below 2**53, so float64 rounds nothing.  The columns are
+    built for a band of output rows at a time to bound the memory.
+    """
     C, H, W = ifmap.shape
     K, _, R, S = weights.shape
     P = (H + 2 * pad - R) // stride + 1
     Q = (W + 2 * pad - S) // stride + 1
-    padded = np.zeros((C, H + 2 * pad, W + 2 * pad), dtype=np.int32)
+    padded = np.zeros((C, H + 2 * pad, W + 2 * pad), dtype=ifmap.dtype)
     padded[:, pad : pad + H, pad : pad + W] = ifmap
     win = np.lib.stride_tricks.sliding_window_view(padded, (R, S), axis=(1, 2))
-    win = win[:, ::stride, ::stride][:, :P, :Q]
-    out = np.tensordot(weights.astype(np.int32), win, axes=([1, 2, 3], [0, 3, 4]))
-    return np.ascontiguousarray(out, dtype=np.int32)
+    win = win[:, ::stride, ::stride][:, :P, :Q].transpose(0, 3, 4, 1, 2)
+    w = weights.reshape(K, C * R * S).astype(np.float64)
+    out = np.empty((K, P, Q), dtype=np.int32)
+    band = max(1, _IM2COL_ELEMS // (C * R * S * Q))
+    for p0 in range(0, P, band):
+        cols = np.array(win[..., p0 : p0 + band, :], dtype=np.float64)
+        out[:, p0 : p0 + band] = (w @ cols.reshape(C * R * S, -1)).reshape(K, -1, Q)
+    return out
 
 
 def maxpool2d(arr, pool):
@@ -55,37 +68,34 @@ def nsqf_mask(lo, hi):
 
 def rle_encode(data):
     data = np.ascontiguousarray(data, dtype=np.uint8)
-    n = data.size
-    out = np.empty(2 * n + 2, dtype=np.uint8)
-    i = 0
-    j = 0
-    while i < n:
-        b = data[i]
-        if b == 0:
-            run = 1
-            while i + run < n and data[i + run] == 0 and run < 255:
-                run += 1
-            out[j] = 0
-            out[j + 1] = run
-            j += 2
-            i += run
-        else:
-            nz_end = i
-            while nz_end < n and data[nz_end] != 0:
-                nz_end += 1
-            m = nz_end - i
-            out[j : j + m] = data[i:nz_end]
-            j += m
-            i = nz_end
-    return out[:j].copy()
+    zero = np.concatenate(([False], data == 0, [False]))
+    bounds = np.flatnonzero(zero[1:] != zero[:-1])
+    starts, ends = bounds[::2], bounds[1::2]  # zero runs [starts[i], ends[i])
+    # a run emits one (0, len) pair per started 255 zeros, at the pair's
+    # first zero; within counts the pairs before it in the same run
+    pairs = (ends - starts + 254) // 255
+    first = np.cumsum(pairs) - pairs
+    within = np.arange(pairs.sum()) - np.repeat(first, pairs)
+    pair_at = np.repeat(starts, pairs) + 255 * within
+    # slot 0 of each input byte holds the byte, slot 1 a pair's length;
+    # the nonzero bytes and the pairs, read in order, are the output
+    slots = np.zeros((data.size, 2), dtype=np.uint8)
+    slots[:, 0] = data
+    slots[pair_at, 1] = np.minimum(np.repeat(ends, pairs) - pair_at, 255)
+    keep = slots != 0
+    keep[:, 0] |= keep[:, 1]
+    return slots[keep]
 
 
 def _rle_decoded_size(tokens):
+    """Decoded length, or None if a zero token lacks a run length in 1..255."""
     n = tokens.size
     i = 0
     total = 0
     while i < n:
         if tokens[i] == 0:
+            if i + 1 >= n or tokens[i + 1] == 0:
+                return None
             total += int(tokens[i + 1])
             i += 2
         else:
@@ -95,8 +105,12 @@ def _rle_decoded_size(tokens):
 
 
 def rle_decode(tokens):
+    """Inverse of rle_encode, or None if the tokens are malformed."""
     tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
-    out = np.empty(_rle_decoded_size(tokens), dtype=np.uint8)
+    size = _rle_decoded_size(tokens)
+    if size is None:
+        return None
+    out = np.empty(size, dtype=np.uint8)
     n = tokens.size
     i = 0
     j = 0
@@ -123,24 +137,16 @@ def rle_decode(tokens):
 
 
 def huff_encode(tokens, codes, lens):
-    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
-    total_bits = int(lens[tokens].astype(np.int64).sum())
-    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    acc = 0
-    nb = 0
-    j = 0
-    for t in tokens:
-        l = int(lens[t])
-        acc = (acc << l) | int(codes[t])
-        nb += l
-        while nb >= 8:
-            nb -= 8
-            out[j] = (acc >> nb) & 0xFF
-            j += 1
-        acc &= (1 << nb) - 1
-    if nb > 0:
-        out[j] = (acc << (8 - nb)) & 0xFF
-    return out
+    """Concatenate the codes of tokens MSB first, zero-padding the last byte."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    lens = np.asarray(lens)
+    maxlen = int(lens.max(initial=0))
+    # per symbol: its code's bits left-aligned in maxlen columns, and which
+    # of those columns the code uses
+    left = np.asarray(codes, dtype=np.uint64) << (maxlen - lens.astype(np.int64)).astype(np.uint64)
+    bits = np.unpackbits(left.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - maxlen :]
+    used = np.arange(maxlen) < lens[:, None]
+    return np.packbits(np.take(bits, tokens, axis=0)[np.take(used, tokens, axis=0)])
 
 
 def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):

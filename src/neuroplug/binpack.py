@@ -16,7 +16,6 @@ keyed metadata and are not serialized.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -85,68 +84,73 @@ class CompressedTile:
 
 
 def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
-    """Code lengths (0 for absent symbols), capped at _MAX_CODE_LEN."""
-    freq = freq.astype(np.int64).copy()
+    """Code lengths (0 for absent symbols), capped at _MAX_CODE_LEN.
+
+    Two-queue Huffman: leaves sorted stably by frequency, internal nodes in
+    the order they are made (their weights never decrease), and a leaf wins
+    a weight tie.  That is the merge order of a heap on (weight, id) whose
+    leaf ids are the symbols and whose internal ids count up from 256.  While
+    a code is too long the frequencies are halved, rounding up, and the tree
+    is rebuilt.
+    """
+    freq = freq.astype(np.int64)
+    lens = np.zeros(256, dtype=np.uint8)
+    present = np.flatnonzero(freq)
+    n = present.size
+    if n <= 1:
+        lens[present] = 1
+        return lens
     while True:
-        present = np.flatnonzero(freq)
-        lens = np.zeros(256, dtype=np.uint8)
-        if present.size == 0:
+        order = present[np.argsort(freq[present], kind="stable")]
+        # the sentinel weight ends each queue: past the last leaf, and at
+        # internal nodes not made yet
+        leaf_w = freq[order].tolist() + [math.inf]
+        node_w = [math.inf] * (n - 1)
+        # parent of leaves 0..n-1, then of internal nodes 0..n-3 at n + i;
+        # internal node n-2 is the root
+        parent = [0] * (2 * n - 2)
+        li = ni = 0
+        for node in range(n - 1):
+            w = 0
+            for _ in range(2):
+                if leaf_w[li] <= node_w[ni]:
+                    w += leaf_w[li]
+                    parent[li] = node
+                    li += 1
+                else:
+                    w += node_w[ni]
+                    parent[n + ni] = node
+                    ni += 1
+            node_w[node] = w
+        depth = [0] * (n - 1)
+        for i in range(n - 3, -1, -1):
+            depth[i] = depth[parent[n + i]] + 1
+        leaf_len = np.array(depth)[parent[:n]] + 1
+        if leaf_len.max() <= _MAX_CODE_LEN:
+            lens[order] = leaf_len
             return lens
-        if present.size == 1:
-            lens[present[0]] = 1
-            return lens
-        heap = [(int(freq[s]), int(s), int(s)) for s in present]
-        heapq.heapify(heap)
-        parent = {}
-        counter = 256
-        while len(heap) > 1:
-            fa, _, a = heapq.heappop(heap)
-            fb, _, b = heapq.heappop(heap)
-            parent[a] = counter
-            parent[b] = counter
-            heapq.heappush(heap, (fa + fb, counter, counter))
-            counter += 1
-        for s in present:
-            d = 0
-            node = int(s)
-            while node in parent:
-                node = parent[node]
-                d += 1
-            lens[s] = d
-        if lens.max() <= _MAX_CODE_LEN:
-            return lens
-        freq[present] = (freq[present] + 1) >> 1  # flatten and retry
+        freq[present] = (freq[present] + 1) >> 1
 
 
 def _canonical_tables(lens: np.ndarray):
-    """Encode codes plus decode tables (first/count/offset/symtab) per length."""
+    """Canonical codes plus decode tables (first/count/offset/symtab) per length.
+
+    As in RFC 1951 section 3.2.2: symbols sorted by (length, symbol) take
+    consecutive codes, and the first code of length l is
+    sum over m < l of count[m] * 2**(l - m).  The lengths must satisfy
+    Kraft's inequality.  first and offset are meaningful where count > 0.
+    """
     maxlen = int(lens.max())
-    order = sorted(int(s) for s in np.flatnonzero(lens))
-    order.sort(key=lambda s: (lens[s], s))
+    present = np.flatnonzero(lens)
+    symtab = present[np.lexsort((present, lens[present]))]
+    sym_lens = lens[symtab].astype(np.int64)
+    count = np.bincount(sym_lens, minlength=maxlen + 1)
+    offset = np.cumsum(count) - count
+    drop = maxlen - np.arange(maxlen + 1)
+    first = (np.cumsum(count << drop) - (count << drop)) >> drop
     codes = np.zeros(256, dtype=np.uint64)
-    first = np.zeros(maxlen + 1, dtype=np.int64)
-    count = np.zeros(maxlen + 1, dtype=np.int64)
-    offset = np.zeros(maxlen + 1, dtype=np.int64)
-    symtab = np.zeros(len(order), dtype=np.uint8)
-    code = 0
-    prev_len = int(lens[order[0]]) if order else 0
-    for i, s in enumerate(order):
-        l = int(lens[s])
-        if i == 0:
-            code = 0
-            first[l] = 0
-        else:
-            code += 1
-            if l > prev_len:
-                code <<= l - prev_len
-        if count[l] == 0:
-            first[l] = code
-            offset[l] = i
-        codes[s] = code
-        count[l] += 1
-        symtab[i] = s
-        prev_len = l
-    return codes, first, count, offset, symtab, maxlen
+    codes[symtab] = first[sym_lens] + np.arange(symtab.size) - offset[sym_lens]
+    return codes, first, count, offset, symtab.astype(np.uint8), maxlen
 
 
 def _varint_encode(n: int) -> bytes:
@@ -186,12 +190,9 @@ def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedT
     codes, *_ = _canonical_tables(lens)
     bitstream = _kernels.huff_encode(tokens, codes, lens)
     present = np.flatnonzero(lens)
-    header = bytearray([MODE_RLE_HUF])
-    header += _varint_encode(tokens.size)
-    header.append(present.size - 1)
-    for s in present:
-        header += bytes([int(s), int(lens[s])])
-    packed = np.concatenate([np.frombuffer(bytes(header), dtype=np.uint8), bitstream])
+    header = bytes([MODE_RLE_HUF]) + _varint_encode(tokens.size) + bytes([present.size - 1])
+    table = np.stack((present, lens[present]), axis=1).astype(np.uint8)
+    packed = np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
     if packed.size >= raw.size + 1:
         packed = np.concatenate([np.array([MODE_STORED], dtype=np.uint8), raw])
     return CompressedTile(
@@ -220,15 +221,27 @@ def decompress_tile(payload: np.ndarray) -> np.ndarray:
     pos += 1
     if pos + 2 * n_sym > payload.size:
         raise IntegrityError("truncated symbol table")
-    lens = np.zeros(256, dtype=np.uint8)
-    for i in range(n_sym):
-        lens[int(payload[pos + 2 * i])] = int(payload[pos + 2 * i + 1])
+    syms = payload[pos : pos + 2 * n_sym : 2]
+    sym_lens = payload[pos + 1 : pos + 2 * n_sym : 2]
     pos += 2 * n_sym
+    if sym_lens.min() < 1 or sym_lens.max() > _MAX_CODE_LEN:
+        raise IntegrityError(f"code length outside 1..{_MAX_CODE_LEN}")
+    if np.unique(syms).size != n_sym:
+        raise IntegrityError("symbol listed twice in the code table")
+    if sum(1 << (_MAX_CODE_LEN - l) for l in sym_lens.tolist()) > 1 << _MAX_CODE_LEN:
+        raise IntegrityError("code lengths oversubscribe the code space")
+    if n_tokens > 8 * (payload.size - pos):
+        raise IntegrityError(f"token count {n_tokens} exceeds the payload bits")
+    lens = np.zeros(256, dtype=np.uint8)
+    lens[syms] = sym_lens
     _, first, count, offset, symtab, maxlen = _canonical_tables(lens)
     tokens = _kernels.huff_decode(payload[pos:], n_tokens, first, count, offset, symtab, maxlen)
     if tokens is None:
         raise IntegrityError("corrupt bitstream")
-    return _kernels.rle_decode(tokens)
+    raw = _kernels.rle_decode(tokens)
+    if raw is None:
+        raise IntegrityError("zero token without a run length in 1..255")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +404,10 @@ def pack_bins(
     if noise.alpha > room:
         raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
                           f"{cfg.bin_size} B bin (at most {room})")
+    if assemble:
+        for t in tiles:
+            if t.payload is None or t.payload.size != t.comp_size:
+                raise IntegrityError(f"tile {t.tile_id} has no payload of its {t.comp_size} bytes")
     if not tiles:
         return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
     sigma2 = rng.uniform(0.0, noise.sigma2_max)

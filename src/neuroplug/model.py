@@ -260,7 +260,18 @@ def nsqf_in_range(lo: int, hi: int) -> np.ndarray:
 # network config files
 
 
+_LAYER_KEYS = {"k", "c", "h", "w", "r", "s", "stride", "pad", "pool", "sparsity", "tiling"}
+_TILING_KEYS = {"tk", "tc", "th", "tw"}
+
+
+def _reject_unknown_keys(doc: dict, known: set, what: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"unknown {what} key {', '.join(map(repr, unknown))}")
+
+
 def _layer_from_json(doc: dict) -> Layer:
+    _reject_unknown_keys(doc, _LAYER_KEYS, "layer")
     shape = LayerShape(
         k=doc["k"],
         c=doc["c"],
@@ -273,6 +284,8 @@ def _layer_from_json(doc: dict) -> Layer:
         pool=doc.get("pool", 1),
     )
     til = doc.get("tiling")
+    if til:
+        _reject_unknown_keys(til, _TILING_KEYS, "tiling")
     tiling = (
         TilingSpec(tk=til["tk"], tc=til["tc"], th=til["th"], tw=til["tw"])
         if til

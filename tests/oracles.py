@@ -4,6 +4,8 @@ Everything here is deliberately naive (loops, sieves, quadrature) and kept
 separate from the code paths under test.
 """
 
+import heapq
+
 import numpy as np
 
 
@@ -67,3 +69,126 @@ def runs_test_reference(bits):
 
 def trapz_mass(x, f):
     return float(np.trapezoid(f, x))
+
+
+# ---------------------------------------------------------------------------
+# tile compression: the byte-at-a-time and heapq versions of the kernels in
+# neuroplug._kernels and neuroplug.binpack, which must match them bit for bit
+
+
+def rle_encode_loop(data):
+    """Zero runs become (0, runlen) pairs, runlen in 1..255; other bytes copy."""
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    n = data.size
+    out = np.empty(2 * n + 2, dtype=np.uint8)
+    i = 0
+    j = 0
+    while i < n:
+        if data[i] == 0:
+            run = 1
+            while i + run < n and data[i + run] == 0 and run < 255:
+                run += 1
+            out[j] = 0
+            out[j + 1] = run
+            j += 2
+            i += run
+        else:
+            nz_end = i
+            while nz_end < n and data[nz_end] != 0:
+                nz_end += 1
+            m = nz_end - i
+            out[j : j + m] = data[i:nz_end]
+            j += m
+            i = nz_end
+    return out[:j].copy()
+
+
+def huff_encode_loop(tokens, codes, lens):
+    """MSB-first bit accumulator; the tail byte is zero-padded."""
+    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
+    total_bits = int(lens[tokens].astype(np.int64).sum())
+    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
+    acc = 0
+    nb = 0
+    j = 0
+    for t in tokens:
+        l = int(lens[t])
+        acc = (acc << l) | int(codes[t])
+        nb += l
+        while nb >= 8:
+            nb -= 8
+            out[j] = (acc >> nb) & 0xFF
+            j += 1
+        acc &= (1 << nb) - 1
+    if nb > 0:
+        out[j] = (acc << (8 - nb)) & 0xFF
+    return out
+
+
+def huffman_lengths_heapq(freq, max_len=56):
+    """Code lengths from a heap of (freq, id, node) tuples; leaf ids are the
+    symbols, internal ids count up from 256.  Frequencies are halved and the
+    tree rebuilt while a code is longer than max_len."""
+    freq = np.asarray(freq).astype(np.int64).copy()
+    while True:
+        present = np.flatnonzero(freq)
+        lens = np.zeros(256, dtype=np.uint8)
+        if present.size == 0:
+            return lens
+        if present.size == 1:
+            lens[present[0]] = 1
+            return lens
+        heap = [(int(freq[s]), int(s), int(s)) for s in present]
+        heapq.heapify(heap)
+        parent = {}
+        counter = 256
+        while len(heap) > 1:
+            fa, _, a = heapq.heappop(heap)
+            fb, _, b = heapq.heappop(heap)
+            parent[a] = counter
+            parent[b] = counter
+            heapq.heappush(heap, (fa + fb, counter, counter))
+            counter += 1
+        for s in present:
+            d = 0
+            node = int(s)
+            while node in parent:
+                node = parent[node]
+                d += 1
+            lens[s] = d
+        if lens.max() <= max_len:
+            return lens
+        freq[present] = (freq[present] + 1) >> 1
+
+
+def canonical_tables_sequential(lens):
+    """Canonical codes assigned one symbol at a time in (length, symbol)
+    order, plus the per-length decode tables (first/count/offset/symtab)."""
+    lens = np.asarray(lens)
+    maxlen = int(lens.max())
+    order = sorted(int(s) for s in np.flatnonzero(lens))
+    order.sort(key=lambda s: (lens[s], s))
+    codes = np.zeros(256, dtype=np.uint64)
+    first = np.zeros(maxlen + 1, dtype=np.int64)
+    count = np.zeros(maxlen + 1, dtype=np.int64)
+    offset = np.zeros(maxlen + 1, dtype=np.int64)
+    symtab = np.zeros(len(order), dtype=np.uint8)
+    code = 0
+    prev_len = int(lens[order[0]]) if order else 0
+    for i, s in enumerate(order):
+        l = int(lens[s])
+        if i == 0:
+            code = 0
+            first[l] = 0
+        else:
+            code += 1
+            if l > prev_len:
+                code <<= l - prev_len
+        if count[l] == 0:
+            first[l] = code
+            offset[l] = i
+        codes[s] = code
+        count[l] += 1
+        symtab[i] = s
+        prev_len = l
+    return codes, first, count, offset, symtab, maxlen

@@ -202,6 +202,16 @@ class TestPackBins:
                                     NoiseSpec(alpha=room, support_r=0), np.random.default_rng(0))
         assert len(bins) == 10 and all(b.noise_reserved == room for b in bins)
 
+    def test_tile_without_payload_not_assembled(self):
+        cfg = BinConfig(bin_size=4096)
+        for payload in (None, np.zeros(9, np.uint8)):  # size-only, and short
+            tiles = [binpack.CompressedTile(0, 10, 10, payload)]
+            with pytest.raises(IntegrityError):
+                binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
+            bins, _ = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0),
+                                        assemble=False)
+            assert [e.length for e in bins[0].entries] == [10]
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             binpack.pack_bins(

@@ -1,0 +1,190 @@
+"""The tile-compression kernels against the loop versions in oracles.py.
+
+Every tile is run through both and the RLE tokens, the code lengths, the
+canonical tables, the Huffman bitstream and the finished container must be
+equal byte for byte.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neuroplug import _kernels, binpack
+from neuroplug.errors import IntegrityError, NeuroPlugError
+
+from oracles import (
+    canonical_tables_sequential,
+    huff_encode_loop,
+    huffman_lengths_heapq,
+    rle_encode_loop,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def oracle_container(raw):
+    """compress_tile's container, built from the oracle loops."""
+    tokens = rle_encode_loop(raw)
+    lens = huffman_lengths_heapq(np.bincount(tokens, minlength=256))
+    codes = canonical_tables_sequential(lens)[0]
+    header = bytearray([binpack.MODE_RLE_HUF]) + binpack._varint_encode(tokens.size)
+    present = np.flatnonzero(lens)
+    header.append(present.size - 1)
+    for s in present:
+        header += bytes([int(s), int(lens[s])])
+    packed = bytes(header) + huff_encode_loop(tokens, codes, lens).tobytes()
+    if len(packed) >= raw.size + 1:
+        packed = bytes([binpack.MODE_STORED]) + raw.tobytes()
+    return packed
+
+
+def assert_matches_oracles(raw):
+    raw = np.asarray(raw, dtype=np.uint8)
+    tokens = _kernels.rle_encode(raw)
+    np.testing.assert_array_equal(tokens, rle_encode_loop(raw))
+    assert tokens.dtype == np.uint8
+    lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
+    np.testing.assert_array_equal(lens, huffman_lengths_heapq(np.bincount(tokens, minlength=256)))
+    assert_tables_match(lens)
+    codes = binpack._canonical_tables(lens)[0]
+    np.testing.assert_array_equal(_kernels.huff_encode(tokens, codes, lens),
+                                  huff_encode_loop(tokens, codes, lens))
+    tile = binpack.compress_tile(raw)
+    assert tile.payload.tobytes() == oracle_container(raw)
+    np.testing.assert_array_equal(binpack.decompress_tile(tile.payload), raw)
+
+
+def assert_tables_match(lens):
+    codes, first, count, offset, symtab, maxlen = binpack._canonical_tables(lens)
+    o_codes, o_first, o_count, o_offset, o_symtab, o_maxlen = canonical_tables_sequential(lens)
+    np.testing.assert_array_equal(codes, o_codes)
+    assert codes.dtype == np.uint64
+    np.testing.assert_array_equal(count, o_count)
+    np.testing.assert_array_equal(symtab, o_symtab)
+    assert symtab.dtype == np.uint8
+    assert maxlen == o_maxlen
+    used = count > 0  # first and offset mean nothing at unused lengths
+    np.testing.assert_array_equal(first[used], o_first[used])
+    np.testing.assert_array_equal(offset[used], o_offset[used])
+
+
+@st.composite
+def mixed_tiles(draw):
+    """Zero runs of any length (past 255 included) between arbitrary bytes."""
+    parts = draw(st.lists(st.tuples(st.integers(0, 600), st.binary(max_size=40)),
+                          min_size=1, max_size=12))
+    raw = b"".join(bytes(run) + chunk for run, chunk in parts)
+    return np.frombuffer(raw or b"\x00", dtype=np.uint8)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("n", [1, 254, 255, 256, 510, 511, 2048])
+    def test_all_zero(self, n):
+        assert_matches_oracles(np.zeros(n, np.uint8))
+
+    def test_no_zeros(self):
+        rng = np.random.default_rng(1)
+        assert_matches_oracles(rng.integers(1, 256, size=2048, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value, n", [(7, 1), (7, 2048), (255, 300)])
+    def test_single_symbol(self, value, n):
+        assert_matches_oracles(np.full(n, value, np.uint8))
+
+    def test_half_sparse_int8(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            vals = rng.integers(-128, 128, size=2048).astype(np.int8)
+            vals[rng.random(2048) < 0.5] = 0
+            assert_matches_oracles(vals.view(np.uint8))
+
+    @PROPERTY
+    @given(mixed_tiles())
+    def test_mixed_tiles(self, raw):
+        assert_matches_oracles(raw)
+
+    @PROPERTY
+    @given(st.binary(min_size=1, max_size=3000))
+    def test_arbitrary_bytes(self, raw):
+        assert_matches_oracles(np.frombuffer(raw, dtype=np.uint8))
+
+
+class TestHuffmanLengths:
+    def test_power_of_two_frequencies_retry(self):
+        # weights 2**i make a chain 59 deep: the lengths are halved until
+        # they fit 56 bits, in the same steps as the heap
+        freq = np.zeros(256, np.int64)
+        freq[:60] = 2 ** np.arange(60)
+        lens = binpack._huffman_lengths(freq)
+        assert lens.max() == binpack._MAX_CODE_LEN
+        np.testing.assert_array_equal(lens, huffman_lengths_heapq(freq))
+        assert_tables_match(lens)
+
+    @PROPERTY
+    @given(st.dictionaries(st.integers(0, 255), st.integers(1, 2**40), min_size=2))
+    def test_arbitrary_frequencies(self, weights):
+        freq = np.zeros(256, np.int64)
+        freq[list(weights)] = list(weights.values())
+        lens = binpack._huffman_lengths(freq)
+        np.testing.assert_array_equal(lens, huffman_lengths_heapq(freq))
+        assert_tables_match(lens)
+
+    @PROPERTY
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=40))
+    def test_ties(self, small):
+        # few distinct weights: every merge decides a tie
+        freq = np.zeros(256, np.int64)
+        freq[: len(small)] = small
+        np.testing.assert_array_equal(binpack._huffman_lengths(freq), huffman_lengths_heapq(freq))
+
+
+def container(n_tokens, table, bits=b"\x00"):
+    """An RLE+Huffman container with a hand-written header."""
+    head = bytes([binpack.MODE_RLE_HUF]) + binpack._varint_encode(n_tokens)
+    return np.frombuffer(head + bytes([len(table) - 1]) + bytes(sum(table, ())) + bits,
+                         dtype=np.uint8)
+
+
+def encoded_tokens(tokens):
+    """A container whose Huffman layer decodes to exactly these RLE tokens."""
+    tokens = np.asarray(tokens, dtype=np.uint8)
+    lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
+    codes = binpack._canonical_tables(lens)[0]
+    table = [(int(s), int(lens[s])) for s in np.flatnonzero(lens)]
+    return container(tokens.size, table, _kernels.huff_encode(tokens, codes, lens).tobytes())
+
+
+class TestMalformedContainer:
+    @pytest.mark.parametrize("table", [
+        [(4, 1), (5, 70)],           # longer than 56 bits: was an OverflowError
+        [(4, 1), (5, 0)],            # a listed symbol without a code
+        [(5, 1), (5, 1)],            # a symbol listed twice
+        [(1, 1), (2, 1), (3, 1)],    # three 1-bit codes: Kraft sum 3/2
+    ])
+    def test_bad_code_table(self, table):
+        with pytest.raises(IntegrityError):
+            binpack.decompress_tile(container(1, table))
+
+    def test_token_count_beyond_payload_bits(self):
+        # 2**35 tokens asked of 8 payload bits: was a 32 GiB MemoryError
+        with pytest.raises(IntegrityError, match="token count"):
+            binpack.decompress_tile(container(2**35, [(1, 1), (2, 1)]))
+        assert binpack.decompress_tile(container(8, [(1, 1), (2, 1)])).size == 8
+
+    @pytest.mark.parametrize("tokens", [[3, 0], [0, 0], [5, 0, 0, 7]])
+    def test_broken_zero_run(self, tokens):
+        assert _kernels.rle_decode(np.array(tokens, np.uint8)) is None
+        with pytest.raises(IntegrityError, match="run length"):
+            binpack.decompress_tile(encoded_tokens(tokens))
+
+    @PROPERTY
+    @given(mixed_tiles(), st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
+                                   min_size=1, max_size=3))
+    def test_mutated_containers_fail_cleanly(self, raw, edits):
+        payload = binpack.compress_tile(raw).payload.copy()
+        for pos, val in edits:
+            payload[pos % payload.size] = val
+        try:
+            binpack.decompress_tile(payload)
+        except NeuroPlugError:
+            pass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neuroplug import model, sfc
+from neuroplug import _kernels, model, sfc
 from neuroplug.errors import ConfigError, DomainError, ShapeError
 
 from oracles import conv_brute, maxpool_brute, nsqf_sieve
@@ -41,13 +41,30 @@ class TestConvForward:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        for stride, pad in [(1, 1), (1, 0), (2, 1)]:
+        for stride, pad in [(1, 1), (1, 0), (2, 1), (2, 0)]:
             layer = small_layer(k=3, c=2, h=9, w=9, stride=stride, pad=pad)
-            ifmap = rng.integers(-32, 32, size=(2, 9, 9), dtype=np.int8)
-            w = rng.integers(-32, 32, size=(3, 2, 3, 3), dtype=np.int8)
+            ifmap = rng.integers(-128, 128, size=(2, 9, 9), dtype=np.int8)
+            w = rng.integers(-128, 128, size=(3, 2, 3, 3), dtype=np.int8)
+            w[0] = -128  # -128 * -128 products over a -128 corner of the input
+            ifmap[:, :4, :4] = -128
             got = model.conv_accumulate(layer, ifmap, w)
             want = conv_brute(ifmap, w, stride, pad)
             np.testing.assert_array_equal(got.astype(np.int64), want)
+        # the largest accumulator the int8 range allows, C*R*S*2**14
+        layer = small_layer(k=1, c=2, h=9, w=9, stride=2, pad=0)
+        extreme = np.full((2, 9, 9), -128, np.int8)
+        got = model.conv_accumulate(layer, extreme, np.full((1, 2, 3, 3), -128, np.int8))
+        assert (got == 2 * 3 * 3 * 2**14).all()
+
+    def test_one_row_bands_match_brute_force(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_IM2COL_ELEMS", 1)  # one GEMM per output row
+        rng = np.random.default_rng(8)
+        for stride, pad in [(1, 1), (2, 0)]:
+            layer = small_layer(k=3, c=2, h=9, w=9, stride=stride, pad=pad)
+            ifmap = rng.integers(-128, 128, size=(2, 9, 9), dtype=np.int8)
+            w = rng.integers(-128, 128, size=(3, 2, 3, 3), dtype=np.int8)
+            got = model.conv_accumulate(layer, ifmap, w)
+            np.testing.assert_array_equal(got.astype(np.int64), conv_brute(ifmap, w, stride, pad))
 
     def test_linear_before_relu(self):
         layer = small_layer(k=2, c=2, h=6, w=6)
@@ -192,6 +209,15 @@ class TestVolumesAndConfigs:
         doc = model.network_to_json(model.load_network("toy-sparse"))
         doc["layers"][1]["c"] = 32
         with pytest.raises(ConfigError):
+            model.network_from_json(doc)
+
+    @pytest.mark.parametrize("where, key", [("layer", "strdie"), ("layer", "bytes_per_elem"),
+                                            ("tiling", "tz")])
+    def test_unknown_key_rejected(self, where, key):
+        doc = model.network_to_json(model.load_network("toy-sparse"))
+        target = doc["layers"][2] if where == "layer" else doc["layers"][2]["tiling"]
+        target[key] = 2
+        with pytest.raises(ConfigError, match=key):
             model.network_from_json(doc)
 
     def test_bad_skip_rejected(self):
