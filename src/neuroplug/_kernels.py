@@ -4,6 +4,8 @@ coding, canonical Huffman bit packing and the NIST runs count.
 Each operation has one numpy/Python implementation.
 """
 
+import math
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -46,19 +48,21 @@ def maxpool2d(arr, pool):
 
 
 # ---------------------------------------------------------------------------
-# non-square-free (NSQF) integers: some prime square divides n, equivalently
-# some d >= 2 has d*d | n
+# non-square-free (NSQF) integers: some prime square divides n
 
 
 def nsqf_mask(lo, hi):
-    """Mark n in [lo, hi] with d*d | n for some d >= 2."""
-    n = hi - lo + 1
-    out = np.zeros(n, dtype=np.uint8)
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    d = 2
-    while d * d <= hi:
-        out[vals % (d * d) == 0] = 1
-        d += 1
+    """Mark n in [lo, hi] with p*p | n for some prime p: a strided slice per
+    prime p <= isqrt(hi), the primes from a small sieve."""
+    out = np.zeros(hi - lo + 1, dtype=np.uint8)
+    root = math.isqrt(hi)
+    prime = np.ones(root + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime).tolist():
+        out[-lo % (p * p) :: p * p] = 1
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError, EvidenceError, ResolutionError, SupportError
-from .model import nsqf_in_range
+from .model import nsqf_mask
 
 DEFAULT_C = 1.5
 DEFAULT_N = 1 << 14
@@ -260,26 +260,25 @@ class SmartPmf:
 def smart_search_space(h: GridPdf, lo: int, hi: int) -> SmartPmf:
     """Interpolate h onto the integers of [lo, hi] and fold every
     non-NSQF integer's mass into its nearest NSQF integer (ties go low)."""
-    nsqf_vals = nsqf_in_range(lo, hi)
-    if nsqf_vals.size == 0:
+    mask = nsqf_mask(lo, hi)
+    pos = np.flatnonzero(mask)  # offsets of the NSQF integers from lo
+    if pos.size == 0:
         raise DomainError(f"no NSQF integers in [{lo}, {hi}]")
-    ints = np.arange(lo, hi + 1, dtype=np.int64)
     interp = PchipInterpolator(h.x, h.f, extrapolate=False)
-    masses = np.maximum(np.nan_to_num(interp(ints.astype(float)), nan=0.0), 0.0)
+    masses = np.maximum(np.nan_to_num(interp(np.arange(lo, hi + 1, dtype=float)), nan=0.0), 0.0)
 
-    idx = np.searchsorted(nsqf_vals, ints)
-    left_idx = np.clip(idx - 1, 0, nsqf_vals.size - 1)
-    right_idx = np.clip(idx, 0, nsqf_vals.size - 1)
-    dist_left = np.where(idx > 0, ints - nsqf_vals[left_idx], np.iinfo(np.int64).max)
-    dist_right = np.where(idx < nsqf_vals.size, nsqf_vals[right_idx] - ints, np.iinfo(np.int64).max)
-    target = np.where(dist_left <= dist_right, left_idx, right_idx)
-
-    pmf = np.zeros(nsqf_vals.size)
-    np.add.at(pmf, target, masses)
+    # The nearest NSQF passes from pos[j-1] to pos[j] at the first integer
+    # past their midpoint.  Marking those integers in the spent mask, its
+    # running count is each integer's target index.
+    mask[:] = 0
+    mask[(pos[:-1] + pos[1:]) // 2 + 1] = 1
+    target = np.cumsum(mask, dtype=np.intp)
+    pmf = np.bincount(target, weights=masses, minlength=pos.size)
     total = pmf.sum()
     if total <= 0:
         raise DomainError("predicted density carries no mass on the candidate range")
-    return SmartPmf(values=nsqf_vals, pmf=pmf / total)
+    pos += lo
+    return SmartPmf(values=pos.astype(np.int64, copy=False), pmf=pmf / total)
 
 
 def rank(h_smart: SmartPmf, x_r: int) -> int:

@@ -260,50 +260,70 @@ def nsqf_in_range(lo: int, hi: int) -> np.ndarray:
 # network config files
 
 
-_LAYER_KEYS = {"k", "c", "h", "w", "r", "s", "stride", "pad", "pool", "sparsity", "tiling"}
-_TILING_KEYS = {"tk", "tc", "th", "tw"}
+# required fields map to None, optional ones to their default
+_SHAPE_FIELDS = {"k": None, "c": None, "h": None, "w": None, "r": None, "s": None,
+                 "stride": 1, "pad": 0, "pool": 1}
+_TILING_FIELDS = dict.fromkeys(("tk", "tc", "th", "tw"))
+_LAYER_KEYS = set(_SHAPE_FIELDS) | {"sparsity", "tiling"}
 
 
-def _reject_unknown_keys(doc: dict, known: set, what: str) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_object(doc, known: set, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"unknown {what} key {', '.join(map(repr, unknown))}")
 
 
-def _layer_from_json(doc: dict) -> Layer:
-    _reject_unknown_keys(doc, _LAYER_KEYS, "layer")
-    shape = LayerShape(
-        k=doc["k"],
-        c=doc["c"],
-        h=doc["h"],
-        w=doc["w"],
-        r=doc["r"],
-        s=doc["s"],
-        stride=doc.get("stride", 1),
-        pad=doc.get("pad", 0),
-        pool=doc.get("pool", 1),
-    )
+def _int_fields(doc: dict, fields: dict, what: str) -> dict:
+    """The integer value of every field, defaults filled in; a missing
+    required field raises KeyError."""
+    out = {}
+    for key, default in fields.items():
+        value = doc[key] if default is None else doc.get(key, default)
+        if not _is_int(value):
+            raise ConfigError(f"{what} field {key!r} must be an integer, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _layer_from_json(doc) -> Layer:
+    _check_object(doc, _LAYER_KEYS, "layer")
+    shape = LayerShape(**_int_fields(doc, _SHAPE_FIELDS, "layer"))
     til = doc.get("tiling")
-    if til:
-        _reject_unknown_keys(til, _TILING_KEYS, "tiling")
-    tiling = (
-        TilingSpec(tk=til["tk"], tc=til["tc"], th=til["th"], tw=til["tw"])
-        if til
-        else auto_tile(shape)
-    )
-    return Layer(shape=shape, tiling=tiling, sparsity=doc.get("sparsity", 0.0))
+    if til is not None:
+        _check_object(til, set(_TILING_FIELDS), "tiling")
+        tiling = TilingSpec(**_int_fields(til, _TILING_FIELDS, "tiling"))
+    else:
+        tiling = auto_tile(shape)
+    sparsity = doc.get("sparsity", 0.0)
+    if not isinstance(sparsity, (int, float)) or isinstance(sparsity, bool):
+        raise ConfigError(f"layer field 'sparsity' must be a number, got {sparsity!r}")
+    return Layer(shape=shape, tiling=tiling, sparsity=sparsity)
 
 
-def network_from_json(doc: dict) -> NetworkSpec:
+def network_from_json(doc) -> NetworkSpec:
+    _check_object(doc, {"name", "layers", "skips"}, "network")
     try:
-        layers = [_layer_from_json(d) for d in doc["layers"]]
+        layers_doc = doc["layers"]
+        if not isinstance(layers_doc, list):
+            raise ConfigError(f"layers must be a list, got {type(layers_doc).__name__}")
+        layers = [_layer_from_json(d) for d in layers_doc]
     except KeyError as e:
         raise ConfigError(f"layer config missing field {e}") from None
-    net = NetworkSpec(
-        layers=layers,
-        skips=[tuple(p) for p in doc.get("skips", [])],
-        name=doc.get("name", ""),
-    )
+    skips = doc.get("skips", [])
+    if not isinstance(skips, list) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p)) for p in skips
+    ):
+        raise ConfigError(f"skips must be a list of [src, dst] integer pairs, got {skips!r}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"network name must be a string, got {name!r}")
+    net = NetworkSpec(layers=layers, skips=[tuple(p) for p in skips], name=name)
     net.validate()
     return net
 

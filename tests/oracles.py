@@ -55,6 +55,38 @@ def nsqf_sieve(limit):
     return mask
 
 
+def nsqf_mask_modulo(lo, hi):
+    """uint8 mask over [lo, hi]: one full-range modulo pass per d = 2..isqrt(hi)."""
+    out = np.zeros(hi - lo + 1, dtype=np.uint8)
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
+    d = 2
+    while d * d <= hi:
+        out[vals % (d * d) == 0] = 1
+        d += 1
+    return out
+
+
+def fold_nearest_searchsorted(h, lo, hi):
+    """(values, pmf) of mellin.smart_search_space: h interpolated onto the
+    integers of [lo, hi], each integer's mass added to its nearest NSQF
+    integer (ties go low) found by binary search, then normalized."""
+    from scipy.interpolate import PchipInterpolator
+
+    nsqf_vals = np.flatnonzero(nsqf_sieve(hi)[lo:]).astype(np.int64) + lo
+    ints = np.arange(lo, hi + 1, dtype=np.int64)
+    interp = PchipInterpolator(h.x, h.f, extrapolate=False)
+    masses = np.maximum(np.nan_to_num(interp(ints.astype(float)), nan=0.0), 0.0)
+    idx = np.searchsorted(nsqf_vals, ints)
+    left_idx = np.clip(idx - 1, 0, nsqf_vals.size - 1)
+    right_idx = np.clip(idx, 0, nsqf_vals.size - 1)
+    dist_left = np.where(idx > 0, ints - nsqf_vals[left_idx], np.iinfo(np.int64).max)
+    dist_right = np.where(idx < nsqf_vals.size, nsqf_vals[right_idx] - ints, np.iinfo(np.int64).max)
+    target = np.where(dist_left <= dist_right, left_idx, right_idx)
+    pmf = np.zeros(nsqf_vals.size)
+    np.add.at(pmf, target, masses)
+    return nsqf_vals, pmf / pmf.sum()
+
+
 def runs_test_reference(bits):
     """NIST SP 800-22 runs test evaluated straight from the formula."""
     import math

@@ -1,10 +1,20 @@
 import pytest
 
-from neuroplug import model
+from neuroplug import attacks, model, tracegen
 from neuroplug.attacks import huffduff_attack
-from neuroplug.errors import ConfigError, InapplicableError
+from neuroplug.errors import ConfigError, InapplicableError, SupportError
 from neuroplug.model import NetworkSpec
 from neuroplug.tracegen import Scenario
+
+# What an insider may leak: the public bin geometry of NeuroPlug, and per
+# additive model its hardwired constants (const-mean's mean and jitter floor).
+BIN_LEAKS = {"bin_size": 61440, "kappa": 8, "table_entry_size": 8}
+ADDITIVE_LEAKS = {
+    "dummy-writes": {},
+    "const-mean": {"const_mean": 22400, "jitter_lo": -8},
+    "layer-divider": {},
+}
+RUNS = 4
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +37,61 @@ class TestHuffDuff:
     def test_additive_cm_rejected(self, toy_layer0, cm):
         with pytest.raises(ConfigError):
             huffduff_attack(Scenario(net=toy_layer0, cm=cm, sparse=True))
+
+
+@pytest.fixture(scope="module")
+def toy_sparse():
+    net = model.load_network("toy-sparse")
+    return net, model.generate_input(net.layers[0].shape, 0), tracegen.ground_truth(net)
+
+
+def additive_verdicts(toy_sparse, cm_model, seed):
+    """broken flags of ss, ss+kk and ss+kk+si against one additive model."""
+    net, inp, truth = toy_sparse
+    traces = [tracegen.additive_cm_trace(net, inp, cm_model, seed=seed, run_index=r,
+                                         observe_values=True)
+              for r in range(RUNS)]
+    ss = attacks.ss_attack(traces)
+    broken = {"ss": attacks.verdict_volumes(ss, truth)["broken"]}
+    sskk = attacks.kk_attack(ss, ADDITIVE_LEAKS[cm_model])
+    broken["ss+kk"] = attacks.verdict_volumes(sskk, truth)["broken"]
+    si = attacks.si_attack(traces, base_report=sskk)  # updates sskk's estimates
+    broken["ss+kk+si"] = attacks.verdict_volumes(si, truth)["broken"]
+    return broken
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestPaperClaims:
+    """The attacks break the additive countermeasures and fail against bin
+    packing (toy-sparse, input seed 0)."""
+
+    def test_ss_breaks_dummy_writes(self, toy_sparse, seed):
+        assert additive_verdicts(toy_sparse, "dummy-writes", seed)["ss"]
+
+    def test_layer_divider_needs_si(self, toy_sparse, seed):
+        assert additive_verdicts(toy_sparse, "layer-divider", seed) == {
+            "ss": False, "ss+kk": False, "ss+kk+si": True}
+
+    def test_neuroplug_resists_ss_and_kk(self, toy_sparse, seed):
+        net, inp, truth = toy_sparse
+        cache = tracegen.prepare_neuroplug(net, inp, seed)
+        key = tracegen.NeuroPlugKey(seed=seed)
+        traces = [tracegen.neuroplug_trace(net, inp, key, r, seed, cache).trace
+                  for r in range(RUNS)]
+        ss = attacks.ss_attack(traces)
+        assert not attacks.verdict_volumes(ss, truth)["broken"]
+        assert not attacks.verdict_volumes(attacks.kk_attack(ss, BIN_LEAKS), truth)["broken"]
+
+
+class TestSmartRank:
+    """The rank of one single-bin (61,440 B) vgg16-32 ofmap observation; the
+    same figures as the benchmark's golden record."""
+
+    @pytest.mark.parametrize("x_r, rank", [(25088, 5325), (12544, 77059)])
+    def test_rank_of_true_volume(self, x_r, rank):
+        res = attacks.smart_rank_for_layer(61440, x_r)
+        assert (res.rank, res.n_candidates) == (rank, 959050)
+
+    def test_volume_outside_candidates(self):
+        with pytest.raises(SupportError):
+            attacks.smart_rank_for_layer(61440, 6272)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuroplug import mellin
 from neuroplug.errors import DomainError, EvidenceError, ResolutionError, SupportError
 from neuroplug.mellin import GridPdf
+
+from oracles import fold_nearest_searchsorted
 
 
 def exp_pdf():
@@ -175,6 +179,42 @@ class TestSmartSearchSpace:
         f = rng.uniform(0.5, 1.5, size=300)
         sm = mellin.smart_search_space(GridPdf(x, f / np.trapezoid(f, x)), 60, 140)
         assert abs(sm.pmf.sum() - 1.0) < 1e-9
+
+    def assert_matches_oracle(self, h, lo, hi):
+        sm = mellin.smart_search_space(h, lo, hi)
+        values, pmf = fold_nearest_searchsorted(h, lo, hi)
+        assert sm.values.dtype == np.int64
+        assert np.array_equal(sm.values, values)
+        assert np.array_equal(sm.pmf, pmf)
+        return sm
+
+    def test_equidistant_integer_goes_low(self):
+        # 14 lies halfway between the NSQF integers 12 and 16
+        h = GridPdf(np.arange(12, 17, dtype=float), np.full(5, 0.25))
+        sm = self.assert_matches_oracle(h, 12, 16)
+        assert sm.as_dict() == pytest.approx({12: 0.6, 16: 0.4})
+
+    def test_integers_outside_the_nsqf_span(self):
+        # 5, 6, 7 lie below the first NSQF integer (8), 10 and 11 above the
+        # last one (9) in the range
+        h = GridPdf(np.arange(5, 12, dtype=float), np.full(7, 1 / 6))
+        sm = self.assert_matches_oracle(h, 5, 11)
+        assert sm.as_dict() == pytest.approx({8: 4 / 7, 9: 3 / 7})
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lo=st.integers(2, 5_000), width=st.integers(4, 5_000), seed=st.integers(0, 2**16))
+    def test_matches_oracle_fold(self, lo, width, seed):
+        hi = lo + width
+        x = np.linspace(lo - 0.5, hi + 0.5, 64)
+        h = GridPdf(x, np.random.default_rng(seed).uniform(0.0, 1.0, size=64))
+        self.assert_matches_oracle(h, lo, hi)
+
+    def test_benchmark_range_matches_oracle_fold(self):
+        # the prediction smart_rank_for_layer prices for a one-bin observation
+        y = 61440.0
+        h = mellin.predict_X(y, GridPdf.uniform(1.0, 0.875 * y, 1024),
+                             GridPdf.uniform(1 / 40, 1 / 1.5, 1024))
+        self.assert_matches_oracle(h, 11_520, 2_457_600)
 
     def test_no_nsqf_in_range(self):
         h = GridPdf(np.arange(1, 8, dtype=float), np.full(7, 1 / 6))

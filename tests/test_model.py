@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuroplug import _kernels, model, sfc
 from neuroplug.errors import ConfigError, DomainError, ShapeError
 
-from oracles import conv_brute, maxpool_brute, nsqf_sieve
+from oracles import conv_brute, maxpool_brute, nsqf_mask_modulo, nsqf_sieve
 
 
 def small_layer(**kw):
@@ -184,6 +186,32 @@ class TestNsqf:
         sieve = nsqf_sieve(100)
         assert len(model.nsqf_in_range(1, 100)) == int(sieve[1:].sum())
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lo=st.integers(1, 5_000), width=st.integers(0, 20_000))
+    def test_matches_oracles(self, lo, width):
+        hi = lo + width
+        got = model.nsqf_mask(lo, hi)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, nsqf_mask_modulo(lo, hi))
+        np.testing.assert_array_equal(got, nsqf_sieve(hi)[lo:].astype(np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 25, 48, 49, 50, 1009 * 1009, 1009 * 1013])
+    def test_single_integer(self, n):
+        # 1009**2 is NSQF only through its own root, isqrt(hi) itself
+        np.testing.assert_array_equal(model.nsqf_mask(n, n), nsqf_sieve(n)[n:].astype(np.uint8))
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 31, 1009])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_range_starting_beside_prime_square(self, p, offset):
+        lo = p * p + offset
+        hi = lo + 5_000
+        np.testing.assert_array_equal(model.nsqf_mask(lo, hi), nsqf_mask_modulo(lo, hi))
+
+    def test_benchmark_range(self):
+        # the candidate range of a one-bin (61,440 B) observation
+        np.testing.assert_array_equal(model.nsqf_mask(11_520, 2_457_600),
+                                      nsqf_sieve(2_457_600)[11_520:].astype(np.uint8))
+
 
 class TestVolumesAndConfigs:
     def test_unit_volume(self):
@@ -218,6 +246,28 @@ class TestVolumesAndConfigs:
         target = doc["layers"][2] if where == "layer" else doc["layers"][2]["tiling"]
         target[key] = 2
         with pytest.raises(ConfigError, match=key):
+            model.network_from_json(doc)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["layers"][2]["tiling"].update(tk="8"), "'tk' must be an integer"),
+        (lambda d: d["layers"][0].update(k="8"), "'k' must be an integer"),
+        (lambda d: d["layers"][0].update(k=8.5), "'k' must be an integer"),
+        (lambda d: d["layers"][1].update(pad=True), "'pad' must be an integer"),
+        (lambda d: d["layers"][1].update(sparsity="0.5"), "'sparsity' must be a number"),
+        (lambda d: d["layers"][1].update(tiling=[]), "tiling must be an object"),
+        (lambda d: d["layers"].append([1, 2]), "layer must be an object"),
+        (lambda d: d.update(layers=d["layers"][0]), "layers must be a list"),
+        (lambda d: d.update(skips=[[0]]), "skips must be"),
+        (lambda d: d.update(skips=[["0", 1]]), "skips must be"),
+        (lambda d: d.update(name=5), "name must be a string"),
+        (lambda d: d.update(skps=[[0, 2]]), "unknown network key 'skps'"),
+    ], ids=["tiling-str", "shape-str", "shape-float", "shape-bool", "sparsity-str",
+            "tiling-list", "layer-list", "layers-object", "skip-single", "skip-str", "name-int",
+            "network-key"])
+    def test_value_types_checked(self, edit, match):
+        doc = model.network_to_json(model.load_network("toy-sparse"))
+        edit(doc)
+        with pytest.raises(ConfigError, match=match):
             model.network_from_json(doc)
 
     def test_bad_skip_rejected(self):
