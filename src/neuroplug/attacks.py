@@ -5,13 +5,12 @@
 * kk_attack       - Kerckhoff: subtracts insider-leaked hardwired constants
                     from the statistical estimates.
 * si_attack       - side information: strips fake read-after-write updates
-                    by spotting unchanged values, prunes volume candidates
-                    to NSQF integers.
+                    by spotting unchanged values.
 * huffduff_attack - crafted impulse inputs; the boundary effect in nonzero
                     write volume leaks the filter width on sparse traces.
 * reverse_engg_attack - segments layers by RAW structure and solves the
-                    volume equations for (C, H, W, K, R, S) by exhaustive
-                    integer enumeration.
+                    exact volume equations for (C, H, K, R*S) by integer
+                    enumeration.
 
 All attacks are read-only over immutable traces.  The address map is
 treated as public NPU design knowledge; only key material is secret.
@@ -19,7 +18,6 @@ treated as public NPU design knowledge; only key material is secret.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +25,15 @@ import numpy as np
 from . import mellin, tracegen
 from .errors import ConfigError, DomainError, InapplicableError
 from .mellin import GridPdf
-from .model import LayerShape, Tensor3D, nsqf_in_range
+from .model import LayerShape, Tensor3D
 from .tracegen import FMAP_REGION, OP_READ, OP_WRITE, REGION_SHIFT, Trace
 
-V_LO_DEFAULT = 1.5  # adversary's compression-ratio band: 1.5x .. 40x
-V_HI_DEFAULT = 40.0
+V_LO = 1.5  # adversary's compression-ratio band: 1.5x .. 40x
+V_HI = 40.0
+SLACK_FRACTION = 0.875  # largest share of an observation the additive part may take
+# reverse engineering's search bounds on C, H, K and on R and S
+MAX_C = MAX_H = MAX_K = 512
+MAX_RS_SIDE = 16
 
 
 @dataclass
@@ -79,9 +81,6 @@ class AttackReport:
             "notes": self.notes,
             "extra": self.extra,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def _fmap_read_stats(arr, tensor_idx: int) -> tuple[int, int]:
 # generation 1: statistical
 
 
-def ss_attack(traces, n_layers: int | None = None) -> AttackReport:
+def ss_attack(traces) -> AttackReport:
     """Filter unread writes and aggregate per-layer volumes over runs.
 
     Write events never read again carry no data the network consumed, so
@@ -161,8 +160,7 @@ def ss_attack(traces, n_layers: int | None = None) -> AttackReport:
             kind, idx = tracegen.region_of(int(rid) << REGION_SHIFT)
             if kind == "fmap":
                 max_fmap = max(max_fmap, idx)
-        layer_count = n_layers if n_layers is not None else max_fmap
-        for i in range(layer_count):
+        for i in range(max_fmap):
             vol, mode = _fmap_read_stats(arr, i)
             vols.setdefault(i, []).append(vol / mode)
             out_mask = (w_regions == FMAP_REGION + i + 1) & covered
@@ -237,12 +235,8 @@ def kk_attack(report: AttackReport, leaked_constants: dict) -> AttackReport:
 # generation 3: side information
 
 
-def si_attack(
-    traces,
-    prior: dict[int, tuple[int, int]] | tuple[int, int] | None = None,
-    base_report: AttackReport | None = None,
-) -> AttackReport:
-    """Strip fake updates by value equality; prune candidates to NSQF.
+def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
+    """Strip fake updates by value equality.
 
     A write whose content hash equals the previous write to the same
     address updated nothing: real networks essentially never rewrite a
@@ -298,11 +292,6 @@ def si_attack(
             est.volume_min = float(np.min(corrected_vols[i - 1]))
             est.volume_mean = float(np.mean(corrected_vols[i - 1]))
             est.evidence["si_volume"] = "input volume from cleaned upstream writes"
-        lo_hi = prior.get(i) if isinstance(prior, dict) else prior
-        if lo_hi is not None:
-            cands = nsqf_in_range(int(lo_hi[0]), int(lo_hi[1]))
-            est.candidates = cands.tolist()
-            est.evidence["nsqf_range"] = [int(lo_hi[0]), int(lo_hi[1])]
         layers.append(est)
     return AttackReport(
         kind="si",
@@ -316,25 +305,19 @@ def si_attack(
 # candidate ranking under the compression-aware model
 
 
-def smart_rank_for_layer(
-    y_obs: float,
-    x_r: int,
-    v_lo: float = V_LO_DEFAULT,
-    v_hi: float = V_HI_DEFAULT,
-    slack_fraction: float = 0.875,
-) -> mellin.RankResult:
+def smart_rank_for_layer(y_obs: float, x_r: int) -> mellin.RankResult:
     """Rank of the true volume in the adversary's NSQF-restricted prediction.
 
-    The additive prior spans [1, slack_fraction * Y] (the attacker knows at
+    The additive prior spans [1, SLACK_FRACTION * Y] (the attacker knows at
     least some of each observation is data); the compression prior spans
-    the public 1.5x..40x band.
+    the public V_LO..V_HI band.
     """
-    alpha_hi = max(2.0, slack_fraction * y_obs)
+    alpha_hi = max(2.0, SLACK_FRACTION * y_obs)
     alpha_prior = GridPdf.uniform(1.0, alpha_hi, 1024)
-    beta_prior = GridPdf.uniform(1.0 / v_hi, 1.0 / v_lo, 1024)
+    beta_prior = GridPdf.uniform(1.0 / V_HI, 1.0 / V_LO, 1024)
     h = mellin.predict_X(y_obs, alpha_prior, beta_prior)
-    lo = max(2, int((y_obs - alpha_hi) * v_lo))
-    hi = int(y_obs * v_hi)
+    lo = max(2, int((y_obs - alpha_hi) * V_LO))
+    hi = int(y_obs * V_HI)
     sm = mellin.smart_search_space(h, lo, hi)
     r = mellin.rank(sm, x_r)
     return mellin.RankResult(layer=-1, x_r=x_r, rank=r, n_candidates=sm.values.size)
@@ -344,13 +327,7 @@ def smart_rank_for_layer(
 # crafted inputs
 
 
-@dataclass
-class CraftedInputSet:
-    policy: str
-    tensors: list[Tensor3D]
-
-
-def craft_inputs(policy: str, shape: LayerShape, count: int) -> CraftedInputSet:
+def craft_inputs(policy: str, shape: LayerShape, count: int) -> list[Tensor3D]:
     """Attack inputs: a single 1 swept along the first row or column."""
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -371,7 +348,7 @@ def craft_inputs(policy: str, shape: LayerShape, count: int) -> CraftedInputSet:
             tensors.append(Tensor3D(vals))
     else:
         raise DomainError(f"unknown crafted-input policy {policy!r}")
-    return CraftedInputSet(policy=policy, tensors=tensors)
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +394,8 @@ def huffduff_attack(scenario: tracegen.Scenario) -> AttackReport:
         tr = tracegen.baseline_trace(net, inp, seed=scenario.seed, sparse=True)
         return _layer1_write_volume(tr)
 
-    row_sweep = craft_inputs("impulse-row", shape0, shape0.w).tensors
-    col_sweep = craft_inputs("impulse-col", shape0, shape0.h).tensors
+    row_sweep = craft_inputs("impulse-row", shape0, shape0.w)
+    col_sweep = craft_inputs("impulse-col", shape0, shape0.h)
     row_series = np.array([volume_for(inp, i) for i, inp in enumerate(row_sweep)])
     col_series = np.array([volume_for(inp, i) for i, inp in enumerate(col_sweep)])
 
@@ -427,7 +404,14 @@ def huffduff_attack(scenario: tracegen.Scenario) -> AttackReport:
         fixed = [volume_for(row_sweep[0], 1000 + i) for i in range(len(row_sweep))]
         noise_var = float(np.var(fixed))
         series_var = float(np.var(row_series))
-        verdict = "failed: series variance within noise" if series_var <= 4 * max(noise_var, 1.0) else "signal"
+        if series_var == noise_var == 0:
+            # neither the sweep nor the noise moved the bin count, so this run
+            # cannot tell a hidden signal from a missing one
+            verdict = "inconclusive: no variance in either series"
+        elif series_var <= 4 * max(noise_var, 1.0):
+            verdict = "failed: series variance within noise"
+        else:
+            verdict = "signal"
         est = LayerEstimate(
             layer=0,
             evidence={
@@ -508,20 +492,14 @@ def _unique_volume(rows) -> int:
     return int(rows["size"][first_idx].sum())
 
 
-def reverse_engg_attack(
-    trace: Trace,
-    bounds: dict | None = None,
-    uncertain: bool = False,
-    v_band: tuple[float, float] = (V_LO_DEFAULT, V_HI_DEFAULT),
-) -> AttackReport:
-    """Solve volume constraint equations per segmented layer.
+def reverse_engg_attack(trace: Trace) -> AttackReport:
+    """Solve the exact volume equations per segmented layer.
 
     Assumes square maps with stride-1 same-size outputs (the common conv
-    shape).  On exact traces the candidate set collapses to the true
-    tuple; with `uncertain` the volumes become intervals under the public
-    compression band and the set explodes.
+    shape): vol_in = C*H*H, vol_out = K*H*H and vol_weights = K*C*R*S.
+    Every (C, H, K, R*S) that solves them within the search bounds is a
+    candidate.
     """
-    bounds = bounds or {"c": 512, "h": 512, "k": 512, "rs": 16}
     arr = trace.arr
     segments = _segment_trace(arr)
     notes = []
@@ -559,9 +537,7 @@ def reverse_engg_attack(
         vol_in = _unique_volume(fmap_in)
         vol_w = _unique_volume(other)
         vol_out = _unique_volume(writes)
-        cands = _enumerate_candidates(
-            vol_in, vol_w, vol_out, bounds, uncertain, v_band
-        )
+        cands = _enumerate_candidates(vol_in, vol_w, vol_out)
         layers.append(
             LayerEstimate(
                 layer=seg_i,
@@ -588,44 +564,23 @@ def reverse_engg_attack(
     )
 
 
-def _enumerate_candidates(vol_in, vol_w, vol_out, bounds, uncertain, v_band):
+def _enumerate_candidates(vol_in, vol_w, vol_out):
     """(C, H, K, RS) tuples consistent with the observed volumes."""
     out = []
-    if uncertain:
-        # noise only inflates, compression only shrinks: X in [Y/v_hi, Y]
-        lo_in, hi_in = max(1, int(vol_in / v_band[1])), int(vol_in)
-        lo_out, hi_out = max(1, int(vol_out / v_band[1])), int(vol_out)
-        lo_w, hi_w = max(1, int(vol_w / v_band[1])), int(vol_w)
-    for h in range(1, bounds["h"] + 1):
+    for h in range(1, MAX_H + 1):
         h2 = h * h
-        if not uncertain:
-            if vol_in % h2 or vol_out % h2:
-                continue
-            c = vol_in // h2
-            k = vol_out // h2
-            if not (1 <= c <= bounds["c"] and 1 <= k <= bounds["k"]):
-                continue
-            rs_vol = vol_w // (k * c) if k * c else 0
-            if rs_vol == 0 or vol_w % (k * c):
-                continue
-            if rs_vol > bounds["rs"] * bounds["rs"]:
-                continue
-            out.append((int(c), int(h), int(k), int(rs_vol)))
-        else:
-            c_lo = max(1, -(-lo_in // h2))
-            c_hi = min(bounds["c"], hi_in // h2)
-            k_lo = max(1, -(-lo_out // h2))
-            k_hi = min(bounds["k"], hi_out // h2)
-            if c_lo > c_hi or k_lo > k_hi:
-                continue
-            for c in range(c_lo, c_hi + 1):
-                for k in range(k_lo, k_hi + 1):
-                    rs_lo = max(1, -(-lo_w // (k * c)))
-                    rs_hi = min(bounds["rs"] * bounds["rs"], hi_w // (k * c))
-                    for rs in range(rs_lo, rs_hi + 1):
-                        out.append((c, h, k, rs))
-                        if len(out) >= 2_000_000:
-                            return out
+        if vol_in % h2 or vol_out % h2:
+            continue
+        c = vol_in // h2
+        k = vol_out // h2
+        if not (1 <= c <= MAX_C and 1 <= k <= MAX_K):
+            continue
+        rs_vol = vol_w // (k * c)
+        if rs_vol == 0 or vol_w % (k * c):
+            continue
+        if rs_vol > MAX_RS_SIDE * MAX_RS_SIDE:
+            continue
+        out.append((int(c), int(h), int(k), int(rs_vol)))
     return out
 
 
@@ -633,13 +588,17 @@ def _enumerate_candidates(vol_in, vol_w, vol_out, bounds, uncertain, v_band):
 # verdicts
 
 
-def verdict_volumes(report: AttackReport, truth: dict, exclude_last: bool = True) -> dict:
-    """Compare point estimates against out-of-band ground truth."""
+def verdict_volumes(report: AttackReport, truth: dict) -> dict:
+    """Compare point estimates against out-of-band ground truth.
+
+    The last layer is left out: its output is never read back, so the
+    read-back filter of the attacks drops all of its writes.
+    """
     per_layer = []
     n = len(truth["layers"])
     for row in truth["layers"]:
         i = row["layer"]
-        if exclude_last and i == n - 1:
+        if i == n - 1:
             continue
         try:
             est = report.layer(i)

@@ -21,20 +21,12 @@ class PlanningError(NeuroPlugError):
     """Execution planning cannot satisfy the capacity constraints."""
 
 
-class ResolutionError(NeuroPlugError):
-    """Numerical grid too coarse for the requested operation."""
-
-
 class EvidenceError(NeuroPlugError):
     """Observation incompatible with the prior (no posterior mass)."""
 
 
 class SupportError(NeuroPlugError):
     """Queried value lies outside the candidate support."""
-
-
-class OrderingError(NeuroPlugError):
-    """Event stream violates the required time ordering."""
 
 
 class IntegrityError(NeuroPlugError):

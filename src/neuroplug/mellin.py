@@ -1,12 +1,13 @@
-"""Numerical Mellin transforms and the product-of-random-variables engine.
+"""The product-of-random-variables engine and the attacker's search space.
 
 The adversary models an observation as Y = beta*X + alpha and predicts
 X = (Y - alpha) * (1/beta).  With U = Y - alpha and V = 1/beta, X = U*V,
 and the transform of the product is the pointwise product of transforms.
 Numerically everything runs on an exponential grid: cubic-spline
-resampling, multiplication by exp(c*t), then an FFT gives the transform
-along the vertical line Re(s) = c; a quadratic-cost Riemann sum serves as
-the slow oracle.  The predicted density is then restricted to NSQF
+resampling, multiplication by exp(c*t), then an FFT gives the Mellin
+transform along the vertical line Re(s) = c.  The quadratic-cost Riemann
+sum and the Monte-Carlo product that check this path are test oracles
+(tests/oracles.py).  The predicted density is then restricted to NSQF
 integers (the smart search space) and the true value's rank measures the
 per-layer guessing effort.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import DomainError, EvidenceError, ResolutionError, SupportError
+from .errors import DomainError, EvidenceError, SupportError
 from .model import nsqf_mask
 
 DEFAULT_C = 1.5
@@ -63,30 +64,10 @@ class GridPdf:
             raise DomainError("cannot normalize zero mass")
         return GridPdf(self.x, self.f / m)
 
-    def cdf_values(self) -> np.ndarray:
-        c = np.concatenate(([0.0], np.cumsum(0.5 * (self.f[1:] + self.f[:-1]) * np.diff(self.x))))
-        return c
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        cdf = self.cdf_values()
-        total = cdf[-1]
-        if total <= 0:
-            raise DomainError("cannot sample zero mass")
-        u = rng.uniform(0, total, size=n)
-        return np.interp(u, cdf, self.x)
-
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int = 512) -> "GridPdf":
         x = np.linspace(lo, hi, n)
         return cls(x, np.full(n, 1.0 / (hi - lo)))
-
-    @classmethod
-    def point_mass(cls, value: float, rel_width: float = 1e-3, n: int = 33) -> "GridPdf":
-        """Narrow triangular spike standing in for a point mass."""
-        half = max(value * rel_width, 1e-12)
-        x = np.linspace(value - half, value + half, n)
-        f = np.maximum(0.0, 1.0 - np.abs(x - value) / half) / half
-        return cls(x, f).normalized()
 
 
 @dataclass(frozen=True)
@@ -113,17 +94,6 @@ class MellinFn:
         return GridPdf(np.exp(t), np.maximum(f, 0.0))
 
 
-def mellin_riemann(pdf: GridPdf, s_points) -> MellinFn:
-    """Direct Riemann-sum transform; quadratic cost, used as the oracle."""
-    s = np.atleast_1d(np.asarray(s_points, dtype=complex))
-    if np.any(s.real <= 0):
-        raise DomainError("transform strip is Re(s) > 0 for these densities")
-    w = pdf.f * pdf.weights()
-    lx = np.log(pdf.x)
-    vals = np.exp(np.outer(s - 1, lx)) @ w
-    return MellinFn(s=s, values=vals, c=float(s.real[0]), t0=float(lx[0]), dt=0.0)
-
-
 def _resample_log(pdf: GridPdf, t: np.ndarray) -> np.ndarray:
     """Cubic-spline interpolation of the density onto x = exp(t)."""
     spline = CubicSpline(pdf.x, pdf.f, extrapolate=False)
@@ -137,17 +107,6 @@ def _fft_on_grid(pdf: GridPdf, c: float, t0: float, dt: float, n: int) -> Mellin
     omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
     vals = dt * np.exp(1j * omega * t0) * n * np.fft.ifft(g)
     return MellinFn(s=c + 1j * omega, values=vals, c=c, t0=t0, dt=dt)
-
-
-def mellin_fft(pdf: GridPdf, c: float = DEFAULT_C, n: int = DEFAULT_N, pad: float = 0.25) -> MellinFn:
-    """Spline resample to an exponential grid, weight by exp(c*t), FFT."""
-    if pdf.x.size < 8:
-        raise ResolutionError("need at least 8 grid points")
-    t_lo, t_hi = math.log(pdf.x[0]), math.log(pdf.x[-1])
-    span = t_hi - t_lo
-    t0 = t_lo - pad * span
-    dt = span * (1 + 2 * pad) / (n - 1)
-    return _fft_on_grid(pdf, c, t0, dt, n)
 
 
 def reciprocal_pdf(beta: GridPdf) -> GridPdf:
@@ -165,56 +124,21 @@ def reciprocal_pdf(beta: GridPdf) -> GridPdf:
     return GridPdf(v, f_v)
 
 
-def product_pdf(
-    u: GridPdf,
-    v: GridPdf,
-    method: str = "mellin",
-    rng: np.random.Generator | None = None,
-    mc_draws: int = 10**6,
-    c: float = DEFAULT_C,
-    n: int = DEFAULT_N,
-) -> GridPdf:
+def product_pdf(u: GridPdf, v: GridPdf) -> GridPdf:
     """Density of X = U*V for independent positive U, V."""
-    if method == "mellin":
-        span_u = math.log(u.x[-1] / u.x[0])
-        span_v = math.log(v.x[-1] / v.x[0])
-        dt = (span_u + span_v) * 1.10 / (n // 2)
-        mu = _fft_on_grid(u, c, math.log(u.x[0]) - 2 * dt, dt, n)
-        mv = _fft_on_grid(v, c, math.log(v.x[0]) - 2 * dt, dt, n)
-        prod = MellinFn(
-            s=mu.s,
-            values=mu.values * mv.values,
-            c=c,
-            t0=mu.t0 + mv.t0,
-            dt=dt,
-        )
-        out = prod.invert()
-        return out.normalized()
-    if method == "mc":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        xs = u.sample(rng, mc_draws) * v.sample(rng, mc_draws)
-        lo, hi = xs.min(), xs.max()
-        edges = np.geomspace(lo, hi * (1 + 1e-12), 513)
-        counts, edges = np.histogram(xs, bins=edges)
-        centers = np.sqrt(edges[:-1] * edges[1:])
-        dens = counts / (mc_draws * np.diff(edges))
-        return GridPdf(centers, dens).normalized()
-    raise DomainError(f"unknown product method {method!r}")
-
-
-def tv_distance(p: GridPdf, q: GridPdf, n_bins: int = 256) -> float:
-    """Total-variation distance via per-bin masses on a shared log grid."""
-    lo = min(p.x[0], q.x[0])
-    hi = max(p.x[-1], q.x[-1])
-    edges = np.geomspace(lo, hi, n_bins + 1)
-
-    def bin_mass(pdf: GridPdf) -> np.ndarray:
-        cdf = pdf.cdf_values()
-        total = cdf[-1]
-        vals = np.interp(edges, pdf.x, cdf / total, left=0.0, right=1.0)
-        return np.diff(vals)
-
-    return 0.5 * float(np.abs(bin_mass(p) - bin_mass(q)).sum())
+    span_u = math.log(u.x[-1] / u.x[0])
+    span_v = math.log(v.x[-1] / v.x[0])
+    dt = (span_u + span_v) * 1.10 / (DEFAULT_N // 2)
+    mu = _fft_on_grid(u, DEFAULT_C, math.log(u.x[0]) - 2 * dt, dt, DEFAULT_N)
+    mv = _fft_on_grid(v, DEFAULT_C, math.log(v.x[0]) - 2 * dt, dt, DEFAULT_N)
+    prod = MellinFn(
+        s=mu.s,
+        values=mu.values * mv.values,
+        c=DEFAULT_C,
+        t0=mu.t0 + mv.t0,
+        dt=dt,
+    )
+    return prod.invert().normalized()
 
 
 def shift_pdf(y_obs: float, alpha_prior: GridPdf) -> GridPdf:
@@ -227,19 +151,9 @@ def shift_pdf(y_obs: float, alpha_prior: GridPdf) -> GridPdf:
     return GridPdf(u, alpha_prior.f[::-1])
 
 
-def predict_X(
-    y_obs: float,
-    alpha_prior: GridPdf,
-    beta_prior: GridPdf,
-    c: float = DEFAULT_C,
-    n: int = DEFAULT_N,
-    method: str = "mellin",
-    rng: np.random.Generator | None = None,
-) -> GridPdf:
+def predict_X(y_obs: float, alpha_prior: GridPdf, beta_prior: GridPdf) -> GridPdf:
     """Adversary's predicted density of X given one observed Y."""
-    u = shift_pdf(y_obs, alpha_prior)
-    v = reciprocal_pdf(beta_prior)
-    return product_pdf(u, v, method=method, rng=rng, c=c, n=n)
+    return product_pdf(shift_pdf(y_obs, alpha_prior), reciprocal_pdf(beta_prior))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +167,6 @@ class SmartPmf:
     values: np.ndarray  # ascending NSQF integers
     pmf: np.ndarray
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(v): float(p) for v, p in zip(self.values, self.pmf)}
 
 
 def smart_search_space(h: GridPdf, lo: int, hi: int) -> SmartPmf:

@@ -248,14 +248,6 @@ def nsqf_mask(lo: int, hi: int) -> np.ndarray:
     return _kernels.nsqf_mask(int(lo), int(hi))
 
 
-def nsqf_in_range(lo: int, hi: int) -> np.ndarray:
-    """Ascending NSQF integers in [lo, hi]; empty when lo > hi."""
-    if lo > hi:
-        return np.zeros(0, dtype=np.int64)
-    mask = nsqf_mask(lo, hi)
-    return np.flatnonzero(mask).astype(np.int64) + lo
-
-
 # ---------------------------------------------------------------------------
 # network config files
 

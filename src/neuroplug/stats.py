@@ -138,15 +138,6 @@ def cvm_test(sample, reference_cdf) -> float:
 CVM_CRIT_5PCT = 0.461  # asymptotic 5% critical value of omega^2
 
 
-def empirical_cdf(values) -> callable:
-    vals = np.sort(np.asarray(values, dtype=float))
-
-    def cdf(x):
-        return np.searchsorted(vals, x, side="right") / vals.size
-
-    return cdf
-
-
 def _aux_regression_pvalue(design: np.ndarray, resid2: np.ndarray, df: int) -> float:
     coef, *_ = np.linalg.lstsq(design, resid2, rcond=None)
     fitted = design @ coef

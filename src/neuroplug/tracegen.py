@@ -29,7 +29,7 @@ import numpy as np
 
 from . import binpack, sfc
 from .binpack import BinConfig, CompressedTile, NoiseSpec
-from .errors import ConfigError, OrderingError
+from .errors import ConfigError, IntegrityError
 from .model import NetworkSpec, Tensor3D, conv_forward, generate_weights
 from .sfc import ExecutionPlan
 
@@ -39,6 +39,11 @@ OP_WRITE = 1
 EVENT_DTYPE = np.dtype(
     [("op", "u1"), ("addr", "u8"), ("size", "u8"), ("t", "u8"), ("digest", "u8")]
 )
+
+_CSV_HEADER = "op,addr,size,t,digest"
+_CSV_OPS = {"r": OP_READ, "w": OP_WRITE}
+_BINARY_RECORD = np.dtype([("addr", "<u8"), ("t", "<u8"), ("size", "<u4"),
+                           ("digest", "<u2"), ("op", "u1"), ("pad", "u1")])
 
 REGION_SHIFT = 28
 FMAP_REGION = 1
@@ -102,7 +107,7 @@ class Trace:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("op,addr,size,t,digest\n")
+        buf.write(_CSV_HEADER + "\n")
         for row in self.arr:
             op = "r" if row["op"] == OP_READ else "w"
             buf.write(f"{op},{row['addr']},{row['size']},{row['t']},{row['digest']:016x}\n")
@@ -110,13 +115,25 @@ class Trace:
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
+        """Parse to_csv's form; a malformed row raises IntegrityError."""
         lines = text.strip().splitlines()
-        if not lines or lines[0] != "op,addr,size,t,digest":
+        if not lines or lines[0] != _CSV_HEADER:
             raise ConfigError("not a trace CSV")
         out = np.zeros(len(lines) - 1, dtype=EVENT_DTYPE)
         for i, line in enumerate(lines[1:]):
-            op, addr, size, t, digest = line.split(",")
-            out[i] = (OP_READ if op == "r" else OP_WRITE, int(addr), int(size), int(t), int(digest, 16))
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise IntegrityError(f"trace row {i}: {len(fields)} fields, expected 5")
+            op, addr, size, t, digest = fields
+            if op not in _CSV_OPS:
+                raise IntegrityError(f"trace row {i}: op {op!r} is neither 'r' nor 'w'")
+            try:
+                vals = (int(addr), int(size), int(t), int(digest, 16))
+            except ValueError:
+                raise IntegrityError(f"trace row {i}: non-integer field in {line!r}") from None
+            if not all(0 <= v < 1 << 64 for v in vals):
+                raise IntegrityError(f"trace row {i}: value outside u64 in {line!r}")
+            out[i] = (_CSV_OPS[op], *vals)
         return cls(out)
 
     def to_binary(self) -> bytes:
@@ -124,11 +141,7 @@ class Trace:
 
         The digest is truncated to 16 bits here; the CSV form keeps all 64.
         """
-        rec = np.zeros(
-            len(self.arr),
-            dtype=np.dtype([("addr", "<u8"), ("t", "<u8"), ("size", "<u4"),
-                            ("digest", "<u2"), ("op", "u1"), ("pad", "u1")]),
-        )
+        rec = np.zeros(len(self.arr), dtype=_BINARY_RECORD)
         rec["addr"] = self.arr["addr"]
         rec["t"] = self.arr["t"]
         rec["size"] = self.arr["size"]
@@ -138,11 +151,16 @@ class Trace:
 
     @classmethod
     def from_binary(cls, data: bytes) -> "Trace":
-        rec = np.frombuffer(
-            data,
-            dtype=np.dtype([("addr", "<u8"), ("t", "<u8"), ("size", "<u4"),
-                            ("digest", "<u2"), ("op", "u1"), ("pad", "u1")]),
-        )
+        """Parse to_binary's records; a malformed blob raises IntegrityError."""
+        if len(data) % _BINARY_RECORD.itemsize:
+            raise IntegrityError(
+                f"{len(data)} B is not a whole number of {_BINARY_RECORD.itemsize} B records"
+            )
+        rec = np.frombuffer(data, dtype=_BINARY_RECORD)
+        bad = np.flatnonzero((rec["op"] > OP_WRITE) | (rec["pad"] != 0))
+        if bad.size:
+            i = int(bad[0])
+            raise IntegrityError(f"trace record {i}: op {rec['op'][i]}, pad {rec['pad'][i]}")
         out = np.zeros(len(rec), dtype=EVENT_DTYPE)
         out["op"] = rec["op"]
         out["addr"] = rec["addr"]
@@ -659,50 +677,6 @@ def neuroplug_trace(
         prev_out_bins = n_out
 
     return NeuroPlugRun(trace=em.build(), streams=streams, plans=plans, reports=reports)
-
-
-# ---------------------------------------------------------------------------
-# CDTV summary
-
-
-@dataclass
-class CdtvSummary:
-    count: dict[int, int]
-    distance: list[int]
-    time_gaps: np.ndarray
-    read_volume: int
-    write_volume: int
-
-
-def cdtv(trace: Trace) -> CdtvSummary:
-    """Count / distance / time / volume extraction.
-
-    Distance is the bytes accessed strictly between a write and the next
-    read of the same address.
-    """
-    arr = trace.arr
-    if np.any(np.diff(arr["t"].astype(np.int64)) < 0):
-        raise OrderingError("trace events must be time-ordered")
-    reads = arr["op"] == OP_READ
-    read_addrs, read_counts = np.unique(arr["addr"][reads], return_counts=True)
-    count = dict(zip(read_addrs.tolist(), read_counts.tolist()))
-    cum = np.concatenate(([0], np.cumsum(arr["size"].astype(np.int64))))
-    pending: dict[int, int] = {}
-    distance: list[int] = []
-    for idx in range(len(arr)):
-        a = int(arr["addr"][idx])
-        if arr["op"][idx] == OP_WRITE:
-            pending[a] = idx
-        elif a in pending:
-            w = pending.pop(a)
-            distance.append(int(cum[idx] - cum[w + 1]))
-    return CdtvSummary(
-        count=count,
-        distance=distance,
-        time_gaps=np.diff(arr["t"].astype(np.int64)),
-        read_volume=int(arr["size"][reads].sum()),
-        write_volume=int(arr["size"][~reads].sum()),
-    )
 
 
 # ---------------------------------------------------------------------------

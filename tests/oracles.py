@@ -8,6 +8,9 @@ import heapq
 
 import numpy as np
 
+from neuroplug.errors import DomainError
+from neuroplug.mellin import GridPdf, MellinFn
+
 
 def conv_brute(ifmap, weights, stride=1, pad=0):
     """Pure-Python windowed sum of products, exact integer arithmetic."""
@@ -85,6 +88,72 @@ def fold_nearest_searchsorted(h, lo, hi):
     pmf = np.zeros(nsqf_vals.size)
     np.add.at(pmf, target, masses)
     return nsqf_vals, pmf / pmf.sum()
+
+
+# ---------------------------------------------------------------------------
+# Mellin engine: the quadratic-cost transform and a Monte-Carlo product that
+# check neuroplug.mellin's FFT path, and the densities and distance they use
+
+
+def mellin_riemann(pdf, s_points):
+    """Direct Riemann-sum transform; quadratic cost."""
+    s = np.atleast_1d(np.asarray(s_points, dtype=complex))
+    if np.any(s.real <= 0):
+        raise DomainError("transform strip is Re(s) > 0 for these densities")
+    w = pdf.f * pdf.weights()
+    lx = np.log(pdf.x)
+    vals = np.exp(np.outer(s - 1, lx)) @ w
+    return MellinFn(s=s, values=vals, c=float(s.real[0]), t0=float(lx[0]), dt=0.0)
+
+
+def point_mass(value, rel_width=1e-3, n=33):
+    """Narrow triangular spike standing in for a point mass."""
+    half = max(value * rel_width, 1e-12)
+    x = np.linspace(value - half, value + half, n)
+    f = np.maximum(0.0, 1.0 - np.abs(x - value) / half) / half
+    return GridPdf(x, f).normalized()
+
+
+def cdf_values(pdf):
+    """Trapezoid-rule cumulative mass at each grid point."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (pdf.f[1:] + pdf.f[:-1]) * np.diff(pdf.x))))
+
+
+def sample(pdf, rng, n):
+    """n draws by inverting the piecewise-linear cdf."""
+    cdf = cdf_values(pdf)
+    total = cdf[-1]
+    if total <= 0:
+        raise DomainError("cannot sample zero mass")
+    u = rng.uniform(0, total, size=n)
+    return np.interp(u, cdf, pdf.x)
+
+
+def product_pdf_mc(u, v, rng, draws):
+    """Density of X = U*V from draws of U then V, histogrammed on 512
+    geometric bins."""
+    xs = sample(u, rng, draws) * sample(v, rng, draws)
+    lo, hi = xs.min(), xs.max()
+    edges = np.geomspace(lo, hi * (1 + 1e-12), 513)
+    counts, edges = np.histogram(xs, bins=edges)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    dens = counts / (draws * np.diff(edges))
+    return GridPdf(centers, dens).normalized()
+
+
+def tv_distance(p, q, n_bins=256):
+    """Total-variation distance via per-bin masses on a shared log grid."""
+    lo = min(p.x[0], q.x[0])
+    hi = max(p.x[-1], q.x[-1])
+    edges = np.geomspace(lo, hi, n_bins + 1)
+
+    def bin_mass(pdf):
+        cdf = cdf_values(pdf)
+        total = cdf[-1]
+        vals = np.interp(edges, pdf.x, cdf / total, left=0.0, right=1.0)
+        return np.diff(vals)
+
+    return 0.5 * float(np.abs(bin_mass(p) - bin_mass(q)).sum())
 
 
 def runs_test_reference(bits):

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from neuroplug import attacks, model, tracegen
 from neuroplug.attacks import huffduff_attack
 from neuroplug.errors import ConfigError, InapplicableError, SupportError
 from neuroplug.model import NetworkSpec
-from neuroplug.tracegen import Scenario
+from neuroplug.tracegen import NeuroPlugKey, Scenario
 
 # What an insider may leak: the public bin geometry of NeuroPlug, and per
 # additive model its hardwired constants (const-mean's mean and jitter floor).
@@ -33,10 +34,54 @@ class TestHuffDuff:
         with pytest.raises(InapplicableError):
             huffduff_attack(Scenario(net=toy_layer0, cm="none", sparse=False))
 
+    def test_neuroplug_inconclusive_when_nothing_varies(self, toy_layer0):
+        # the impulse sweep moves the sparse baseline's volume on this net ...
+        base = huffduff_attack(Scenario(net=toy_layer0, cm="none", sparse=True))
+        assert np.var(base.extra["row_series"]) > 0
+        # ... but under the default key layer 0's ofmap is one bin at every
+        # position and every run, which shows nothing either way
+        report = huffduff_attack(Scenario(net=toy_layer0, cm="neuroplug", key=NeuroPlugKey()))
+        evidence = report.layers[0].evidence
+        assert evidence["series_variance"] == evidence["noise_variance"] == 0.0
+        assert evidence["verdict"] == "inconclusive: no variance in either series"
+        assert report.notes == [evidence["verdict"]]
+
     @pytest.mark.parametrize("cm", ["dummy-writes", "const-mean", "layer-divider", "bogus"])
     def test_additive_cm_rejected(self, toy_layer0, cm):
         with pytest.raises(ConfigError):
             huffduff_attack(Scenario(net=toy_layer0, cm=cm, sparse=True))
+
+
+@pytest.fixture(scope="module")
+def vgg_reverse():
+    """reverse_engg_attack on the dense vgg16-32 baseline, input and model seed 1."""
+    net = model.load_network("vgg16-32")
+    trace = tracegen.baseline_trace(net, model.generate_input(net.layers[0].shape, 1), seed=1)
+    return attacks.reverse_engg_attack(trace), tracegen.ground_truth(net)["layers"]
+
+
+class TestReverseEngg:
+    def test_one_segment_per_layer(self, vgg_reverse):
+        report, truth = vgg_reverse
+        assert report.extra["segments"] == len(report.layers) == len(truth) == 13
+
+    def test_candidate_counts(self, vgg_reverse):
+        report, _ = vgg_reverse
+        counts = [est.evidence["candidate_count"] for est in report.layers]
+        assert counts == [0, 1, 1, 1, 0, 2, 2, 2, 2, 2, 2, 2, 2]
+
+    def test_true_tuple_among_candidates_from_layer_5(self, vgg_reverse):
+        report, truth = vgg_reverse
+        for row, est in zip(truth[5:], report.layers[5:]):
+            assert (row["c"], row["h"], row["k"], row["r"] * row["s"]) in est.evidence["tuples"]
+
+    def test_pooled_layer_solves_to_wrong_shape(self, vgg_reverse):
+        # the equations assume a same-size output, but layer 1 pools its
+        # 28x28 output to 14x14: its one solution has K = 16 and R*S = 72
+        # where the truth is K = 64 and R*S = 9
+        report, truth = vgg_reverse
+        assert (truth[1]["k"], truth[1]["r"] * truth[1]["s"]) == (64, 9)
+        assert report.layers[1].evidence["tuples"] == [(64, 28, 16, 72)]
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuroplug import mellin
-from neuroplug.errors import DomainError, EvidenceError, ResolutionError, SupportError
+from neuroplug.errors import DomainError, EvidenceError, SupportError
 from neuroplug.mellin import GridPdf
 
-from oracles import fold_nearest_searchsorted
+from oracles import (
+    fold_nearest_searchsorted,
+    mellin_riemann,
+    point_mass,
+    product_pdf_mc,
+    tv_distance,
+)
 
 
 def exp_pdf():
@@ -22,49 +28,57 @@ def uniform01():
     return GridPdf(x, np.ones_like(x))
 
 
+def mellin_fft(pdf, c, n=mellin.DEFAULT_N):
+    """The engine's FFT transform on pdf's log span, widened by a quarter
+    span on each side."""
+    t_lo, t_hi = math.log(pdf.x[0]), math.log(pdf.x[-1])
+    span = t_hi - t_lo
+    return mellin._fft_on_grid(pdf, c, t_lo - span / 4, span * 1.5 / (n - 1), n)
+
+
+def as_dict(sm):
+    return dict(zip(sm.values.tolist(), sm.pmf.tolist()))
+
+
 class TestRiemann:
     def test_gamma_identity(self):
-        m = mellin.mellin_riemann(exp_pdf(), [2.0])
+        m = mellin_riemann(exp_pdf(), [2.0])
         assert abs(m.values[0] - 1.0) < 1e-3
 
     def test_uniform_s2(self):
-        m = mellin.mellin_riemann(uniform01(), [2.0])
+        m = mellin_riemann(uniform01(), [2.0])
         assert abs(m.values[0] - 0.5) < 1e-3
 
     def test_total_mass_at_s1(self):
         for pdf in (exp_pdf(), uniform01()):
-            m = mellin.mellin_riemann(pdf.normalized(), [1.0])
+            m = mellin_riemann(pdf.normalized(), [1.0])
             assert abs(m.values[0] - 1.0) < 1e-3
 
     def test_strip_guard(self):
         with pytest.raises(DomainError):
-            mellin.mellin_riemann(exp_pdf(), [-1.0])
+            mellin_riemann(exp_pdf(), [-1.0])
 
 
 class TestFft:
     def test_gamma_identity(self):
-        m = mellin.mellin_fft(exp_pdf(), c=2.0)
+        m = mellin_fft(exp_pdf(), c=2.0)
         assert abs(m.values[0] - 1.0) < 1e-3  # s = c + 0j is the first grid point
 
     def test_uniform_s2(self):
-        m = mellin.mellin_fft(uniform01(), c=2.0)
+        m = mellin_fft(uniform01(), c=2.0)
         assert abs(m.values[0] - 0.5) < 1e-3
 
     def test_mass_at_s1(self):
-        m = mellin.mellin_fft(exp_pdf().normalized(), c=1.0)
+        m = mellin_fft(exp_pdf().normalized(), c=1.0)
         assert abs(m.values[0] - 1.0) < 1e-3
 
     @pytest.mark.parametrize("pdf_fn", [exp_pdf, uniform01])
     def test_matches_riemann_on_band(self, pdf_fn):
         pdf = pdf_fn()
-        mf = mellin.mellin_fft(pdf, c=2.0)
+        mf = mellin_fft(pdf, c=2.0)
         band = np.abs(mf.s.imag) <= 16
-        mr = mellin.mellin_riemann(pdf, mf.s[band])
+        mr = mellin_riemann(pdf, mf.s[band])
         assert np.abs(mf.values[band] - mr.values).max() < 1e-2
-
-    def test_too_few_points(self):
-        with pytest.raises(ResolutionError):
-            mellin.mellin_fft(GridPdf(np.array([1.0, 2.0]), np.array([1.0, 1.0])))
 
     def test_faster_than_riemann(self):
         import time
@@ -72,10 +86,10 @@ class TestFft:
         x = np.geomspace(1e-3, 10, 1 << 14)
         pdf = GridPdf(x, np.exp(-x))
         t0 = time.perf_counter()
-        mf = mellin.mellin_fft(pdf, c=1.5, n=1 << 14)
+        mf = mellin_fft(pdf, c=1.5, n=1 << 14)
         t_fft = time.perf_counter() - t0
         t0 = time.perf_counter()
-        mellin.mellin_riemann(pdf, mf.s[: 1 << 12])  # quarter of the points
+        mellin_riemann(pdf, mf.s[: 1 << 12])  # quarter of the points
         t_riemann = (time.perf_counter() - t0) * 4
         assert t_riemann > 10 * t_fft
 
@@ -88,7 +102,7 @@ class TestReciprocal:
         np.testing.assert_allclose(v.f, 1.0 / (0.25 * v.x**2), rtol=1e-12)
 
     def test_point_mass_at_one(self):
-        v = mellin.reciprocal_pdf(GridPdf.point_mass(1.0))
+        v = mellin.reciprocal_pdf(point_mass(1.0))
         peak = v.x[np.argmax(v.f)]
         assert abs(peak - 1.0) < 1e-2
 
@@ -108,16 +122,16 @@ class TestProduct:
 
     def test_identity_element(self):
         u = GridPdf.uniform(2.0, 5.0, 1024)
-        one = GridPdf.point_mass(1.0)
+        one = point_mass(1.0)
         prod = mellin.product_pdf(u, one)
-        assert mellin.tv_distance(prod, u) <= 1e-3
+        assert tv_distance(prod, u) <= 1e-3
 
     def test_commutative(self):
         a = GridPdf.uniform(0.5, 1.5, 512)
         b = GridPdf.uniform(2.0, 3.0, 512)
         ab = mellin.product_pdf(a, b)
         ba = mellin.product_pdf(b, a)
-        assert mellin.tv_distance(ab, ba) <= 1e-3
+        assert tv_distance(ab, ba) <= 1e-3
 
     @pytest.mark.parametrize(
         "u_rng,v_rng",
@@ -127,14 +141,14 @@ class TestProduct:
         u = GridPdf.uniform(*u_rng, 1024) if u_rng[0] > 1e-3 else uniform01()
         v = GridPdf.uniform(*v_rng, 1024) if v_rng[0] > 1e-3 else uniform01()
         fast = mellin.product_pdf(u, v)
-        slow = mellin.product_pdf(u, v, method="mc", rng=np.random.default_rng(42))
-        assert mellin.tv_distance(fast, slow) <= 0.02
+        slow = product_pdf_mc(u, v, np.random.default_rng(42), 10**6)
+        assert tv_distance(fast, slow) <= 0.02
 
 
 class TestPredict:
     def test_point_priors_collapse(self):
-        a = GridPdf.point_mass(100.0)
-        b = GridPdf.point_mass(0.5)
+        a = point_mass(100.0)
+        b = point_mass(0.5)
         h = mellin.predict_X(1100.0, a, b)
         peak = h.x[np.argmax(h.f)]
         assert abs(peak - 2000.0) / 2000.0 < 0.01
@@ -150,8 +164,9 @@ class TestPredict:
         a = GridPdf.uniform(100, 3000, 512)
         b = GridPdf.uniform(0.2, 0.6, 512)
         fast = mellin.predict_X(10000, a, b)
-        slow = mellin.predict_X(10000, a, b, method="mc", rng=np.random.default_rng(7))
-        assert mellin.tv_distance(fast, slow) <= 0.02
+        slow = product_pdf_mc(mellin.shift_pdf(10000, a), mellin.reciprocal_pdf(b),
+                              np.random.default_rng(7), 10**6)
+        assert tv_distance(fast, slow) <= 0.02
 
     def test_observation_below_prior_rejected(self):
         a = GridPdf.uniform(100, 5000, 128)
@@ -164,14 +179,14 @@ class TestSmartSearchSpace:
     def test_hand_fixture(self):
         h = GridPdf(np.arange(8, 13, dtype=float), np.full(5, 0.25))
         sm = mellin.smart_search_space(h, 8, 12)
-        assert sm.as_dict() == pytest.approx({8: 0.2, 9: 0.4, 12: 0.4})
+        assert as_dict(sm) == pytest.approx({8: 0.2, 9: 0.4, 12: 0.4})
 
     def test_already_nsqf_supported(self):
         # mass sitting only on NSQF integers stays put (up to renormalizing)
         x = np.array([7.5, 8.0, 8.5, 9.0, 9.5], dtype=float)
         f = np.array([0.0, 2.0, 0.0, 1.0, 0.0])
         sm = mellin.smart_search_space(GridPdf(x, f), 8, 9)
-        assert sm.as_dict() == pytest.approx({8: 2 / 3, 9: 1 / 3})
+        assert as_dict(sm) == pytest.approx({8: 2 / 3, 9: 1 / 3})
 
     def test_mass_conserved_and_normalized(self):
         rng = np.random.default_rng(3)
@@ -192,14 +207,14 @@ class TestSmartSearchSpace:
         # 14 lies halfway between the NSQF integers 12 and 16
         h = GridPdf(np.arange(12, 17, dtype=float), np.full(5, 0.25))
         sm = self.assert_matches_oracle(h, 12, 16)
-        assert sm.as_dict() == pytest.approx({12: 0.6, 16: 0.4})
+        assert as_dict(sm) == pytest.approx({12: 0.6, 16: 0.4})
 
     def test_integers_outside_the_nsqf_span(self):
         # 5, 6, 7 lie below the first NSQF integer (8), 10 and 11 above the
         # last one (9) in the range
         h = GridPdf(np.arange(5, 12, dtype=float), np.full(7, 1 / 6))
         sm = self.assert_matches_oracle(h, 5, 11)
-        assert sm.as_dict() == pytest.approx({8: 4 / 7, 9: 3 / 7})
+        assert as_dict(sm) == pytest.approx({8: 4 / 7, 9: 3 / 7})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(lo=st.integers(2, 5_000), width=st.integers(4, 5_000), seed=st.integers(0, 2**16))

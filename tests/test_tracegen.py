@@ -2,10 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuroplug import binpack, model, sfc, tracegen
 from neuroplug.binpack import BinConfig, NoiseSpec
-from neuroplug.errors import ConfigError
+from neuroplug.errors import ConfigError, IntegrityError, NeuroPlugError
 from neuroplug.model import Layer, LayerShape, NetworkSpec, Tensor3D, TilingSpec
 from neuroplug.tracegen import (
     FMAP_REGION,
@@ -17,7 +19,6 @@ from neuroplug.tracegen import (
     Trace,
     additive_cm_trace,
     baseline_trace,
-    cdtv,
     neuroplug_trace,
     prepare_neuroplug,
     region_of,
@@ -364,41 +365,6 @@ class TestPlanMatchesEmission:
             self.check(run)
 
 
-class TestCdtv:
-    def make(self, rows):
-        arr = np.zeros(len(rows), dtype=tracegen.EVENT_DTYPE)
-        for i, (op, addr, size, t) in enumerate(rows):
-            arr[i] = (op, addr, size, t, 0)
-        return Trace(arr)
-
-    def test_single_read(self):
-        s = cdtv(self.make([(OP_READ, 100, 64, 0)]))
-        assert s.read_volume == 64 and s.write_volume == 0
-        assert s.distance == []
-
-    def test_write_then_read_distance(self):
-        tr = self.make([
-            (OP_WRITE, 100, 32, 0),
-            (OP_READ, 500, 64, 10),
-            (OP_READ, 100, 32, 20),
-        ])
-        s = cdtv(tr)
-        assert s.distance == [64]
-
-    def test_count_mode_two_on_double_read(self):
-        tr = self.make([
-            (OP_READ, 100, 8, 0), (OP_READ, 200, 8, 1),
-            (OP_READ, 100, 8, 2), (OP_READ, 200, 8, 3),
-        ])
-        s = cdtv(tr)
-        assert s.count == {100: 2, 200: 2}
-
-    def test_unordered_rejected(self):
-        tr = self.make([(OP_READ, 1, 8, 10), (OP_READ, 2, 8, 0)])
-        with pytest.raises(tracegen.OrderingError):
-            cdtv(tr)
-
-
 class TestTraceIO:
     def roundtrip_fixture(self):
         net = model.load_network("toy-sparse")
@@ -426,3 +392,82 @@ class TestTraceIO:
         a = baseline_trace(net, inp, seed=4).to_binary()
         b = baseline_trace(net, inp, seed=4).to_binary()
         assert a == b
+
+
+def small_trace():
+    """Four events whose fields reach both ends of their ranges."""
+    arr = np.zeros(4, dtype=tracegen.EVENT_DTYPE)
+    arr[0] = (OP_READ, 0, 64, 0, 0)
+    arr[1] = (OP_WRITE, 2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1)
+    arr[2] = (OP_READ, 1 << 28, 2048, 4, 0xABCD)
+    arr[3] = (OP_WRITE, 5, 1, 9, 1 << 63)
+    return Trace(arr)
+
+
+CSV_HEADER = "op,addr,size,t,digest\n"
+EDIT_TEXT = st.text(alphabet="rwx,-0123456789abcdef\n ", max_size=4) | st.text(max_size=2)
+
+
+class TestTraceDecodersTotal:
+    """Malformed trace files raise a NeuroPlugError, never another exception,
+    and are never accepted silently."""
+
+    def test_small_trace_csv_roundtrip(self):
+        tr = small_trace()
+        np.testing.assert_array_equal(Trace.from_csv(tr.to_csv()).arr, tr.arr)
+
+    @pytest.mark.parametrize("row", [
+        "r,1,2,3",  # four fields
+        "r,1,2,3,4,5",
+        "r,a,2,3,0000000000000004",  # non-integer fields
+        "r,1,2,3,",
+        "r,1,2.5,3,0000000000000004",
+        "r,-1,2,3,0000000000000004",  # values outside u64
+        f"r,1,{2**64},3,0000000000000004",
+        "r,1,2,3,10000000000000000",  # 17 hex digits
+        "x,1,2,3,0000000000000004",  # ops other than r/w
+        "R,1,2,3,0000000000000004",
+    ])
+    def test_malformed_csv_row_rejected(self, row):
+        with pytest.raises(IntegrityError):
+            Trace.from_csv(CSV_HEADER + "r,1,2,3,0000000000000004\n" + row + "\n")
+
+    @pytest.mark.parametrize("edit", ["extra byte", "short record", "op 7", "op 2", "pad"])
+    def test_malformed_binary_rejected(self, edit):
+        blob = bytearray(small_trace().to_binary())
+        if edit == "extra byte":
+            blob = blob[:24] + b"\x00"  # 25 bytes
+        elif edit == "short record":
+            blob = blob[:-1]
+        elif edit == "pad":
+            blob[24 + 23] = 1
+        else:
+            blob[24 + 22] = int(edit[-1])  # record 1's op byte
+        with pytest.raises(IntegrityError):
+            Trace.from_binary(bytes(blob))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), EDIT_TEXT),
+                    min_size=1, max_size=4))
+    def test_edited_csv_decodes_or_raises(self, edits):
+        text = small_trace().to_csv()
+        for pos, cut, insert in edits:
+            pos %= len(text) + 1
+            text = text[:pos] + insert + text[pos + cut:]
+        try:
+            assert isinstance(Trace.from_csv(text), Trace)
+        except NeuroPlugError:
+            pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+           st.integers(-30, 30))
+    def test_edited_blob_decodes_or_raises(self, edits, resize):
+        blob = bytearray(small_trace().to_binary())
+        for pos, val in edits:
+            blob[pos % len(blob)] = val
+        blob = blob[: len(blob) + resize] if resize < 0 else blob + bytes(resize)
+        try:
+            assert isinstance(Trace.from_binary(bytes(blob)), Trace)
+        except NeuroPlugError:
+            pass
