@@ -1,24 +1,28 @@
 """Attack generations against the simulated traces.
 
-* ss_attack       - statistical: drops writes that are never read back and
+* ss_attack       - statistical: drops writes whose bytes no read covers and
                     aggregates min/mean volumes over repeated runs.
 * kk_attack       - Kerckhoff: subtracts insider-leaked hardwired constants
                     from the statistical estimates.
 * si_attack       - side information: strips fake read-after-write updates
-                    by spotting unchanged values.
+                    by spotting unchanged values, then filters like ss.
 * huffduff_attack - crafted impulse inputs; the boundary effect in nonzero
                     write volume leaks the filter width on sparse traces.
 * reverse_engg_attack - segments layers by RAW structure and solves the
                     exact volume equations for (C, H, K, R*S) by integer
                     enumeration.
 
-All attacks are read-only over immutable traces.  The address map is
-treated as public NPU design knowledge; only key material is secret.
+All attacks are read-only over immutable traces and their input reports.
+The address map is treated as public NPU design knowledge; only key
+material is secret.  Every attack reads a trace the same way: one byte-range
+overlap test (`_overlapping`) decides which writes are read back or which
+reads consume earlier writes, and `tracegen.fmap_index` says which feature
+map an address belongs to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from . import mellin, tracegen
 from .errors import ConfigError, DomainError, InapplicableError
 from .mellin import GridPdf
 from .model import LayerShape, Tensor3D
-from .tracegen import FMAP_REGION, OP_READ, OP_WRITE, REGION_SHIFT, Trace
+from .tracegen import OP_READ, OP_WRITE, REGION_SHIFT, Trace
 
 V_LO = 1.5  # adversary's compression-ratio band: 1.5x .. 40x
 V_HI = 40.0
@@ -84,52 +88,35 @@ class AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# interval helpers
+# trace helpers
 
 
-def _merged_read_intervals(arr) -> tuple[np.ndarray, np.ndarray]:
-    reads = arr[arr["op"] == OP_READ]
+def _overlapping(rows, against) -> np.ndarray:
+    """Mask over `rows` of the byte ranges [addr, addr + size) that overlap
+    some range of `against`, i.e. some range starts before the row ends and
+    ends after it starts."""
+    if len(against) == 0:
+        return np.zeros(len(rows), dtype=bool)
+    order = np.argsort(against["addr"], kind="stable")
+    starts = against["addr"][order].astype(np.int64)
+    reach = np.maximum.accumulate(starts + against["size"][order].astype(np.int64))
+    lo = rows["addr"].astype(np.int64)
+    last = np.searchsorted(starts, lo + rows["size"].astype(np.int64), side="left") - 1
+    return (last >= 0) & (reach[np.maximum(last, 0)] > lo)
+
+
+def _read_back_writes(arr) -> np.ndarray:
+    """Mask over events: writes whose bytes some read of the trace covers."""
+    is_read = arr["op"] == OP_READ
+    return ~is_read & _overlapping(arr, arr[is_read])
+
+
+def _fmap_read_stats(reads) -> tuple[int, int]:
+    """(total read volume, per-address count mode) of one fmap's reads."""
     if len(reads) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    starts = reads["addr"].astype(np.int64)
-    ends = starts + reads["size"].astype(np.int64)
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], ends[order]
-    m_starts = [int(starts[0])]
-    m_ends = [int(ends[0])]
-    for s, e in zip(starts[1:], ends[1:]):
-        if s <= m_ends[-1]:
-            m_ends[-1] = max(m_ends[-1], int(e))
-        else:
-            m_starts.append(int(s))
-            m_ends.append(int(e))
-    return np.array(m_starts, dtype=np.int64), np.array(m_ends, dtype=np.int64)
-
-
-def _writes_overlapping_reads(arr) -> np.ndarray:
-    """Boolean mask (over write rows) of writes later read back."""
-    m_starts, m_ends = _merged_read_intervals(arr)
-    writes = arr[arr["op"] == OP_WRITE]
-    if m_starts.size == 0 or len(writes) == 0:
-        return np.zeros(len(writes), dtype=bool)
-    a = writes["addr"].astype(np.int64)
-    e = a + writes["size"].astype(np.int64)
-    idx = np.searchsorted(m_starts, e, side="left") - 1
-    ok = idx >= 0
-    covered = np.zeros(len(writes), dtype=bool)
-    covered[ok] = m_ends[idx[ok]] > a[ok]
-    return covered
-
-
-def _fmap_read_stats(arr, tensor_idx: int) -> tuple[int, int]:
-    """(total read volume, per-address count mode) for one fmap region."""
-    mask = (arr["op"] == OP_READ) & ((arr["addr"] >> REGION_SHIFT) == FMAP_REGION + tensor_idx)
-    if not mask.any():
         return 0, 1
-    vol = int(arr["size"][mask].sum())
-    _, counts = np.unique(arr["addr"][mask], return_counts=True)
-    mode = int(np.bincount(counts).argmax())
-    return vol, max(1, mode)
+    _, counts = np.unique(reads["addr"], return_counts=True)
+    return int(reads["size"].sum()), max(1, int(np.bincount(counts).argmax()))
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +138,15 @@ def ss_attack(traces) -> AttackReport:
     for trace in traces:
         arr = trace.arr
         runs += 1
-        covered = _writes_overlapping_reads(arr)
-        writes = arr[arr["op"] == OP_WRITE]
-        w_regions = writes["addr"] >> REGION_SHIFT
-        max_fmap = 0
-        regions = np.unique(arr["addr"] >> REGION_SHIFT)
-        for rid in regions:
-            kind, idx = tracegen.region_of(int(rid) << REGION_SHIFT)
-            if kind == "fmap":
-                max_fmap = max(max_fmap, idx)
-        for i in range(max_fmap):
-            vol, mode = _fmap_read_stats(arr, i)
+        read_back = _read_back_writes(arr)
+        fmaps = tracegen.fmap_index(arr["addr"])
+        is_read = arr["op"] == OP_READ
+        for i in range(int(fmaps.max(initial=0))):
+            vol, mode = _fmap_read_stats(arr[is_read & (fmaps == i)])
             vols.setdefault(i, []).append(vol / mode)
-            out_mask = (w_regions == FMAP_REGION + i + 1) & covered
+            out_mask = read_back & (fmaps == i + 1)
             write_counts.setdefault(i, []).append(int(out_mask.sum()))
-            write_vols.setdefault(i, []).append(int(writes["size"][out_mask].sum()))
+            write_vols.setdefault(i, []).append(int(arr["size"][out_mask].sum()))
     if runs == 0:
         raise DomainError("ss attack needs at least one trace")
     layers = []
@@ -235,50 +216,49 @@ def kk_attack(report: AttackReport, leaked_constants: dict) -> AttackReport:
 # generation 3: side information
 
 
+def _fake_rewrites(arr) -> np.ndarray:
+    """Mask over events: writes repeating the nonzero digest of the previous
+    write to the same address."""
+    writes = np.flatnonzero(arr["op"] == OP_WRITE)
+    # a stable sort keeps each address's writes in trace (time) order
+    writes = writes[np.argsort(arr["addr"][writes], kind="stable")]
+    addr, digest = arr["addr"][writes], arr["digest"][writes]
+    repeat = (addr[1:] == addr[:-1]) & (digest[1:] == digest[:-1]) & (digest[1:] != 0)
+    fake = np.zeros(len(arr), dtype=bool)
+    fake[writes[1:][repeat]] = True
+    return fake
+
+
 def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
     """Strip fake updates by value equality.
 
     A write whose content hash equals the previous write to the same
     address updated nothing: real networks essentially never rewrite a
     feature map byte-identically, so those writes are dropped as planted.
+    The estimates of `base_report` are copied, so its figures stay its own;
+    the copies share its evidence dicts, which gain si's notes.
     """
-    layers_map: dict[int, LayerEstimate] = {}
-    if base_report is not None:
-        for est in base_report.layers:
-            layers_map[est.layer] = est
+    # shallow copies: the attack-vgg16-32 benchmark's golden record digests
+    # ss+kk reports whose shared evidence carries si's notes
+    layers_map = {est.layer: replace(est) for est in base_report.layers} if base_report else {}
     removed_total = 0
     runs = 0
     corrected_counts: dict[int, list[int]] = {}
     corrected_vols: dict[int, list[int]] = {}
-    removed_per_tensor: dict[int, int] = {}
+    stripped_fmaps: set[int] = set()  # fmap indices (-1: none) that lost a fake write
     for trace in traces:
         runs += 1
-        arr = trace.arr
-        fake = np.zeros(len(arr), dtype=bool)
-        last_digest: dict[int, int] = {}
-        for idx in range(len(arr)):
-            if arr["op"][idx] != OP_WRITE:
-                continue
-            a = int(arr["addr"][idx])
-            d = int(arr["digest"][idx])
-            if last_digest.get(a) == d and d != 0:
-                fake[idx] = True
-                kind, t_idx = tracegen.region_of(a)
-                if kind == "fmap":
-                    removed_per_tensor[t_idx] = removed_per_tensor.get(t_idx, 0) + 1
-            last_digest[a] = d
+        fake = _fake_rewrites(trace.arr)
         removed_total += int(fake.sum())
-        covered_arr = arr[~fake]
-        covered = _writes_overlapping_reads(covered_arr)
-        writes = covered_arr[covered_arr["op"] == OP_WRITE]
-        w_regions = writes["addr"] >> REGION_SHIFT
-        for i in range(64):
-            mask = (w_regions == FMAP_REGION + i + 1) & covered
-            if not mask.any():
-                continue
-            uniq, first_idx = np.unique(writes["addr"][mask], return_index=True)
+        stripped_fmaps.update(tracegen.fmap_index(trace.arr["addr"][fake]).tolist())
+        arr = trace.arr[~fake]
+        read_back = _read_back_writes(arr)
+        out_layer = tracegen.fmap_index(arr["addr"]) - 1
+        for i in np.unique(out_layer[read_back & (out_layer >= 0)]).tolist():
+            mask = read_back & (out_layer == i)
+            uniq, first_idx = np.unique(arr["addr"][mask], return_index=True)
             corrected_counts.setdefault(i, []).append(int(uniq.size))
-            corrected_vols.setdefault(i, []).append(int(writes["size"][mask][first_idx].sum()))
+            corrected_vols.setdefault(i, []).append(int(arr["size"][mask][first_idx].sum()))
     layers = []
     for i in sorted(set(corrected_counts) | set(layers_map)):
         est = layers_map.get(i, LayerEstimate(layer=i))
@@ -288,7 +268,7 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
             est.evidence["si"] = "unchanged-value rewrites removed"
         # where fakes were stripped, the cleaned write volume of the producing
         # layer is the trustworthy input volume of the consumer
-        if removed_per_tensor.get(i, 0) > 0 and (i - 1) in corrected_vols:
+        if i in stripped_fmaps and (i - 1) in corrected_vols:
             est.volume_min = float(np.min(corrected_vols[i - 1]))
             est.volume_mean = float(np.mean(corrected_vols[i - 1]))
             est.evidence["si_volume"] = "input volume from cleaned upstream writes"
@@ -357,7 +337,7 @@ def craft_inputs(policy: str, shape: LayerShape, count: int) -> list[Tensor3D]:
 
 def _layer1_write_volume(trace: Trace) -> int:
     arr = trace.arr
-    mask = (arr["op"] == OP_WRITE) & ((arr["addr"] >> REGION_SHIFT) == FMAP_REGION + 1)
+    mask = (arr["op"] == OP_WRITE) & (tracegen.fmap_index(arr["addr"]) == 1)
     return int(arr["size"][mask].sum())
 
 
@@ -506,22 +486,12 @@ def reverse_engg_attack(trace: Trace) -> AttackReport:
     if len(segments) <= 1:
         notes.append("unsegmentable trace; enumerating over whole-trace volumes")
     layers = []
-    prev_writes = None
+    prev_writes = arr[:0]
     for seg_i, seg in enumerate(segments):
         rows = arr[seg]
         reads = rows[rows["op"] == OP_READ]
         writes = rows[rows["op"] == OP_WRITE]
-        matched = np.zeros(len(reads), dtype=bool)
-        if prev_writes is not None and len(prev_writes):
-            ws = prev_writes["addr"].astype(np.int64)
-            we = ws + prev_writes["size"].astype(np.int64)
-            order = np.argsort(ws)
-            ws, we = ws[order], we[order]
-            a = reads["addr"].astype(np.int64)
-            e = a + reads["size"].astype(np.int64)
-            idx = np.searchsorted(ws, e, side="left") - 1
-            ok = idx >= 0
-            matched[ok] = we[idx[ok]] > a[ok]
+        matched = _overlapping(reads, prev_writes)
         fmap_in = reads[matched]
         other = reads[~matched]
         if seg_i == 0 and len(other):

@@ -28,7 +28,8 @@ MODE_STORED = 0
 MODE_RLE_HUF = 1
 _CONT_BIT = 1 << 31
 _MAX_CODE_LEN = 56
-TABLE_ENTRY_BYTES = 8  # u32 id + u16 offset + u16 length
+_TABLE_ENTRY = np.dtype([("id", "<u4"), ("offset", "<u2"), ("length", "<u2")])
+TABLE_ENTRY_BYTES = _TABLE_ENTRY.itemsize
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class BinConfig:
             raise ConfigError("bin_size must exceed the full table capacity")
         if self.bin_size > 0xFFFF:
             raise ConfigError("bin_size must fit 16-bit offsets")
-
-    @property
-    def payload_capacity(self) -> int:
-        return self.bin_size - 2
 
 
 @dataclass(frozen=True)
@@ -317,14 +314,13 @@ class Bin:
         n = len(self.entries)
         out[0] = n & 0xFF
         out[1] = (n >> 8) & 0xFF
-        pos = 2
-        for e in self.entries:
-            ident = e.tile_id | (_CONT_BIT if e.continuation else 0)
-            out[pos : pos + 4] = np.frombuffer(int(ident).to_bytes(4, "little"), dtype=np.uint8)
-            out[pos + 4 : pos + 6] = np.frombuffer(int(e.offset).to_bytes(2, "little"), dtype=np.uint8)
-            out[pos + 6 : pos + 8] = np.frombuffer(int(e.length).to_bytes(2, "little"), dtype=np.uint8)
-            pos += TABLE_ENTRY_BYTES
-        base = 2 + n * TABLE_ENTRY_BYTES
+        table = np.array(
+            [(e.tile_id | (_CONT_BIT if e.continuation else 0), e.offset, e.length)
+             for e in self.entries],
+            dtype=_TABLE_ENTRY,
+        )
+        base = 2 + table.nbytes
+        out[2:base] = table.view(np.uint8)
         out[base : base + self.payload.size] = self.payload
         return out.tobytes()
 
@@ -336,27 +332,16 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     n = int(arr[0]) | (int(arr[1]) << 8)
     if n > cfg.kappa or 2 + n * TABLE_ENTRY_BYTES > cfg.bin_size:
         raise IntegrityError("entry count exceeds table capacity")
-    entries = []
-    pos = 2
     payload_base = 2 + n * TABLE_ENTRY_BYTES
-    payload_room = cfg.bin_size - payload_base
-    used = 0
-    for _ in range(n):
-        ident = int.from_bytes(arr[pos : pos + 4].tobytes(), "little")
-        off = int.from_bytes(arr[pos + 4 : pos + 6].tobytes(), "little")
-        ln = int.from_bytes(arr[pos + 6 : pos + 8].tobytes(), "little")
-        if off + ln > payload_room:
-            raise IntegrityError("segment runs past the bin payload area")
-        entries.append(
-            BinEntry(
-                tile_id=ident & ~_CONT_BIT,
-                offset=off,
-                length=ln,
-                continuation=bool(ident & _CONT_BIT),
-            )
-        )
-        used += ln
-        pos += TABLE_ENTRY_BYTES
+    table = arr[2:payload_base].view(_TABLE_ENTRY)
+    if np.any(table["offset"].astype(np.int64) + table["length"] > cfg.bin_size - payload_base):
+        raise IntegrityError("segment runs past the bin payload area")
+    entries = [
+        BinEntry(tile_id=ident & ~_CONT_BIT, offset=off, length=ln,
+                 continuation=bool(ident & _CONT_BIT))
+        for ident, off, ln in table.tolist()
+    ]
+    used = int(table["length"].sum())
     payload = arr[payload_base:].copy()
     return Bin(index=index, entries=entries, payload=payload,
                empty_pad=cfg.bin_size - payload_base - used, noise_reserved=0)

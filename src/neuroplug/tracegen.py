@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ EVENT_DTYPE = np.dtype(
 
 _CSV_HEADER = "op,addr,size,t,digest"
 _CSV_OPS = {"r": OP_READ, "w": OP_WRITE}
+_CSV_DECIMAL = re.compile("[0-9]+")  # ASCII digits only; int() also takes "1_0", " +5", "\u0663"
+_CSV_DIGEST = re.compile("[0-9a-f]{16}")
 _BINARY_RECORD = np.dtype([("addr", "<u8"), ("t", "<u8"), ("size", "<u4"),
                            ("digest", "<u2"), ("op", "u1"), ("pad", "u1")])
 
@@ -67,13 +70,10 @@ def dummy_base(layer_idx: int) -> int:
     return (DUMMY_REGION + layer_idx) << REGION_SHIFT
 
 
-def region_of(addr: int) -> tuple[str, int]:
-    rid = addr >> REGION_SHIFT
-    if rid >= DUMMY_REGION:
-        return "dummy", rid - DUMMY_REGION
-    if rid >= WEIGHT_REGION:
-        return "weight", rid - WEIGHT_REGION
-    return "fmap", rid - FMAP_REGION
+def fmap_index(addrs) -> np.ndarray:
+    """Feature-map index of each address, -1 outside the feature maps."""
+    rid = (np.asarray(addrs, dtype=np.uint64) >> np.uint64(REGION_SHIFT)).astype(np.int64)
+    return np.where((rid >= FMAP_REGION) & (rid < WEIGHT_REGION), rid - FMAP_REGION, -1)
 
 
 class Trace:
@@ -127,11 +127,11 @@ class Trace:
             op, addr, size, t, digest = fields
             if op not in _CSV_OPS:
                 raise IntegrityError(f"trace row {i}: op {op!r} is neither 'r' nor 'w'")
-            try:
-                vals = (int(addr), int(size), int(t), int(digest, 16))
-            except ValueError:
-                raise IntegrityError(f"trace row {i}: non-integer field in {line!r}") from None
-            if not all(0 <= v < 1 << 64 for v in vals):
+            if not (all(map(_CSV_DECIMAL.fullmatch, (addr, size, t)))
+                    and _CSV_DIGEST.fullmatch(digest)):
+                raise IntegrityError(f"trace row {i}: field not in to_csv's form in {line!r}")
+            vals = (int(addr), int(size), int(t), int(digest, 16))
+            if not all(v < 1 << 64 for v in vals):
                 raise IntegrityError(f"trace row {i}: value outside u64 in {line!r}")
             out[i] = (_CSV_OPS[op], *vals)
         return cls(out)
@@ -332,6 +332,9 @@ def _tile_size_digest(tensor, sl, cap_actual, sparse, observe_values):
 
 
 ADDITIVE_MODELS = ("dummy-writes", "const-mean", "layer-divider")
+DUMMY_RATIO = 0.5  # dummy writes per real output tile
+CONST_MEAN = 22400  # hardwired read inflation per layer, in bytes
+JITTER = (-8, 8)  # inclusive bounds of the zero-mean jitter on CONST_MEAN
 
 
 def additive_cm_trace(
@@ -342,9 +345,6 @@ def additive_cm_trace(
     run_index: int = 0,
     sparse: bool = False,
     observe_values: bool = False,
-    dummy_ratio: float = 0.5,
-    const_mean: int = 22400,
-    jitter: tuple[int, int] = (-8, 8),
     data: NetData | None = None,
 ) -> Trace:
     """Baseline plus one of the additive-noise countermeasure models."""
@@ -357,13 +357,13 @@ def additive_cm_trace(
     base = baseline_trace(net, input_tensor, seed, sparse, observe_values or cm_model == "layer-divider", data)
 
     if cm_model == "dummy-writes":
-        return _with_dummy_writes(base, net, rng, dummy_ratio)
+        return _with_dummy_writes(base, net, rng)
     if cm_model == "const-mean":
-        return _with_const_mean(base, net, rng, const_mean, jitter)
+        return _with_const_mean(base, net, rng)
     return _with_layer_divider(base, net)
 
 
-def _with_dummy_writes(base: Trace, net: NetworkSpec, rng, ratio: float) -> Trace:
+def _with_dummy_writes(base: Trace, net: NetworkSpec, rng) -> Trace:
     """Unread dummy writes appended to each layer's output flush."""
     chunks = []
     pos = 0
@@ -376,7 +376,7 @@ def _with_dummy_writes(base: Trace, net: NetworkSpec, rng, ratio: float) -> Trac
             continue
         cut = last[-1] + 1
         chunks.append(arr[pos:cut])
-        n_dummy = round(ratio * len(out_tiles))
+        n_dummy = round(DUMMY_RATIO * len(out_tiles))
         extra = np.zeros(n_dummy, dtype=EVENT_DTYPE)
         extra["op"] = OP_WRITE
         extra["addr"] = dummy_base(i) + np.arange(n_dummy) * out_cap
@@ -389,7 +389,7 @@ def _with_dummy_writes(base: Trace, net: NetworkSpec, rng, ratio: float) -> Trac
     return Trace(np.concatenate(chunks))
 
 
-def _with_const_mean(base: Trace, net: NetworkSpec, rng, const: int, jitter) -> Trace:
+def _with_const_mean(base: Trace, net: NetworkSpec, rng) -> Trace:
     """Reads inflated by a hardwired constant plus small zero-mean jitter.
 
     The padding reads extend each layer's input region so they are
@@ -406,7 +406,7 @@ def _with_const_mean(base: Trace, net: NetworkSpec, rng, const: int, jitter) -> 
             continue
         cut = idx[-1] + 1
         chunks.append(arr[pos:cut])
-        total = const + int(rng.integers(jitter[0], jitter[1] + 1))
+        total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
         ext_base = fmap_base(i) + sum(a for _, _, a in in_tiles)
         sizes = []
         while total > 0:
@@ -468,7 +468,6 @@ class NeuroPlugKey:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     bin_cfg: BinConfig = field(default_factory=BinConfig)
     npu_capacity: int = 512 * 1024
-    t_tile: int = T_TILE
 
 
 @dataclass
@@ -580,7 +579,7 @@ def neuroplug_trace(
     if cache is None:
         cache = prepare_neuroplug(net, input_tensor, model_seed)
     cfg = key.bin_cfg
-    gap = key.bin_cfg.kappa * key.t_tile
+    gap = cfg.kappa * T_TILE
     em = _Emitter()
     plans: list[ExecutionPlan] = []
     reports: list[binpack.BinPackReport] = []
@@ -692,7 +691,7 @@ class Scenario:
     cm: str = "none"  # none | neuroplug
     sparse: bool = False
     seed: int = 0
-    key: NeuroPlugKey | None = None
+    key: NeuroPlugKey = field(default_factory=NeuroPlugKey)
 
 
 def ground_truth(net: NetworkSpec) -> dict:

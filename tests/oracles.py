@@ -10,6 +10,7 @@ import numpy as np
 
 from neuroplug.errors import DomainError
 from neuroplug.mellin import GridPdf, MellinFn
+from neuroplug.tracegen import OP_WRITE
 
 
 def conv_brute(ifmap, weights, stride=1, pad=0):
@@ -293,3 +294,49 @@ def canonical_tables_sequential(lens):
         symtab[i] = s
         prev_len = l
     return codes, first, count, offset, symtab, maxlen
+
+
+# ---------------------------------------------------------------------------
+# trace reading: the interval-merge loop and the per-event digest walk that
+# neuroplug.attacks replaced with sorts, searchsorted and adjacent compares
+
+
+def merged_intervals_loop(ranges):
+    """Sorted [start, end) ranges merged one at a time; touching ranges merge."""
+    starts = ranges["addr"].astype(np.int64)
+    ends = starts + ranges["size"].astype(np.int64)
+    order = np.argsort(starts, kind="stable")
+    m_starts, m_ends = [], []
+    for s, e in zip(starts[order].tolist(), ends[order].tolist()):
+        if m_ends and s <= m_ends[-1]:
+            m_ends[-1] = max(m_ends[-1], e)
+        else:
+            m_starts.append(s)
+            m_ends.append(e)
+    return np.array(m_starts, dtype=np.int64), np.array(m_ends, dtype=np.int64)
+
+
+def overlapping_merged(rows, against):
+    """Mask over rows: the merged range starting last before a row's end
+    reaches past the row's start."""
+    m_starts, m_ends = merged_intervals_loop(against)
+    out = np.zeros(len(rows), dtype=bool)
+    for i, (a, n) in enumerate(zip(rows["addr"].tolist(), rows["size"].tolist())):
+        j = int(np.searchsorted(m_starts, a + n, side="left")) - 1
+        out[i] = j >= 0 and m_ends[j] > a
+    return out
+
+
+def fake_rewrites_loop(arr):
+    """Per-event walk: a write is fake when its nonzero digest equals the
+    digest of the previous write to the same address."""
+    fake = np.zeros(len(arr), dtype=bool)
+    last_digest = {}
+    for idx in range(len(arr)):
+        if arr["op"][idx] != OP_WRITE:
+            continue
+        a, d = int(arr["addr"][idx]), int(arr["digest"][idx])
+        if last_digest.get(a) == d and d != 0:
+            fake[idx] = True
+        last_digest[a] = d
+    return fake

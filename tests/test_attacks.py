@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from neuroplug import attacks, model, tracegen
 from neuroplug.attacks import huffduff_attack
 from neuroplug.errors import ConfigError, InapplicableError, SupportError
 from neuroplug.model import NetworkSpec
-from neuroplug.tracegen import NeuroPlugKey, Scenario
+from neuroplug.tracegen import EVENT_DTYPE, OP_READ, OP_WRITE, Scenario, Trace, fmap_base
 
 # What an insider may leak: the public bin geometry of NeuroPlug, and per
 # additive model its hardwired constants (const-mean's mean and jitter floor).
@@ -40,7 +43,7 @@ class TestHuffDuff:
         assert np.var(base.extra["row_series"]) > 0
         # ... but under the default key layer 0's ofmap is one bin at every
         # position and every run, which shows nothing either way
-        report = huffduff_attack(Scenario(net=toy_layer0, cm="neuroplug", key=NeuroPlugKey()))
+        report = huffduff_attack(Scenario(net=toy_layer0, cm="neuroplug"))
         evidence = report.layers[0].evidence
         assert evidence["series_variance"] == evidence["noise_variance"] == 0.0
         assert evidence["verdict"] == "inconclusive: no variance in either series"
@@ -50,6 +53,97 @@ class TestHuffDuff:
     def test_additive_cm_rejected(self, toy_layer0, cm):
         with pytest.raises(ConfigError):
             huffduff_attack(Scenario(net=toy_layer0, cm=cm, sparse=True))
+
+
+def events(*rows):
+    """A hand-built trace from (op, addr, size, digest) rows."""
+    arr = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for i, (op, addr, size, digest) in enumerate(rows):
+        arr[i] = (op, addr, size, i, digest)
+    return Trace(arr)
+
+
+def ranges(pairs):
+    """Events holding only the byte ranges [addr, addr + size)."""
+    arr = np.zeros(len(pairs), dtype=EVENT_DTYPE)
+    arr["addr"] = [a for a, _ in pairs]
+    arr["size"] = [n for _, n in pairs]
+    return arr
+
+
+# small addresses and sizes, so that ranges nest, touch and repeat, and size 0 is common
+RANGES = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=12)
+
+# layer 0 writes fmap 1 in two halves with a read-back and a byte-identical
+# rewrite of the first half (the layer divider's pattern); layer 1 reads
+# fmap 1 and writes fmap 2, which is read back
+DIVIDED = events(
+    (OP_READ, fmap_base(0), 100, 1),
+    (OP_WRITE, fmap_base(1), 50, 7),
+    (OP_READ, fmap_base(1), 50, 7),
+    (OP_WRITE, fmap_base(1), 50, 7),
+    (OP_WRITE, fmap_base(1) + 50, 50, 8),
+    (OP_READ, fmap_base(1), 50, 7),
+    (OP_READ, fmap_base(1) + 50, 50, 8),
+    (OP_WRITE, fmap_base(2), 30, 9),
+    (OP_READ, fmap_base(2), 30, 9),
+)
+
+
+class TestTraceReading:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(RANGES, RANGES)
+    def test_overlap_matches_merge_loop(self, rows, against):
+        rows, against = ranges(rows), ranges(against)
+        got = attacks._overlapping(rows, against)
+        # the definition: some range starts before the row ends and ends after it starts
+        lo, hi = rows["addr"][:, None], (rows["addr"] + rows["size"])[:, None]
+        starts, ends = against["addr"][None, :], (against["addr"] + against["size"])[None, :]
+        np.testing.assert_array_equal(got, ((starts < hi) & (ends > lo)).any(axis=1))
+        # the merge loop joins touching ranges, so it also counts a zero-size
+        # row where two ranges touch; traces hold no zero-size events
+        sized = rows["size"] > 0
+        np.testing.assert_array_equal(got[sized], oracles.overlapping_merged(rows, against)[sized])
+
+    def test_read_covered_only_by_earlier_longer_write(self):
+        # segment 1's read of fmap 1 lies inside the first, longer write of
+        # segment 0 but past the end of the second one
+        trace = events(
+            (OP_READ, fmap_base(0), 16, 0),
+            (OP_WRITE, fmap_base(1), 100, 0),
+            (OP_WRITE, fmap_base(1) + 10, 10, 0),
+            (OP_READ, fmap_base(1) + 50, 10, 0),
+        )
+        evidence = attacks.reverse_engg_attack(trace).layers[1].evidence
+        assert (evidence["vol_in"], evidence["vol_weights"]) == (10, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from([OP_READ, OP_WRITE]), st.integers(0, 3),
+                              st.integers(0, 2)), max_size=30))
+    def test_fake_rewrites_match_loop(self, rows):
+        arr = events(*[(op, addr, 1, digest) for op, addr, digest in rows]).arr
+        np.testing.assert_array_equal(attacks._fake_rewrites(arr), oracles.fake_rewrites_loop(arr))
+
+    def test_si_reports_layers_past_64(self):
+        trace = events((OP_WRITE, fmap_base(70), 64, 3), (OP_READ, fmap_base(70), 64, 3))
+        si = attacks.si_attack([trace])
+        assert [(est.layer, est.write_count, est.write_volume) for est in si.layers] == [(69, 1, 64)]
+
+    def test_si_copies_base_report(self):
+        def figures(report):
+            return [{k: v for k, v in est.to_json().items() if k != "evidence"}
+                    for est in report.layers]
+
+        kk = attacks.kk_attack(attacks.ss_attack([DIVIDED]), {})
+        assert (kk.layer(0).write_count, kk.layer(1).volume_min) == (3, 150.0)
+        before = figures(kk)
+        si = attacks.si_attack([DIVIDED], base_report=kk)
+        assert figures(kk) == before
+        assert not any(a is b for a, b in zip(si.layers, kk.layers))
+        # the rewrite is stripped, and layer 1 reads what layer 0 really wrote
+        assert si.extra["fake_writes_removed"] == 1
+        assert (si.layer(0).write_count, si.layer(0).write_volume) == (2, 100)
+        assert si.layer(1).volume_min == 100.0
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +194,7 @@ def additive_verdicts(toy_sparse, cm_model, seed):
     broken = {"ss": attacks.verdict_volumes(ss, truth)["broken"]}
     sskk = attacks.kk_attack(ss, ADDITIVE_LEAKS[cm_model])
     broken["ss+kk"] = attacks.verdict_volumes(sskk, truth)["broken"]
-    si = attacks.si_attack(traces, base_report=sskk)  # updates sskk's estimates
+    si = attacks.si_attack(traces, base_report=sskk)
     broken["ss+kk+si"] = attacks.verdict_volumes(si, truth)["broken"]
     return broken
 

@@ -173,6 +173,24 @@ class TestPackBins:
             assert [ (e.tile_id, e.offset, e.length, e.continuation) for e in back.entries ] == \
                    [ (e.tile_id, e.offset, e.length, e.continuation) for e in b.entries ]
 
+    def test_wire_table_layout(self):
+        # [u16 count][u32 id | bit31 continuation][u16 offset][u16 length] ... payload
+        cfg = BinConfig(bin_size=64, kappa=2)
+        b = binpack.Bin(index=0, payload=np.arange(1, 6, dtype=np.uint8), empty_pad=0,
+                        noise_reserved=0, entries=[binpack.BinEntry(0x0102, 0, 3, False),
+                                                   binpack.BinEntry(7, 3, 2, True)])
+        img = b.to_bytes(cfg)
+        assert img == (bytes([2, 0, 2, 1, 0, 0, 0, 0, 3, 0, 7, 0, 0, 0x80, 3, 0, 2, 0])
+                       + bytes(range(1, 6)) + bytes(64 - 23))
+        back = binpack.bin_from_bytes(img, cfg)
+        assert [(e.tile_id, e.offset, e.length, e.continuation) for e in back.entries] == [
+            (0x0102, 0, 3, False), (7, 3, 2, True)]
+        assert back.empty_pad == 64 - 18 - 5
+        past = bytearray(img)
+        past[16] = 64 - 18 - 3 + 1  # entry 1 now ends one byte past the payload area
+        with pytest.raises(IntegrityError):
+            binpack.bin_from_bytes(bytes(past), cfg)
+
     def test_accounting_exact(self):
         cfg = BinConfig(bin_size=4096)
         rng = np.random.default_rng(4)

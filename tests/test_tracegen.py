@@ -10,6 +10,7 @@ from neuroplug.binpack import BinConfig, NoiseSpec
 from neuroplug.errors import ConfigError, IntegrityError, NeuroPlugError
 from neuroplug.model import Layer, LayerShape, NetworkSpec, Tensor3D, TilingSpec
 from neuroplug.tracegen import (
+    DUMMY_REGION,
     FMAP_REGION,
     OP_READ,
     OP_WRITE,
@@ -19,9 +20,12 @@ from neuroplug.tracegen import (
     Trace,
     additive_cm_trace,
     baseline_trace,
+    dummy_base,
+    fmap_base,
+    fmap_index,
     neuroplug_trace,
     prepare_neuroplug,
-    region_of,
+    weight_base,
 )
 
 
@@ -44,11 +48,15 @@ class TestBaseline:
     def test_single_tile_three_events(self):
         net = tiny_net()
         tr = baseline_trace(net, toy_input(net))
-        assert len(tr) == 3
-        kinds = [(int(e["op"]), region_of(int(e["addr"]))[0]) for e in tr.arr]
-        assert (OP_READ, "weight") in kinds
-        assert (OP_READ, "fmap") in kinds
-        assert (OP_WRITE, "fmap") in kinds
+        # the weight read (no feature map), the input read and the output write
+        assert sorted(zip(tr.op.tolist(), fmap_index(tr.addr).tolist())) == [
+            (OP_READ, -1), (OP_READ, 0), (OP_WRITE, 1)]
+
+    def test_fmap_index(self):
+        addrs = np.array([0, fmap_base(0), fmap_base(1) - 1, fmap_base(70) + 5,
+                          weight_base(0) - 1, weight_base(0), dummy_base(3), 2**64 - 1],
+                         dtype=np.uint64)
+        assert fmap_index(addrs).tolist() == [-1, 0, 0, 70, WEIGHT_REGION - 2, -1, -1, -1]
 
     def test_vgg_layer1_write_tiles(self):
         net = model.load_network("vgg16-32")
@@ -110,15 +118,14 @@ class TestAdditiveModels:
         tr = additive_cm_trace(net, toy_input(net, 5), "dummy-writes", seed=1)
         arr = tr.arr
         true_w = (arr["op"] == OP_WRITE) & ((arr["addr"] >> REGION_SHIFT) == FMAP_REGION + 1)
-        dummy_w = (arr["op"] == OP_WRITE) & (region_of(int(arr["addr"][0]))[0] == "fmap")
-        d0 = np.array([region_of(int(a))[0] == "dummy" and region_of(int(a))[1] == 0 for a in arr["addr"]])
+        d0 = (arr["addr"] >> REGION_SHIFT) == DUMMY_REGION
         assert int(true_w.sum()) == 1568
         assert int((d0 & (arr["op"] == OP_WRITE)).sum()) == 784
 
     def test_dummy_writes_never_read(self):
         net = model.load_network("toy-sparse")
         arr = additive_cm_trace(net, toy_input(net, 1), "dummy-writes", seed=1).arr
-        dummy = np.array([region_of(int(a))[0] == "dummy" for a in arr["addr"]])
+        dummy = (arr["addr"] >> REGION_SHIFT) >= DUMMY_REGION
         assert not np.any(dummy & (arr["op"] == OP_READ))
         assert np.any(dummy & (arr["op"] == OP_WRITE))
 
@@ -427,6 +434,14 @@ class TestTraceDecodersTotal:
         "r,1,2,3,10000000000000000",  # 17 hex digits
         "x,1,2,3,0000000000000004",  # ops other than r/w
         "R,1,2,3,0000000000000004",
+        "r,1_0, +5,\u0663,0x1f",  # what int() takes but to_csv never writes
+        "r,1_0,2,3,0000000000000004",
+        "r, 1,2,3,0000000000000004",
+        "r,1,+2,3,0000000000000004",
+        "r,1,2,\u0663,0000000000000004",
+        "r,1,2,3,0x00000000000004",
+        "r,1,2,3,000000000000000A",
+        "r,1,2,3,4",
     ])
     def test_malformed_csv_row_rejected(self, row):
         with pytest.raises(IntegrityError):
