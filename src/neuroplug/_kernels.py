@@ -91,49 +91,21 @@ def rle_encode(data):
     return slots[keep]
 
 
-def _rle_decoded_size(tokens):
-    """Decoded length, or None if a zero token lacks a run length in 1..255."""
-    n = tokens.size
-    i = 0
-    total = 0
-    while i < n:
-        if tokens[i] == 0:
-            if i + 1 >= n or tokens[i + 1] == 0:
-                return None
-            total += int(tokens[i + 1])
-            i += 2
-        else:
-            total += 1
-            i += 1
-    return total
-
-
 def rle_decode(tokens):
-    """Inverse of rle_encode, or None if the tokens are malformed."""
+    """Inverse of rle_encode, or None if a zero token lacks a run length in 1..255.
+
+    A run length is never 0, so every zero token starts a run and the token
+    after it is the length: zeros repeat that many times, length bytes
+    vanish and every other token copies once.
+    """
     tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
-    size = _rle_decoded_size(tokens)
-    if size is None:
+    runs = np.flatnonzero(tokens == 0)
+    if runs.size and (runs[-1] + 1 == tokens.size or np.any(tokens[runs + 1] == 0)):
         return None
-    out = np.empty(size, dtype=np.uint8)
-    n = tokens.size
-    i = 0
-    j = 0
-    while i < n:
-        b = tokens[i]
-        if b == 0:
-            run = int(tokens[i + 1])
-            out[j : j + run] = 0
-            j += run
-            i += 2
-        else:
-            nz_end = i
-            while nz_end < n and tokens[nz_end] != 0:
-                nz_end += 1
-            m = nz_end - i
-            out[j : j + m] = tokens[i:nz_end]
-            j += m
-            i = nz_end
-    return out
+    counts = np.ones(tokens.size, dtype=np.intp)
+    counts[runs] = tokens[runs + 1]
+    counts[runs + 1] = 0
+    return np.repeat(tokens, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Wire image of a bin (little-endian):
     [u16 n_entries][entries ...][payload segments ...][zero pad]
     entry: [u32 id | bit31 = continuation][u16 offset][u16 length]
 each entry is TABLE_ENTRY_BYTES = 8 bytes; offsets are relative to the
-payload area, which starts right after the table.  Dummy-byte spans are
+payload area, which starts right after the table, and the segments lie
+back to back from offset 0 in table order.  Dummy-byte spans are
 keyed metadata and are not serialized.
 """
 
@@ -334,14 +335,19 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
         raise IntegrityError("entry count exceeds table capacity")
     payload_base = 2 + n * TABLE_ENTRY_BYTES
     table = arr[2:payload_base].view(_TABLE_ENTRY)
-    if np.any(table["offset"].astype(np.int64) + table["length"] > cfg.bin_size - payload_base):
+    lengths = table["length"].astype(np.int64)
+    # pack_bins lays segments back to back from offset 0, so any other
+    # layout (a gap, an overlap, an empty segment) is corruption
+    if np.any(lengths < 1) or np.any(table["offset"] != np.cumsum(lengths) - lengths):
+        raise IntegrityError("table entries are not nonempty segments back to back from offset 0")
+    used = int(lengths.sum())
+    if used > cfg.bin_size - payload_base:
         raise IntegrityError("segment runs past the bin payload area")
     entries = [
         BinEntry(tile_id=ident & ~_CONT_BIT, offset=off, length=ln,
                  continuation=bool(ident & _CONT_BIT))
         for ident, off, ln in table.tolist()
     ]
-    used = int(table["length"].sum())
     payload = arr[payload_base:].copy()
     return Bin(index=index, entries=entries, payload=payload,
                empty_pad=cfg.bin_size - payload_base - used, noise_reserved=0)

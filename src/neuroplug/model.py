@@ -89,10 +89,13 @@ class TilingSpec:
             raise ShapeError(f"tw={self.tw} outside [1, {shape.w}]")
 
 
-def auto_tile(shape: LayerShape, target_bytes: int = 2048) -> TilingSpec:
-    """Pick a deep-tile shape with roughly target_bytes per tile."""
+AUTO_TILE_BYTES = 2048  # deep-tile size auto_tile aims at
+
+
+def auto_tile(shape: LayerShape) -> TilingSpec:
+    """Pick a deep-tile shape with roughly AUTO_TILE_BYTES per tile."""
     th = tw = min(shape.h, 8)
-    tc = max(1, min(shape.c, target_bytes // (th * tw)))
+    tc = max(1, min(shape.c, AUTO_TILE_BYTES // (th * tw)))
     return TilingSpec(tk=shape.k, tc=tc, th=th, tw=min(shape.w, tw))
 
 

@@ -1,27 +1,37 @@
 """Attacker-visible memory transaction streams.
 
-Three generators share one address map:
+Every trace is built one way: a generator lists event rows (op, addr,
+size, digest) in issue order, each with dt, the cycles it advances the
+clock, and `_build` turns them into a `Trace`.  An event's t is the sum of
+the dt of the rows before it; `_build` is the only place t is computed.
+A row of size 0 (a sparse block with no nonzero byte) still advances the
+clock but is not an event.
 
-* baseline_trace  - unprotected tile-granularity traffic in the canonical
-  loop-nest order; sparse mode sizes events by the nonzero bytes of each
-  tile (a sparse accelerator's compressed transfers).
-* additive_cm_trace - abstract additive-noise countermeasures: unread dummy
-  writes, constant-mean read inflation, and the sub-layer divider that
-  fakes read-after-write dependences.
+* baseline_trace - unprotected tile-granularity traffic in the canonical
+  loop-nest order.  A transfer's dt is its DRAM bursts (4 cycles per 64 B),
+  and each input tile adds T_TILE of compute, moved or skipped.  Sparse
+  mode sizes events by the nonzero bytes of each block (a sparse
+  accelerator's compressed transfers).
+* additive_cm_trace - a baseline with one abstract additive-noise
+  countermeasure spliced in per layer: unread dummy writes, constant-mean
+  read inflation, or the sub-layer divider that fakes read-after-write
+  dependences.  Inserted events are issued at the time of the event they
+  follow.
 * neuroplug_trace - bin-granularity traffic: tiles are compressed, packed
   into fixed-size bins with keyed empty-space noise, and every event is
-  exactly one bin with a constant processing gap.
+  exactly one bin with a constant gap of kappa * T_TILE.
 
 Addresses are per-(tensor, stream) regions: feature map j lives at
 (1 + j) << 28, weights of layer i at WEIGHT_REGION + (i << 28), dummy
-streams likewise.  Attacks may use the map (the NPU design is public;
-only key material is secret).
+streams likewise; `fmap_index` decodes feature-map addresses.  Attacks may
+use the map (the NPU design is public; only key material is secret).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -56,6 +66,7 @@ DUMMY_REGION = 1 << 13
 DRAM_BURST_BYTES = 64
 DRAM_BURST_CYCLES = 4
 T_TILE = 512
+CHUNK_TARGET = 2048  # bytes per coalesced storage chunk
 
 
 def fmap_base(tensor_idx: int) -> int:
@@ -142,11 +153,8 @@ class Trace:
         The digest is truncated to 16 bits here; the CSV form keeps all 64.
         """
         rec = np.zeros(len(self.arr), dtype=_BINARY_RECORD)
-        rec["addr"] = self.arr["addr"]
-        rec["t"] = self.arr["t"]
-        rec["size"] = self.arr["size"]
-        rec["digest"] = self.arr["digest"] & 0xFFFF
-        rec["op"] = self.arr["op"]
+        for name in EVENT_DTYPE.names:  # narrowing keeps the low bits
+            rec[name] = self.arr[name]
         return rec.tobytes()
 
     @classmethod
@@ -162,61 +170,46 @@ class Trace:
             i = int(bad[0])
             raise IntegrityError(f"trace record {i}: op {rec['op'][i]}, pad {rec['pad'][i]}")
         out = np.zeros(len(rec), dtype=EVENT_DTYPE)
-        out["op"] = rec["op"]
-        out["addr"] = rec["addr"]
-        out["size"] = rec["size"]
-        out["t"] = rec["t"]
-        out["digest"] = rec["digest"]
+        for name in EVENT_DTYPE.names:
+            out[name] = rec[name]
         return cls(out)
 
 
-class _Emitter:
-    def __init__(self):
-        self.op: list[int] = []
-        self.addr: list[int] = []
-        self.size: list[int] = []
-        self.t: list[int] = []
-        self.digest: list[int] = []
-        self.clock = 0
+def _transfer_cycles(size):
+    """Cycles to move size bytes: whole DRAM bursts, none for size 0."""
+    return (size + DRAM_BURST_BYTES - 1) // DRAM_BURST_BYTES * DRAM_BURST_CYCLES
 
-    def emit(self, op: int, addr: int, size: int, digest: int = 0, dt: int | None = None):
-        self.op.append(op)
-        self.addr.append(addr)
-        self.size.append(size)
-        self.t.append(self.clock)
-        self.digest.append(digest)
-        if dt is None:
-            dt = max(1, -(-size // DRAM_BURST_BYTES)) * DRAM_BURST_CYCLES
-        self.clock += dt
 
-    def advance(self, cycles: int):
-        self.clock += cycles
+def _build(rows) -> Trace:
+    """The one clock: rows are (op, addr, size, digest, dt) in issue order.
 
-    def build(self) -> Trace:
-        arr = np.zeros(len(self.op), dtype=EVENT_DTYPE)
-        arr["op"] = self.op
-        arr["addr"] = self.addr
-        arr["size"] = self.size
-        arr["t"] = self.t
-        arr["digest"] = self.digest
-        return Trace(arr)
+    Each row starts when the rows before it have advanced the clock by
+    their dt.  A row of size 0 (a skipped sparse block) still advances the
+    clock but is not an event.
+    """
+    op, addr, size, digest, dt = np.asarray(rows, dtype=np.uint64).reshape(-1, 5).T
+    keep = size > 0
+    arr = np.zeros(np.count_nonzero(keep), dtype=EVENT_DTYPE)
+    for name, col in zip(EVENT_DTYPE.names, (op, addr, size, np.cumsum(dt) - dt, digest)):
+        arr[name] = col[keep]
+    return Trace(arr)
 
 
 def _digest64(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-# ---------------------------------------------------------------------------
-# tile geometry helpers
-
-
-def _tile_view(tensor: np.ndarray, sl) -> np.ndarray:
-    c0, c1, r0, r1, w0, w1 = sl
-    return tensor[c0:c1, r0:r1, w0:w1]
-
-
-def _tile_bytes(tensor: np.ndarray, sl) -> np.ndarray:
-    return np.ascontiguousarray(_tile_view(tensor, sl)).view(np.uint8).reshape(-1)
+def _size_digest(tensor, index, size: int, sparse: bool, observe_values: bool) -> tuple[int, int]:
+    """Event size and content hash of the tile or weight block tensor[index],
+    which holds size bytes.  Sparse transfers move only the nonzero bytes,
+    so an all-zero block has size 0.  Without values (tensor None) a block
+    moves whole and has no hash."""
+    if tensor is None:
+        return size, 0
+    block = tensor[index]
+    if sparse:
+        size = int(np.count_nonzero(block))
+    return size, _digest64(np.ascontiguousarray(block).tobytes()) if observe_values else 0
 
 
 # ---------------------------------------------------------------------------
@@ -255,76 +248,65 @@ def baseline_trace(
 ) -> Trace:
     """Unprotected tile-granularity trace in the canonical loop order.
 
-    Per layer and output-map block: read the weight block, sweep the deep
-    tiles of the input, and flush each output tile exactly once after its
-    last channel pass.
+    Per layer: re-read the stored curve of each skip source, then per
+    output-map block and channel group read the weight block and that
+    group's input tiles (each holding the array for T_TILE cycles, moved or
+    skipped), and flush the block's output tiles once after its last
+    channel group.
     """
     need_values = sparse or observe_values
     if need_values and data is None:
         data = compute_net_data(net, input_tensor, seed)
-    em = _Emitter()
+    fmaps = data.fmaps if need_values else [None] * (len(net.layers) + 1)
+    weights = data.weights if need_values else [None] * len(net.layers)
+
+    def tile_rows(op, fmap, walk):
+        base, tensor = fmap_base(fmap), fmaps[fmap]
+        return [(op, base + off, *_size_digest(tensor, np.s_[c0:c1, r0:r1, w0:w1], actual,
+                                               sparse, observe_values))
+                for off, (c0, c1, r0, r1, w0, w1), actual in walk]
+
+    layers = []
     for i, layer in enumerate(net.layers):
         shp, til = layer.shape, layer.tiling
-        n_k = math.ceil(shp.k / til.tk)
-        n_c = math.ceil(shp.c / til.tc)
-        in_tiles, in_cap = sfc.ifmap_walk(shp, til)
-        out_tiles, out_cap = sfc.ofmap_walk(shp, til)
+        n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
         wblock_cap = til.tk * til.tc * shp.r * shp.s
-        in_tensor = data.fmaps[i] if need_values else None
-        out_tensor = data.fmaps[i + 1] if need_values else None
+        in_walk, _ = sfc.ifmap_walk(shp, til)
+        out_walk, _ = sfc.ofmap_walk(shp, til)
+        # every block the layer moves, sized and hashed once: skip tiles,
+        # weight blocks (k-major), input tiles, output tiles
+        rows = []
+        for src, dst in net.skips:
+            if dst == i:
+                src_walk, _ = sfc.ofmap_walk(net.layers[src].shape, net.layers[src].tiling)
+                rows += tile_rows(OP_READ, src + 1, src_walk)
+        w_row = len(rows)
+        for b, (k0, c0) in enumerate(itertools.product(range(0, shp.k, til.tk),
+                                                       range(0, shp.c, til.tc))):
+            k1, c1 = min(shp.k, k0 + til.tk), min(shp.c, c0 + til.tc)
+            size = (k1 - k0) * (c1 - c0) * shp.r * shp.s
+            rows.append((OP_READ, weight_base(i) + b * wblock_cap,
+                         *_size_digest(weights[i], np.s_[k0:k1, c0:c1], size, sparse, observe_values)))
+        in_row = len(rows)
+        rows += tile_rows(OP_READ, i, in_walk)
+        out_row = len(rows)
+        rows += tile_rows(OP_WRITE, i + 1, out_walk)
+        table = np.array(rows, dtype=np.uint64)
+        dt = _transfer_cycles(table[:, 2])
+        dt[in_row:out_row] += T_TILE
+        table = np.column_stack((table, dt))
 
-        for src, _dst in (sk for sk in net.skips if sk[1] == i):
-            src_layer = net.layers[src]
-            skip_tiles, skip_cap = sfc.ofmap_walk(src_layer.shape, src_layer.tiling)
-            skip_tensor = data.fmaps[src + 1] if need_values else None
-            for off, sl, actual in skip_tiles:
-                size, dig = _tile_size_digest(skip_tensor, sl, actual, sparse, observe_values)
-                if size > 0:
-                    em.emit(OP_READ, fmap_base(src + 1) + off, size, dig)
-
+        # the loop nest as one index order over the table
+        in_group = np.array([sl[0] for _, sl, _ in in_walk]) // til.tc
+        out_group = np.array([sl[0] for _, sl, _ in out_walk]) // til.tk
+        group_tiles = [in_row + np.flatnonzero(in_group == co) for co in range(n_c)]
+        order = [np.arange(w_row)]
         for ko in range(n_k):
-            k0 = ko * til.tk
-            k1 = min(shp.k, k0 + til.tk)
             for co in range(n_c):
-                c0 = co * til.tc
-                c1 = min(shp.c, c0 + til.tc)
-                wsize = (k1 - k0) * (c1 - c0) * shp.r * shp.s
-                wdig = 0
-                if need_values:
-                    blk = data.weights[i][k0:k1, c0:c1]
-                    if sparse:
-                        wsize = int(np.count_nonzero(blk))
-                    if observe_values:
-                        wdig = _digest64(np.ascontiguousarray(blk).tobytes())
-                if wsize > 0:
-                    em.emit(OP_READ, weight_base(i) + (ko * n_c + co) * wblock_cap, wsize, wdig)
-                for off, sl, actual in in_tiles:
-                    if sl[0] != c0:  # only this channel group's tiles
-                        continue
-                    size, dig = _tile_size_digest(in_tensor, sl, actual, sparse, observe_values)
-                    if size > 0:
-                        em.emit(OP_READ, fmap_base(i) + off, size, dig)
-                    em.advance(T_TILE)
-            for off, sl, actual in out_tiles:
-                if sl[0] != k0:  # this block's output tiles
-                    continue
-                size, dig = _tile_size_digest(out_tensor, sl, actual, sparse, observe_values)
-                if size > 0:
-                    em.emit(OP_WRITE, fmap_base(i + 1) + off, size, dig)
-    return em.build()
-
-
-def _tile_size_digest(tensor, sl, cap_actual, sparse, observe_values):
-    """Event size and content hash for one tile; sparse tiles transfer only
-    their nonzero bytes and all-zero tiles are skipped (size 0)."""
-    if tensor is None:
-        return cap_actual, 0
-    view = _tile_view(tensor, sl)
-    size = cap_actual
-    if sparse:
-        size = int(np.count_nonzero(view))
-    dig = _digest64(np.ascontiguousarray(view).tobytes()) if observe_values else 0
-    return size, dig
+                order += [[w_row + ko * n_c + co], group_tiles[co]]
+            order.append(out_row + np.flatnonzero(out_group == ko))
+        layers.append(table[np.concatenate(order)])
+    return _build(np.concatenate(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -350,110 +332,62 @@ def additive_cm_trace(
     """Baseline plus one of the additive-noise countermeasure models."""
     if cm_model not in ADDITIVE_MODELS:
         raise ConfigError(f"unknown additive model {cm_model!r}")
-    need_values = sparse or observe_values or cm_model == "layer-divider"
-    if need_values and data is None:
-        data = compute_net_data(net, input_tensor, seed)
     rng = np.random.default_rng([seed, run_index, 0xC3])
-    base = baseline_trace(net, input_tensor, seed, sparse, observe_values or cm_model == "layer-divider", data)
-
-    if cm_model == "dummy-writes":
-        return _with_dummy_writes(base, net, rng)
-    if cm_model == "const-mean":
-        return _with_const_mean(base, net, rng)
-    return _with_layer_divider(base, net)
-
-
-def _with_dummy_writes(base: Trace, net: NetworkSpec, rng) -> Trace:
-    """Unread dummy writes appended to each layer's output flush."""
-    chunks = []
-    pos = 0
-    arr = base.arr
-    for i, layer in enumerate(net.layers):
-        out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
-        is_out = (arr["op"] == OP_WRITE) & (arr["addr"] >> REGION_SHIFT == FMAP_REGION + i + 1)
-        last = np.flatnonzero(is_out)
-        if last.size == 0:
-            continue
-        cut = last[-1] + 1
-        chunks.append(arr[pos:cut])
-        n_dummy = round(DUMMY_RATIO * len(out_tiles))
-        extra = np.zeros(n_dummy, dtype=EVENT_DTYPE)
-        extra["op"] = OP_WRITE
-        extra["addr"] = dummy_base(i) + np.arange(n_dummy) * out_cap
-        extra["size"] = out_cap
-        extra["t"] = arr["t"][cut - 1]
-        extra["digest"] = rng.integers(1, 1 << 63, size=n_dummy)
-        chunks.append(extra)
-        pos = cut
-    chunks.append(arr[pos:])
+    # the layer divider's rewrites repeat the digests of the writes they copy
+    base = baseline_trace(net, input_tensor, seed, sparse,
+                          observe_values or cm_model == "layer-divider", data).arr
+    chunks, pos = [], 0
+    for start, stop, rows in _additive_edits(base, net, cm_model, rng):
+        chunks += [base[pos:start], rows]
+        pos = stop
+    chunks.append(base[pos:])
     return Trace(np.concatenate(chunks))
 
 
-def _with_const_mean(base: Trace, net: NetworkSpec, rng) -> Trace:
-    """Reads inflated by a hardwired constant plus small zero-mean jitter.
+def _additive_edits(arr: np.ndarray, net: NetworkSpec, cm_model: str, rng):
+    """Per layer, one (start, stop, rows) edit: rows replace arr[start:stop].
 
-    The padding reads extend each layer's input region so they are
-    indistinguishable from real input traffic by address alone.
+    Inserted rows are copies of the event they follow, edited, so they are
+    issued at its time.
     """
-    chunks = []
-    pos = 0
-    arr = base.arr
+    fmap = fmap_index(arr["addr"])
     for i, layer in enumerate(net.layers):
-        in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
-        is_in = (arr["op"] == OP_READ) & (arr["addr"] >> REGION_SHIFT == FMAP_REGION + i)
-        idx = np.flatnonzero(is_in)
-        if idx.size == 0:
-            continue
-        cut = idx[-1] + 1
-        chunks.append(arr[pos:cut])
-        total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
-        ext_base = fmap_base(i) + sum(a for _, _, a in in_tiles)
-        sizes = []
-        while total > 0:
-            take = min(total, in_cap)
-            sizes.append(take)
-            total -= take
-        extra = np.zeros(len(sizes), dtype=EVENT_DTYPE)
-        extra["op"] = OP_READ
-        extra["addr"] = ext_base + np.cumsum([0] + sizes[:-1])
-        extra["size"] = sizes
-        extra["t"] = arr["t"][cut - 1]
-        chunks.append(extra)
-        pos = cut
-    chunks.append(arr[pos:])
-    return Trace(np.concatenate(chunks))
-
-
-def _with_layer_divider(base: Trace, net: NetworkSpec) -> Trace:
-    """Split each output flush into two sub-layers with a fake dependence.
-
-    The first half is written, read back by the second sub-layer, then
-    written again byte-identical alongside the genuinely new half.  All
-    writes are read downstream, so a re-read filter alone keeps them.
-    """
-    chunks = []
-    pos = 0
-    arr = base.arr
-    for i, layer in enumerate(net.layers):
-        is_out = (arr["op"] == OP_WRITE) & (arr["addr"] >> REGION_SHIFT == FMAP_REGION + i + 1)
-        idx = np.flatnonzero(is_out)
-        if idx.size < 2:
-            continue
-        half = idx[: idx.size // 2]
-        first_write = idx[0]
-        chunks.append(arr[pos:first_write])
-        writes = arr[idx]
-        h = half.size
-        read_back = writes[:h].copy()
-        read_back["op"] = OP_READ
-        rewrite = writes[:h].copy()  # same addresses, same digests
-        chunks.append(writes[:h])
-        chunks.append(read_back)
-        chunks.append(rewrite)
-        chunks.append(writes[h:])
-        pos = idx[-1] + 1
-    chunks.append(arr[pos:])
-    return Trace(np.concatenate(chunks))
+        writes = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))
+        reads = np.flatnonzero((arr["op"] == OP_READ) & (fmap == i))
+        if cm_model == "dummy-writes" and writes.size:
+            # unread dummy writes appended to the layer's output flush
+            out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
+            n = round(DUMMY_RATIO * len(out_tiles))
+            rows = np.repeat(arr[writes[-1:]], n)
+            rows["addr"] = dummy_base(i) + np.arange(n) * out_cap
+            rows["size"] = out_cap
+            rows["digest"] = rng.integers(1, 1 << 63, size=n)
+            yield writes[-1] + 1, writes[-1] + 1, rows
+        elif cm_model == "const-mean" and reads.size:
+            # a hardwired constant plus small zero-mean jitter of extra reads
+            # that extend the layer's input region, so that their addresses
+            # look like real input traffic
+            cap = sfc.deep_tile_bytes(layer.shape, layer.tiling)
+            total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
+            offs = np.arange(0, total, cap)
+            rows = np.repeat(arr[reads[-1:]], offs.size)
+            rows["addr"] = fmap_base(i) + sfc.ifmap_bytes(layer.shape) + offs
+            rows["size"] = np.minimum(cap, total - offs)
+            rows["digest"] = 0
+            yield reads[-1] + 1, reads[-1] + 1, rows
+        elif cm_model == "layer-divider" and writes.size >= 2:
+            # two sub-layers with a fake dependence: the first half of the
+            # flush is written, read back by the second sub-layer and written
+            # again byte-identical beside the genuinely new half, so a
+            # re-read filter alone keeps every write.  Replacing everything
+            # from the first write to the last also drops the later
+            # k-blocks' reads between them (ROADMAP item 6); keeping them
+            # moves the attack-vgg16-32 golden records.
+            w = arr[writes]
+            h = writes.size // 2
+            read_back = w[:h].copy()
+            read_back["op"] = OP_READ
+            yield writes[0], writes[-1] + 1, np.concatenate([w[:h], read_back, w[:h], w[h:]])
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +434,9 @@ class NeuroPlugCache:
     weight_tiles: list[list[CompressedTile]]  # per layer, one tile per output map
 
 
-def _coalesced_raw_chunks(tensor: np.ndarray, entries, target: int) -> list[np.ndarray]:
-    """Concatenate consecutive curve tiles into storage chunks near target bytes.
+def _coalesced_raw_chunks(tensor: np.ndarray, entries) -> list[np.ndarray]:
+    """Concatenate consecutive curve tiles into storage chunks of about
+    CHUNK_TARGET bytes.
 
     Tiny deep tiles (pooling shrinks them fast) are re-created as larger
     units before compression so the bin table stays useful.
@@ -509,11 +444,11 @@ def _coalesced_raw_chunks(tensor: np.ndarray, entries, target: int) -> list[np.n
     chunks = []
     cur: list[np.ndarray] = []
     cur_bytes = 0
-    for _slot, sl, _actual in entries:
-        piece = _tile_bytes(tensor, sl)
+    for _slot, (c0, c1, r0, r1, w0, w1), _actual in entries:
+        piece = np.ascontiguousarray(tensor[c0:c1, r0:r1, w0:w1]).view(np.uint8).reshape(-1)
         cur.append(piece)
         cur_bytes += piece.size
-        if cur_bytes >= target:
+        if cur_bytes >= CHUNK_TARGET:
             chunks.append(np.concatenate(cur))
             cur, cur_bytes = [], 0
     if cur:
@@ -521,14 +456,12 @@ def _coalesced_raw_chunks(tensor: np.ndarray, entries, target: int) -> list[np.n
     return chunks
 
 
-def prepare_neuroplug(
-    net: NetworkSpec, input_tensor: Tensor3D, model_seed: int, chunk_target: int = 2048
-) -> NeuroPlugCache:
+def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
     fmap_tiles = []
     for i, layer in enumerate(net.layers):
         entries, _ = sfc.ofmap_walk(layer.shape, layer.tiling)
-        chunks = _coalesced_raw_chunks(data.fmaps[i + 1], entries, chunk_target)
+        chunks = _coalesced_raw_chunks(data.fmaps[i + 1], entries)
         fmap_tiles.append(
             [binpack.compress_tile(raw, tile_id=j) for j, raw in enumerate(chunks)]
         )
@@ -547,13 +480,12 @@ def prepare_neuroplug(
 
 
 def _first_layer_tiles(
-    net: NetworkSpec, input_tensor: Tensor3D, key: NeuroPlugKey, run_index: int,
-    chunk_target: int = 2048,
+    net: NetworkSpec, input_tensor: Tensor3D, key: NeuroPlugKey, run_index: int
 ) -> list[CompressedTile]:
     """Input tiles with fresh keyed dummy bytes, recompressed per run."""
     layer = net.layers[0]
     entries, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
-    chunks = _coalesced_raw_chunks(input_tensor.values, entries, chunk_target)
+    chunks = _coalesced_raw_chunks(input_tensor.values, entries)
     rng = np.random.default_rng([key.seed, run_index, 0xD0])
     total_dummy = key.noise.dummy_bytes_first_layer
     n_chunks = len(chunks)
@@ -580,19 +512,16 @@ def neuroplug_trace(
         cache = prepare_neuroplug(net, input_tensor, model_seed)
     cfg = key.bin_cfg
     gap = cfg.kappa * T_TILE
-    em = _Emitter()
+    rows: list[tuple[int, int, int, int, int]] = []
     plans: list[ExecutionPlan] = []
     reports: list[binpack.BinPackReport] = []
     streams: list[StreamBins] = []
 
-    def bin_digest(region_tag: int, idx: int) -> int:
-        payload = f"{key.seed}:{run_index}:{region_tag}:{idx}".encode()
-        return _digest64(payload)
-
     def emit_bins(op: int, base: int, count: int, region_tag: int, start: int = 0):
-        for b in range(count):
-            em.emit(op, base + (start + b) * cfg.bin_size, cfg.bin_size,
-                    bin_digest(region_tag, base + (start + b) * cfg.bin_size), dt=gap)
+        for b in range(start, start + count):
+            addr = base + b * cfg.bin_size
+            digest = _digest64(f"{key.seed}:{run_index}:{region_tag}:{addr}".encode())
+            rows.append((op, addr, cfg.bin_size, digest, gap))
 
     prev_out_bins = 0
     for i, layer in enumerate(net.layers):
@@ -675,7 +604,7 @@ def neuroplug_trace(
         emit_bins(OP_WRITE, fmap_base(i + 1), n_out, region_tag=i + 1)
         prev_out_bins = n_out
 
-    return NeuroPlugRun(trace=em.build(), streams=streams, plans=plans, reports=reports)
+    return NeuroPlugRun(trace=_build(rows), streams=streams, plans=plans, reports=reports)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,31 @@ Everything here is deliberately naive (loops, sieves, quadrature) and kept
 separate from the code paths under test.
 """
 
+import hashlib
 import heapq
+import math
 
 import numpy as np
 
+from neuroplug import sfc
 from neuroplug.errors import DomainError
 from neuroplug.mellin import GridPdf, MellinFn
-from neuroplug.tracegen import OP_WRITE
+from neuroplug.tracegen import (
+    CONST_MEAN,
+    DUMMY_RATIO,
+    EVENT_DTYPE,
+    FMAP_REGION,
+    JITTER,
+    OP_READ,
+    OP_WRITE,
+    REGION_SHIFT,
+    T_TILE,
+    Trace,
+    compute_net_data,
+    dummy_base,
+    fmap_base,
+    weight_base,
+)
 
 
 def conv_brute(ifmap, weights, stride=1, pad=0):
@@ -205,6 +223,42 @@ def rle_encode_loop(data):
     return out[:j].copy()
 
 
+def rle_decode_loop(tokens):
+    """A size pass, then a token walk that copies nonzero runs and expands
+    (0, runlen) pairs; None if a zero token lacks a run length in 1..255."""
+    tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
+    n = tokens.size
+    i = 0
+    size = 0
+    while i < n:
+        if tokens[i] == 0:
+            if i + 1 >= n or tokens[i + 1] == 0:
+                return None
+            size += int(tokens[i + 1])
+            i += 2
+        else:
+            size += 1
+            i += 1
+    out = np.empty(size, dtype=np.uint8)
+    i = 0
+    j = 0
+    while i < n:
+        if tokens[i] == 0:
+            run = int(tokens[i + 1])
+            out[j : j + run] = 0
+            j += run
+            i += 2
+        else:
+            nz_end = i
+            while nz_end < n and tokens[nz_end] != 0:
+                nz_end += 1
+            m = nz_end - i
+            out[j : j + m] = tokens[i:nz_end]
+            j += m
+            i = nz_end
+    return out
+
+
 def huff_encode_loop(tokens, codes, lens):
     """MSB-first bit accumulator; the tail byte is zero-padded."""
     tokens = np.ascontiguousarray(tokens, dtype=np.uint8)
@@ -340,3 +394,156 @@ def fake_rewrites_loop(arr):
             fake[idx] = True
         last_digest[a] = d
     return fake
+
+
+# ---------------------------------------------------------------------------
+# trace building: the per-event emitter and the per-model splices that
+# neuroplug.tracegen replaced with one row builder and one splice
+
+
+class _Emitter:
+    def __init__(self):
+        self.rows = []
+        self.clock = 0
+
+    def emit(self, op, addr, size, digest=0):
+        self.rows.append((op, addr, size, self.clock, digest))
+        self.clock += max(1, -(-size // 64)) * 4
+
+    def advance(self, cycles):
+        self.clock += cycles
+
+    def build(self):
+        return Trace(np.array(self.rows, dtype=EVENT_DTYPE))
+
+
+def _digest64(data):
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def _tile_size_digest(tensor, sl, cap_actual, sparse, observe_values):
+    if tensor is None:
+        return cap_actual, 0
+    c0, c1, r0, r1, w0, w1 = sl
+    view = tensor[c0:c1, r0:r1, w0:w1]
+    size = int(np.count_nonzero(view)) if sparse else cap_actual
+    dig = _digest64(np.ascontiguousarray(view).tobytes()) if observe_values else 0
+    return size, dig
+
+
+def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=False, data=None):
+    """One event at a time, in loop-nest order: per layer the skip re-reads,
+    then per output-map block each channel group's weight block and input
+    tiles (each tile advancing the clock by T_TILE), then the block's
+    output tiles; size-0 events are not emitted."""
+    need_values = sparse or observe_values
+    if need_values and data is None:
+        data = compute_net_data(net, input_tensor, seed)
+    em = _Emitter()
+    for i, layer in enumerate(net.layers):
+        shp, til = layer.shape, layer.tiling
+        n_k = math.ceil(shp.k / til.tk)
+        n_c = math.ceil(shp.c / til.tc)
+        in_tiles, _ = sfc.ifmap_walk(shp, til)
+        out_tiles, _ = sfc.ofmap_walk(shp, til)
+        wblock_cap = til.tk * til.tc * shp.r * shp.s
+        in_tensor = data.fmaps[i] if need_values else None
+        out_tensor = data.fmaps[i + 1] if need_values else None
+        for src, _dst in (sk for sk in net.skips if sk[1] == i):
+            src_layer = net.layers[src]
+            skip_tiles, _ = sfc.ofmap_walk(src_layer.shape, src_layer.tiling)
+            skip_tensor = data.fmaps[src + 1] if need_values else None
+            for off, sl, actual in skip_tiles:
+                size, dig = _tile_size_digest(skip_tensor, sl, actual, sparse, observe_values)
+                if size > 0:
+                    em.emit(OP_READ, fmap_base(src + 1) + off, size, dig)
+        for ko in range(n_k):
+            k0 = ko * til.tk
+            k1 = min(shp.k, k0 + til.tk)
+            for co in range(n_c):
+                c0 = co * til.tc
+                c1 = min(shp.c, c0 + til.tc)
+                wsize = (k1 - k0) * (c1 - c0) * shp.r * shp.s
+                wdig = 0
+                if need_values:
+                    blk = data.weights[i][k0:k1, c0:c1]
+                    if sparse:
+                        wsize = int(np.count_nonzero(blk))
+                    if observe_values:
+                        wdig = _digest64(np.ascontiguousarray(blk).tobytes())
+                if wsize > 0:
+                    em.emit(OP_READ, weight_base(i) + (ko * n_c + co) * wblock_cap, wsize, wdig)
+                for off, sl, actual in in_tiles:
+                    if sl[0] != c0:
+                        continue
+                    size, dig = _tile_size_digest(in_tensor, sl, actual, sparse, observe_values)
+                    if size > 0:
+                        em.emit(OP_READ, fmap_base(i) + off, size, dig)
+                    em.advance(T_TILE)
+            for off, sl, actual in out_tiles:
+                if sl[0] != k0:
+                    continue
+                size, dig = _tile_size_digest(out_tensor, sl, actual, sparse, observe_values)
+                if size > 0:
+                    em.emit(OP_WRITE, fmap_base(i + 1) + off, size, dig)
+    return em.build()
+
+
+def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
+    """Each additive model as its own per-layer cut-and-insert over a baseline."""
+    rng = np.random.default_rng([seed, run_index, 0xC3])
+    chunks = []
+    pos = 0
+    arr = base.arr
+    for i, layer in enumerate(net.layers):
+        region = arr["addr"] >> REGION_SHIFT
+        if cm_model == "dummy-writes":
+            out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
+            idx = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
+            if idx.size == 0:
+                continue
+            cut = idx[-1] + 1
+            chunks.append(arr[pos:cut])
+            n_dummy = round(DUMMY_RATIO * len(out_tiles))
+            extra = np.zeros(n_dummy, dtype=EVENT_DTYPE)
+            extra["op"] = OP_WRITE
+            extra["addr"] = dummy_base(i) + np.arange(n_dummy) * out_cap
+            extra["size"] = out_cap
+            extra["t"] = arr["t"][cut - 1]
+            extra["digest"] = rng.integers(1, 1 << 63, size=n_dummy)
+            chunks.append(extra)
+            pos = cut
+        elif cm_model == "const-mean":
+            in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
+            idx = np.flatnonzero((arr["op"] == OP_READ) & (region == FMAP_REGION + i))
+            if idx.size == 0:
+                continue
+            cut = idx[-1] + 1
+            chunks.append(arr[pos:cut])
+            total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
+            sizes = []
+            while total > 0:
+                take = min(total, in_cap)
+                sizes.append(take)
+                total -= take
+            extra = np.zeros(len(sizes), dtype=EVENT_DTYPE)
+            extra["op"] = OP_READ
+            ext_base = fmap_base(i) + sum(a for _, _, a in in_tiles)
+            extra["addr"] = ext_base + np.cumsum([0] + sizes[:-1])
+            extra["size"] = sizes
+            extra["t"] = arr["t"][cut - 1]
+            chunks.append(extra)
+            pos = cut
+        else:
+            idx = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
+            if idx.size < 2:
+                continue
+            chunks.append(arr[pos : idx[0]])
+            writes = arr[idx]
+            h = idx.size // 2
+            read_back = writes[:h].copy()
+            read_back["op"] = OP_READ
+            chunks += [writes[:h], read_back, writes[:h], writes[h:]]
+            pos = idx[-1] + 1
+    chunks.append(arr[pos:])
+    return Trace(np.concatenate(chunks))

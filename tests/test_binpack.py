@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuroplug import binpack
 from neuroplug.binpack import BinConfig, NoiseSpec
-from neuroplug.errors import ConfigError, DomainError, IntegrityError
+from neuroplug.errors import ConfigError, DomainError, IntegrityError, NeuroPlugError
 
 
 def no_noise():
@@ -306,3 +308,44 @@ class TestUnpackBins:
         img[1] = 0xFF
         with pytest.raises(IntegrityError):
             binpack.bin_from_bytes(bytes(img), cfg)
+
+    def three_tile_image(self):
+        """One 4,096 B bin holding three compressed tiles, and its wire image."""
+        rng = np.random.default_rng(10)
+        raws = [rng.integers(0, 8, size=400, dtype=np.uint8) for _ in range(3)]
+        cfg = BinConfig(bin_size=4096)
+        [b] = self._pipeline(raws, cfg=cfg)
+        assert len(b.entries) == 3
+        return raws, cfg, b.to_bytes(cfg)
+
+    def test_overlapping_entry_rejected(self):
+        # entry 1 pointed at entry 0's bytes decoded as a second copy of tile 0
+        raws, cfg, img = self.three_tile_image()
+        np.testing.assert_array_equal(
+            binpack.unpack_bins([binpack.bin_from_bytes(img, cfg)])[1], raws[1])
+        table = np.frombuffer(img, dtype=np.uint8, count=3 * 8, offset=2).view(
+            binpack._TABLE_ENTRY).copy()
+        for edit in ((0, table["length"][0]), (table["offset"][1], 0), (1, table["length"][0])):
+            bad = table.copy()
+            bad["offset"][1], bad["length"][1] = edit
+            forged = img[:2] + bad.tobytes() + img[2 + bad.nbytes:]
+            with pytest.raises(IntegrityError):
+                binpack.bin_from_bytes(forged, cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 2 + 3 * 8 - 1), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_edited_table_decodes_or_raises(self, edits):
+        _, cfg, img = self.three_tile_image()
+        img = bytearray(img)
+        for pos, val in edits:
+            img[pos] = val
+        try:
+            b = binpack.bin_from_bytes(bytes(img), cfg)
+            end = 0
+            for e in b.entries:  # an accepted table never overlaps or leaves a gap
+                assert e.offset == end and e.length >= 1
+                end += e.length
+            assert all(isinstance(raw, np.ndarray) for raw in binpack.unpack_bins([b]))
+        except NeuroPlugError:
+            pass

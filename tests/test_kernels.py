@@ -17,6 +17,7 @@ from oracles import (
     canonical_tables_sequential,
     huff_encode_loop,
     huffman_lengths_heapq,
+    rle_decode_loop,
     rle_encode_loop,
 )
 
@@ -170,6 +171,16 @@ class TestMalformedContainer:
         with pytest.raises(IntegrityError, match="token count"):
             binpack.decompress_tile(container(2**35, [(1, 1), (2, 1)]))
         assert binpack.decompress_tile(container(8, [(1, 1), (2, 1)])).size == 8
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from([0, 0, 1, 255]) | st.integers(0, 255), max_size=40))
+    def test_rle_decode_matches_loop(self, tokens):
+        tokens = np.array(tokens, dtype=np.uint8)
+        got, want = _kernels.rle_decode(tokens), rle_decode_loop(tokens)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("tokens", [[3, 0], [0, 0], [5, 0, 0, 7]])
     def test_broken_zero_run(self, tokens):

@@ -28,6 +28,8 @@ from neuroplug.tracegen import (
     weight_base,
 )
 
+from oracles import additive_cm_loop, baseline_trace_loop
+
 
 def tiny_net(k=1, c=1, h=4, w=4, r=1, s=1, pad=0, layers=1):
     ls = []
@@ -165,6 +167,52 @@ class TestAdditiveModels:
             additive_cm_trace(net, toy_input(net), "bogus")
 
 
+@st.composite
+def small_nets(draw):
+    """One to three chained layers with ragged tilings, optional pooling and,
+    on three layers, an optional skip connection from layer 0 to layer 2."""
+    n_layers = draw(st.integers(1, 3))
+    c, h = draw(st.integers(1, 5)), draw(st.integers(3, 8))
+    layers = []
+    for _ in range(n_layers):
+        k, r = draw(st.integers(1, 5)), draw(st.sampled_from([1, 3]))
+        pool = draw(st.sampled_from([1, 2])) if h % 2 == 0 else 1
+        shape = LayerShape(k=k, c=c, h=h, w=h, r=r, s=r, pad=r // 2, pool=pool)
+        tiling = TilingSpec(tk=draw(st.integers(1, k)), tc=draw(st.integers(1, c)),
+                            th=draw(st.integers(1, h)), tw=draw(st.integers(1, h)))
+        layers.append(Layer(shape=shape, tiling=tiling,
+                            sparsity=draw(st.sampled_from([0.0, 0.5, 0.95]))))
+        c, h = k, shape.p_out
+    skips = [(0, 2)] if n_layers == 3 and draw(st.booleans()) else []
+    net = NetworkSpec(layers=layers, skips=skips)
+    net.validate()
+    return net
+
+
+class TestAgainstEmitterLoop:
+    """Every baseline and additive trace equals the per-event emitter's, byte
+    for byte; sparse tiles and weight blocks of size 0 are skipped."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(small_nets(), st.sampled_from(["natural", "sparse"]), st.integers(0, 3),
+           st.booleans(), st.booleans())
+    def test_matches_loop(self, net, policy, seed, sparse, observe_values):
+        inp = model.generate_input(net.layers[0].shape, seed, policy)
+        data = tracegen.compute_net_data(net, inp, seed)
+        want = baseline_trace_loop(net, inp, seed, sparse, observe_values, data)
+        got = baseline_trace(net, inp, seed, sparse, observe_values, data)
+        assert got.arr.tobytes() == want.arr.tobytes()
+        if not (sparse or observe_values):
+            assert baseline_trace(net, inp, seed).arr.tobytes() == want.arr.tobytes()
+        for cm_model in tracegen.ADDITIVE_MODELS:
+            base = want
+            if cm_model == "layer-divider" and not observe_values:
+                base = baseline_trace_loop(net, inp, seed, sparse, True, data)
+            want_cm = additive_cm_loop(base, net, cm_model, seed, run_index=1)
+            got_cm = additive_cm_trace(net, inp, cm_model, seed, 1, sparse, observe_values, data)
+            assert got_cm.arr.tobytes() == want_cm.arr.tobytes()
+
+
 def np_key(**kw):
     base = dict(
         seed=99,
@@ -239,9 +287,7 @@ class TestNeuroPlug:
         chunks = binpack.unpack_bins(bins)
         got = np.concatenate(chunks)
         entries, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
-        want = np.concatenate(
-            tracegen._coalesced_raw_chunks(inp.values, entries, 2048)
-        )
+        want = np.concatenate(tracegen._coalesced_raw_chunks(inp.values, entries))
         np.testing.assert_array_equal(got, want)
         assert got.size == inp.values.size  # every input byte is in the stream
 
@@ -486,3 +532,63 @@ class TestTraceDecodersTotal:
             assert isinstance(Trace.from_binary(bytes(blob)), Trace)
         except NeuroPlugError:
             pass
+
+
+def pinned_traces():
+    """Named traces whose bytes are pinned: every generator, mode and additive model."""
+    toy = model.load_network("toy-sparse")
+    inp = toy_input(toy, 1)
+    yield "toy dense", baseline_trace(toy, inp, seed=1)
+    yield "toy sparse", baseline_trace(toy, inp, seed=1, sparse=True)
+    yield "toy values", baseline_trace(toy, inp, seed=1, observe_values=True)
+    for cm_model in tracegen.ADDITIVE_MODELS:
+        for sparse in (False, True):
+            for run in (0, 1):
+                yield (f"toy {cm_model} sparse={sparse} run {run}",
+                       additive_cm_trace(toy, inp, cm_model, seed=1, run_index=run, sparse=sparse))
+    cache = prepare_neuroplug(toy, inp, model_seed=1)
+    for run in range(3):
+        run_trace = neuroplug_trace(toy, inp, NeuroPlugKey(), run, 1, cache).trace
+        yield f"toy neuroplug run {run}", run_trace
+    vgg = model.load_network("vgg16-32")
+    inp = toy_input(vgg, 1)
+    data = tracegen.compute_net_data(vgg, inp, 1)
+    yield "vgg values", baseline_trace(vgg, inp, seed=1, observe_values=True, data=data)
+    yield "vgg layer-divider", additive_cm_trace(vgg, inp, "layer-divider", seed=1, data=data)
+    toy.skips.append((0, 2))
+    inp = toy_input(toy, 1)
+    yield "skip dense", baseline_trace(toy, inp)
+    yield "skip sparse values", baseline_trace(toy, inp, sparse=True, observe_values=True)
+
+
+PINNED_TRACES = {
+    "toy dense": "1d1ae1267c887ad9acee66414f5a5ec3",
+    "toy sparse": "ded76fa13648bdc366096623fde8c991",
+    "toy values": "8e09ebc33ef8b8dbbf3d4f1d1674aea4",
+    "toy dummy-writes sparse=False run 0": "0c87ae2f55dd68971a68db3ee86ccaa2",
+    "toy dummy-writes sparse=False run 1": "c06bfba7461b53b11b4b7ba4bea5b16a",
+    "toy dummy-writes sparse=True run 0": "844d825f0c26da6b2749d496c975759c",
+    "toy dummy-writes sparse=True run 1": "e24a09c082d65cf1c557f3e2c6c0d39e",
+    "toy const-mean sparse=False run 0": "47589cf4bb035c13e012126caac3c72d",
+    "toy const-mean sparse=False run 1": "6bcaf996e782d8f5b37feb23a91b5abb",
+    "toy const-mean sparse=True run 0": "10649ad0b5369a909d47f25479fa3aee",
+    "toy const-mean sparse=True run 1": "1d4766c6abbf4366e50938872064fe76",
+    "toy layer-divider sparse=False run 0": "8a95622064593143a391248ba11eba00",
+    "toy layer-divider sparse=False run 1": "8a95622064593143a391248ba11eba00",
+    "toy layer-divider sparse=True run 0": "1522c56fc6961baa69ae4deebb979907",
+    "toy layer-divider sparse=True run 1": "1522c56fc6961baa69ae4deebb979907",
+    "toy neuroplug run 0": "1a15b757de70077cad205e825f7dead0",
+    "toy neuroplug run 1": "a715b7b3214f97ae4e92067e9a17160a",
+    "toy neuroplug run 2": "7bd58813a50e8a92871d2465b1e71514",
+    "vgg values": "67660b50330f0600788c82053c2cdca0",
+    "vgg layer-divider": "cb5204c209a689d7fe556f3ed661fc9a",
+    "skip dense": "f65c9755a2a612fd0e24aa908ee62040",
+    "skip sparse values": "78a3416fd47f6941d5d44a87f3c091ab",
+}
+
+
+def test_pinned_traces():
+    # bit-identity gate over every way a trace is built
+    got = {name: hashlib.blake2b(tr.arr.tobytes(), digest_size=16).hexdigest()
+           for name, tr in pinned_traces()}
+    assert got == PINNED_TRACES
