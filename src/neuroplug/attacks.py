@@ -15,9 +15,10 @@
 All attacks are read-only over immutable traces and their input reports.
 The address map is treated as public NPU design knowledge; only key
 material is secret.  Every attack reads a trace the same way: one byte-range
-overlap test (`_overlapping`) decides which writes are read back or which
-reads consume earlier writes, and `tracegen.fmap_index` says which feature
-map an address belongs to.
+overlap test (`_overlapping`) decides which writes are read back, which
+reads consume earlier writes and where reverse engineering cuts the trace
+into layers, and `tracegen.fmap_index` says which feature map an address
+belongs to.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ def _read_back_writes(arr) -> np.ndarray:
     return ~is_read & _overlapping(arr, arr[is_read])
 
 
+def _unique_volume(rows) -> int:
+    """Bytes of rows counting each address once, at its first event."""
+    if len(rows) == 0:
+        return 0
+    _, first_idx = np.unique(rows["addr"], return_index=True)
+    return int(rows["size"][first_idx].sum())
+
+
 def _fmap_read_stats(reads) -> tuple[int, int]:
     """(total read volume, per-address count mode) of one fmap's reads."""
     if len(reads) == 0:
@@ -198,17 +207,7 @@ def kk_attack(report: AttackReport, leaked_constants: dict) -> AttackReport:
                 evidence["kk"] = "subtracted hardwired table bytes; noise floor key-resident"
             else:
                 evidence["kk"] = "no applicable leaked constant; key-resident parameters remain"
-        layers.append(
-            LayerEstimate(
-                layer=est.layer,
-                volume_min=vol,
-                volume_mean=est.volume_mean,
-                write_count=est.write_count,
-                write_volume=est.write_volume,
-                candidates=est.candidates,
-                evidence=evidence,
-            )
-        )
+        layers.append(replace(est, volume_min=vol, evidence=evidence))
     return AttackReport(kind="ss+kk", layers=layers, notes=notes, runs_used=report.runs_used)
 
 
@@ -255,10 +254,9 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
         read_back = _read_back_writes(arr)
         out_layer = tracegen.fmap_index(arr["addr"]) - 1
         for i in np.unique(out_layer[read_back & (out_layer >= 0)]).tolist():
-            mask = read_back & (out_layer == i)
-            uniq, first_idx = np.unique(arr["addr"][mask], return_index=True)
-            corrected_counts.setdefault(i, []).append(int(uniq.size))
-            corrected_vols.setdefault(i, []).append(int(arr["size"][mask][first_idx].sum()))
+            rows = arr[read_back & (out_layer == i)]
+            corrected_counts.setdefault(i, []).append(int(np.unique(rows["addr"]).size))
+            corrected_vols.setdefault(i, []).append(_unique_volume(rows))
     layers = []
     for i in sorted(set(corrected_counts) | set(layers_map)):
         est = layers_map.get(i, LayerEstimate(layer=i))
@@ -423,53 +421,40 @@ def huffduff_attack(scenario: tracegen.Scenario) -> AttackReport:
 # case study 2: constraint equations from one trace
 
 
+def _first_read_of_own_write(seg) -> int | None:
+    """Index of the first read in seg that overlaps a write issued before it."""
+    is_write = seg["op"] == OP_WRITE
+    cands = np.flatnonzero(~is_write & _overlapping(seg, seg[is_write]))
+    # a candidate may overlap only writes issued after it (a read-back that
+    # is rewritten later); candidates behind the same writes share one test
+    n_before = np.cumsum(is_write)[cands]
+    for k in np.unique(n_before):
+        group = cands[n_before == k]
+        hit = np.flatnonzero(_overlapping(seg[group], seg[is_write][:k]))
+        if hit.size:
+            return int(group[hit[0]])
+    return None
+
+
 def _segment_trace(arr) -> list[np.ndarray]:
-    """Split on the first read of data written in the current segment."""
-    boundaries = [0]
-    w_starts: list[int] = []
-    w_ends: list[int] = []
-    for idx in range(len(arr)):
-        a = int(arr["addr"][idx])
-        size = int(arr["size"][idx])
-        if arr["op"][idx] == OP_WRITE:
-            w_starts.append(a)
-            w_ends.append(a + size)
-        else:
-            if w_starts:
-                ws = np.array(w_starts)
-                we = np.array(w_ends)
-                if np.any((ws < a + size) & (we > a)):
-                    boundaries.append(idx)
-                    w_starts, w_ends = [], []
-    boundaries.append(len(arr))
-    segments = [np.arange(boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)]
-    segments = [s for s in segments if s.size]
-    # a block's first weight fetch can precede the boundary read; move
-    # trailing reads of a region that dominates the next segment
-    for i in range(len(segments) - 1):
-        cur, nxt = segments[i], segments[i + 1]
-        nxt_regions = set((arr["addr"][nxt] >> REGION_SHIFT).tolist())
-        j = cur.size - 1
-        moved = []
-        while j >= 0:
-            idx = cur[j]
-            rid = int(arr["addr"][idx]) >> REGION_SHIFT
-            if arr["op"][idx] == OP_READ and rid >= tracegen.WEIGHT_REGION and rid in nxt_regions:
-                moved.append(idx)
-                j -= 1
-            else:
-                break
-        if moved:
-            segments[i] = cur[: j + 1]
-            segments[i + 1] = np.concatenate([np.array(sorted(moved)), nxt])
-    return segments
+    """Split on the first read of data written in the current segment.
 
-
-def _unique_volume(rows) -> int:
-    if len(rows) == 0:
-        return 0
-    _, first_idx = np.unique(rows["addr"], return_index=True)
-    return int(rows["size"][first_idx].sum())
+    A block's first weight fetch can precede the boundary read, so each
+    segment's trailing reads of a weight region that the next segment
+    touches move into the next segment.
+    """
+    bounds = [0]
+    while (cut := _first_read_of_own_write(arr[bounds[-1]:])) is not None:
+        bounds.append(bounds[-1] + cut)
+    bounds.append(len(arr))
+    rid = arr["addr"] >> REGION_SHIFT
+    weight_read = (arr["op"] == OP_READ) & (rid >= tracegen.WEIGHT_REGION)
+    starts = [0]
+    for prev, b, nxt in zip(bounds, bounds[1:], bounds[2:]):
+        moves = weight_read[prev:b] & np.isin(rid[prev:b], rid[b:nxt])
+        # a segment followed by a boundary holds a write, which ends the run
+        starts.append(prev + int(np.flatnonzero(~moves)[-1]) + 1)
+    return [np.arange(a, b) for a, b in zip(starts, starts[1:] + [len(arr)]) if b > a]
 
 
 def reverse_engg_attack(trace: Trace) -> AttackReport:

@@ -340,6 +340,11 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     # layout (a gap, an overlap, an empty segment) is corruption
     if np.any(lengths < 1) or np.any(table["offset"] != np.cumsum(lengths) - lengths):
         raise IntegrityError("table entries are not nonempty segments back to back from offset 0")
+    # a tile has one segment per bin, and only the bin's first may continue one
+    if np.unique(table["id"] & (_CONT_BIT - 1)).size != n:
+        raise IntegrityError("a tile id is listed twice in one table")
+    if np.any(table["id"][1:] & _CONT_BIT):
+        raise IntegrityError("a continuation entry is not the table's first entry")
     used = int(lengths.sum())
     if used > cfg.bin_size - payload_base:
         raise IntegrityError("segment runs past the bin payload area")

@@ -227,7 +227,8 @@ def generate_input(shape: LayerShape, seed: int, policy: str = "natural") -> Ten
         up = np.repeat(np.repeat(coarse, reps_h, axis=1), reps_w, axis=2)[:, :h, :w]
         kern = np.ones(3) / 3.0
         for axis in (1, 2):
-            up = np.apply_along_axis(lambda m: np.convolve(m, kern, mode="same"), axis, up)
+            # "full" cropped to the input length: "same" pads a length below 3 to 3
+            up = np.apply_along_axis(lambda m: np.convolve(m, kern)[1 : 1 + m.size], axis, up)
         return Tensor3D(np.clip(np.round(up), 0, 63).astype(np.int8))
     if policy == "sparse":
         vals = np.zeros((c, h, w), dtype=np.int8)

@@ -354,6 +354,10 @@ def _additive_edits(arr: np.ndarray, net: NetworkSpec, cm_model: str, rng):
     for i, layer in enumerate(net.layers):
         writes = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))
         reads = np.flatnonzero((arr["op"] == OP_READ) & (fmap == i))
+        if writes.size:
+            # the layer's own reads: a later layer's skip re-read of fmap i
+            # comes after this layer's last output write
+            reads = reads[reads < writes[-1]]
         if cm_model == "dummy-writes" and writes.size:
             # unread dummy writes appended to the layer's output flush
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
@@ -544,11 +548,12 @@ def neuroplug_trace(
                                   cfg.bin_size, n_in)
         plans.append(plan)
 
-        # weight bins: one compressed tile per output map, packed part by part
+        # weight bins: one compressed tile per output map, packed part by
+        # part; a stored copy's parts lie back to back
         parts = plan.ofmap_partition
-        stored_bins = 0
-        weight_bin_layout: list[tuple[int, int]] = []  # (start, count) per (copy, part)
+        copy_bins = []
         for copy in range(plan.eta):
+            copy_bins.append(0)
             for p_idx, k_count in enumerate(parts):
                 k_lo = sum(parts[:p_idx])
                 tiles = cache.weight_tiles[i][k_lo : k_lo + k_count]
@@ -557,11 +562,10 @@ def neuroplug_trace(
                     np.random.default_rng([key.seed, run_index, i, 0xB1, copy, p_idx]),
                     layer=f"w{i}", assemble=False,
                 )
-                weight_bin_layout.append((stored_bins, len(bins)))
-                stored_bins += len(bins)
+                copy_bins[-1] += len(bins)
                 if copy == 0:
                     reports.append(rep)
-        streams.append(StreamBins(i, "filter", stored_bins))
+        streams.append(StreamBins(i, "filter", sum(copy_bins)))
 
         # output bins
         out_bins, out_rep = binpack.pack_bins(
@@ -582,14 +586,11 @@ def neuroplug_trace(
                 emit_bins(OP_READ, fmap_base(src + 1), src_bins, region_tag=src + 1)
 
         in_base = fmap_base(i)
-        w_base = weight_base(i)
-        n_parts = len(parts)
 
         def read_filter_pass(pass_idx: int):
             copy = pass_idx % plan.eta
-            for p_idx in range(n_parts):
-                start, count = weight_bin_layout[copy * n_parts + p_idx]
-                emit_bins(OP_READ, w_base, count, region_tag=-(i + 1), start=start)
+            emit_bins(OP_READ, weight_base(i), copy_bins[copy], region_tag=-(i + 1),
+                      start=sum(copy_bins[:copy]))
 
         # case II holds the weights on chip and streams the ifmap groups past
         # them; every other case reads a weight pass after each ifmap group

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from neuroplug import sfc
+from neuroplug import sfc, tracegen
 from neuroplug.errors import DomainError
 from neuroplug.mellin import GridPdf, MellinFn
 from neuroplug.tracegen import (
@@ -516,6 +516,9 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
         elif cm_model == "const-mean":
             in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_READ) & (region == FMAP_REGION + i))
+            out = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
+            if out.size:
+                idx = idx[idx < out[-1]]  # not a later layer's skip re-read
             if idx.size == 0:
                 continue
             cut = idx[-1] + 1
@@ -547,3 +550,46 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
             pos = idx[-1] + 1
     chunks.append(arr[pos:])
     return Trace(np.concatenate(chunks))
+
+
+def segment_trace_loop(arr) -> list[np.ndarray]:
+    """Split on the first read of data written in the current segment, one
+    event at a time, then move trailing weight reads one at a time."""
+    boundaries = [0]
+    w_starts: list[int] = []
+    w_ends: list[int] = []
+    for idx in range(len(arr)):
+        a = int(arr["addr"][idx])
+        size = int(arr["size"][idx])
+        if arr["op"][idx] == OP_WRITE:
+            w_starts.append(a)
+            w_ends.append(a + size)
+        else:
+            if w_starts:
+                ws = np.array(w_starts)
+                we = np.array(w_ends)
+                if np.any((ws < a + size) & (we > a)):
+                    boundaries.append(idx)
+                    w_starts, w_ends = [], []
+    boundaries.append(len(arr))
+    segments = [np.arange(boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)]
+    segments = [s for s in segments if s.size]
+    # a block's first weight fetch can precede the boundary read; move
+    # trailing reads of a region that dominates the next segment
+    for i in range(len(segments) - 1):
+        cur, nxt = segments[i], segments[i + 1]
+        nxt_regions = set((arr["addr"][nxt] >> REGION_SHIFT).tolist())
+        j = cur.size - 1
+        moved = []
+        while j >= 0:
+            idx = cur[j]
+            rid = int(arr["addr"][idx]) >> REGION_SHIFT
+            if arr["op"][idx] == OP_READ and rid >= tracegen.WEIGHT_REGION and rid in nxt_regions:
+                moved.append(idx)
+                j -= 1
+            else:
+                break
+        if moved:
+            segments[i] = cur[: j + 1]
+            segments[i + 1] = np.concatenate([np.array(sorted(moved)), nxt])
+    return segments

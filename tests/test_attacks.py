@@ -8,7 +8,8 @@ from neuroplug import attacks, model, tracegen
 from neuroplug.attacks import huffduff_attack
 from neuroplug.errors import ConfigError, InapplicableError, SupportError
 from neuroplug.model import NetworkSpec
-from neuroplug.tracegen import EVENT_DTYPE, OP_READ, OP_WRITE, Scenario, Trace, fmap_base
+from neuroplug.tracegen import (EVENT_DTYPE, OP_READ, OP_WRITE, Scenario, Trace, fmap_base,
+                                weight_base)
 
 # What an insider may leak: the public bin geometry of NeuroPlug, and per
 # additive model its hardwired constants (const-mean's mean and jitter floor).
@@ -74,6 +75,13 @@ def ranges(pairs):
 # small addresses and sizes, so that ranges nest, touch and repeat, and size 0 is common
 RANGES = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=12)
 
+# reads and writes in two feature maps and two weight regions at small
+# offsets, so that ranges nest, touch and are read before they are written
+SEGMENT_EVENTS = st.lists(st.tuples(
+    st.sampled_from([OP_READ, OP_WRITE]),
+    st.sampled_from([fmap_base(0), fmap_base(1), weight_base(0), weight_base(1)]),
+    st.integers(0, 16), st.integers(1, 8)), min_size=10, max_size=40)
+
 # layer 0 writes fmap 1 in two halves with a read-back and a byte-identical
 # rewrite of the first half (the layer divider's pattern); layer 1 reads
 # fmap 1 and writes fmap 2, which is read back
@@ -123,6 +131,13 @@ class TestTraceReading:
     def test_fake_rewrites_match_loop(self, rows):
         arr = events(*[(op, addr, 1, digest) for op, addr, digest in rows]).arr
         np.testing.assert_array_equal(attacks._fake_rewrites(arr), oracles.fake_rewrites_loop(arr))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(SEGMENT_EVENTS)
+    def test_segments_match_loop(self, rows):
+        arr = events(*[(op, base + off, size, 0) for op, base, off, size in rows]).arr
+        got, want = attacks._segment_trace(arr), oracles.segment_trace_loop(arr)
+        assert [seg.tolist() for seg in got] == [seg.tolist() for seg in want]
 
     def test_si_reports_layers_past_64(self):
         trace = events((OP_WRITE, fmap_base(70), 64, 3), (OP_READ, fmap_base(70), 64, 3))

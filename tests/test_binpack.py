@@ -178,18 +178,18 @@ class TestPackBins:
     def test_wire_table_layout(self):
         # [u16 count][u32 id | bit31 continuation][u16 offset][u16 length] ... payload
         cfg = BinConfig(bin_size=64, kappa=2)
+        entries = [binpack.BinEntry(7, 0, 2, True), binpack.BinEntry(0x0102, 2, 3, False)]
         b = binpack.Bin(index=0, payload=np.arange(1, 6, dtype=np.uint8), empty_pad=0,
-                        noise_reserved=0, entries=[binpack.BinEntry(0x0102, 0, 3, False),
-                                                   binpack.BinEntry(7, 3, 2, True)])
+                        noise_reserved=0, entries=entries)
         img = b.to_bytes(cfg)
-        assert img == (bytes([2, 0, 2, 1, 0, 0, 0, 0, 3, 0, 7, 0, 0, 0x80, 3, 0, 2, 0])
+        assert img == (bytes([2, 0, 7, 0, 0, 0x80, 0, 0, 2, 0, 2, 1, 0, 0, 2, 0, 3, 0])
                        + bytes(range(1, 6)) + bytes(64 - 23))
         back = binpack.bin_from_bytes(img, cfg)
         assert [(e.tile_id, e.offset, e.length, e.continuation) for e in back.entries] == [
-            (0x0102, 0, 3, False), (7, 3, 2, True)]
+            (7, 0, 2, True), (0x0102, 2, 3, False)]
         assert back.empty_pad == 64 - 18 - 5
         past = bytearray(img)
-        past[16] = 64 - 18 - 3 + 1  # entry 1 now ends one byte past the payload area
+        past[16] = 64 - 18 - 2 + 1  # entry 1 now ends one byte past the payload area
         with pytest.raises(IntegrityError):
             binpack.bin_from_bytes(bytes(past), cfg)
 
@@ -318,19 +318,44 @@ class TestUnpackBins:
         assert len(b.entries) == 3
         return raws, cfg, b.to_bytes(cfg)
 
+    @staticmethod
+    def table_of(img):
+        return np.frombuffer(img, dtype=np.uint8, count=3 * 8, offset=2).view(
+            binpack._TABLE_ENTRY).copy()
+
+    @staticmethod
+    def with_table(img, table):
+        return img[:2] + table.tobytes() + img[2 + table.nbytes:]
+
     def test_overlapping_entry_rejected(self):
         # entry 1 pointed at entry 0's bytes decoded as a second copy of tile 0
         raws, cfg, img = self.three_tile_image()
         np.testing.assert_array_equal(
             binpack.unpack_bins([binpack.bin_from_bytes(img, cfg)])[1], raws[1])
-        table = np.frombuffer(img, dtype=np.uint8, count=3 * 8, offset=2).view(
-            binpack._TABLE_ENTRY).copy()
+        table = self.table_of(img)
         for edit in ((0, table["length"][0]), (table["offset"][1], 0), (1, table["length"][0])):
             bad = table.copy()
             bad["offset"][1], bad["length"][1] = edit
-            forged = img[:2] + bad.tobytes() + img[2 + bad.nbytes:]
             with pytest.raises(IntegrityError):
-                binpack.bin_from_bytes(forged, cfg)
+                binpack.bin_from_bytes(self.with_table(img, bad), cfg)
+
+    @pytest.mark.parametrize("cont", [False, True])
+    def test_tile_listed_twice_rejected(self, cont):
+        # pack_bins gives a tile one segment per bin
+        _, cfg, img = self.three_tile_image()
+        bad = self.table_of(img)
+        bad["id"][2] = bad["id"][0] | (binpack._CONT_BIT if cont else 0)
+        with pytest.raises(IntegrityError):
+            binpack.bin_from_bytes(self.with_table(img, bad), cfg)
+
+    def test_continuation_after_first_entry_rejected(self):
+        # pack_bins closes a bin when a tile does not fit, so only a bin's
+        # first entry continues a tile
+        _, cfg, img = self.three_tile_image()
+        bad = self.table_of(img)
+        bad["id"][1] |= binpack._CONT_BIT
+        with pytest.raises(IntegrityError, match="continuation"):
+            binpack.bin_from_bytes(self.with_table(img, bad), cfg)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(0, 2 + 3 * 8 - 1), st.integers(0, 255)),
@@ -346,6 +371,9 @@ class TestUnpackBins:
             for e in b.entries:  # an accepted table never overlaps or leaves a gap
                 assert e.offset == end and e.length >= 1
                 end += e.length
+            # ... and lists each tile once, continuing one only in its first entry
+            assert len({e.tile_id for e in b.entries}) == len(b.entries)
+            assert not any(e.continuation for e in b.entries[1:])
             assert all(isinstance(raw, np.ndarray) for raw in binpack.unpack_bins([b]))
         except NeuroPlugError:
             pass

@@ -157,6 +157,18 @@ class TestGenerateWeights:
         assert (a != c).any()
 
 
+class TestGenerateInput:
+    @pytest.mark.parametrize("policy", ["natural", "sparse"])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (2, 4)])
+    def test_maps_narrower_than_the_smoothing(self, h, w, policy):
+        shape = small_layer(k=1, c=2, h=h, w=w, r=1, s=1, pad=0)
+        values = model.generate_input(shape, 1, policy).values
+        assert values.shape == (2, h, w)
+        assert values.min() >= 0 and values.any()
+        out = model.conv_forward(shape, values, np.ones((1, 2, 1, 1), dtype=np.int8))
+        assert out.shape == (1, h, w)
+
+
 def nsqf_values(lo, hi):
     """Ascending NSQF integers of [lo, hi], read off model.nsqf_mask."""
     return (np.flatnonzero(model.nsqf_mask(lo, hi)) + lo).tolist()

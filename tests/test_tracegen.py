@@ -148,6 +148,26 @@ class TestAdditiveModels:
         assert abs(np.mean(added) - 22400) <= 224  # within 1%
         assert min(added) == 22400 - 8  # jitter floor attained
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("skip", [(0, 2), (0, 3)])
+    def test_const_mean_pads_inside_each_layer(self, skip, sparse):
+        # a skip re-reads fmap 1 in a later layer; layer 1's padding must
+        # still follow layer 1's own reads
+        net = model.load_network("toy-sparse")
+        net.skips.append(skip)
+        inp = toy_input(net, 1)
+        base = baseline_trace(net, inp, seed=1, sparse=sparse).arr
+        arr = additive_cm_trace(net, inp, "const-mean", seed=1, sparse=sparse).arr
+        fmap = fmap_index(arr["addr"])
+        pad = np.zeros(len(arr), dtype=bool)  # reads past the end of an input map
+        for i, layer in enumerate(net.layers):
+            pad |= (fmap == i) & (arr["addr"] >= fmap_base(i) + sfc.ifmap_bytes(layer.shape))
+        assert arr[~pad].tobytes() == base.tobytes()
+        for i in range(len(net.layers)):
+            layer_pad = np.flatnonzero(pad & (fmap == i))
+            last_write = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))[-1]
+            assert 0 < layer_pad.size and layer_pad[-1] < last_write
+
     def test_layer_divider_repeats_digests(self):
         net = model.load_network("toy-sparse")
         arr = additive_cm_trace(net, toy_input(net, 1), "layer-divider", seed=1).arr
@@ -172,7 +192,7 @@ def small_nets(draw):
     """One to three chained layers with ragged tilings, optional pooling and,
     on three layers, an optional skip connection from layer 0 to layer 2."""
     n_layers = draw(st.integers(1, 3))
-    c, h = draw(st.integers(1, 5)), draw(st.integers(3, 8))
+    c, h = draw(st.integers(1, 5)), draw(st.integers(1, 8))
     layers = []
     for _ in range(n_layers):
         k, r = draw(st.integers(1, 5)), draw(st.sampled_from([1, 3]))

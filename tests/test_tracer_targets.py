@@ -1,17 +1,29 @@
 """The benchmark's per-layer tracer wraps functions of `neuroplug` by name;
-a name that disappears from the package breaks every traced benchmark run."""
+a name that disappears from the package breaks every traced benchmark run.
+Its attack workload leaks constants of `neuroplug` to the Kerckhoff attacker,
+which must equal the constants the traces are built with."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from neuroplug import binpack, tracegen
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def load(path):
+    """The benchmark module at path, loaded without importing `perfbench`."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_targets_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load(TRACER)
     missing = []
     for module, attr, _count in tracer.TARGETS:
         obj = importlib.import_module(f"neuroplug.{module}")
@@ -20,3 +32,14 @@ def test_tracer_targets_exist():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_benchmark_leaks_match_constants():
+    # the Kerckhoff attacker of the benchmark is fed these tables; a changed
+    # constant in `neuroplug` must not leave it subtracting stale figures
+    workloads = load(WORKLOADS)
+    cfg = binpack.BinConfig()
+    assert workloads.BIN_LEAKS == {"bin_size": cfg.bin_size, "kappa": cfg.kappa,
+                                   "table_entry_size": binpack.TABLE_ENTRY_BYTES}
+    assert workloads.ADDITIVE_LEAKS["const-mean"] == {"const_mean": tracegen.CONST_MEAN,
+                                                      "jitter_lo": tracegen.JITTER[0]}
