@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mellin, tracegen
-from .errors import ConfigError, DomainError, InapplicableError
+from .errors import DomainError
 from .mellin import GridPdf
-from .model import LayerShape, Tensor3D
+from .model import LayerShape, NetworkSpec, Tensor3D
 from .tracegen import OP_READ, OP_WRITE, REGION_SHIFT, Trace
 
 V_LO = 1.5  # adversary's compression-ratio band: 1.5x .. 40x
@@ -347,37 +347,32 @@ def _plateau_half_width(series: np.ndarray) -> int:
     return 0
 
 
-def huffduff_attack(scenario: tracegen.Scenario) -> AttackReport:
+def huffduff_attack(net: NetworkSpec, seed: int = 0,
+                    key: tracegen.NeuroPlugKey | None = None) -> AttackReport:
     """Impulse-position sweep; the rise to the plateau reveals the filter.
 
     Sweeping a single 1 along the first row, outputs shrink while the
     filter window still hangs over the edge; the first position matching
     the mid-row volume marks half the filter width.  A column sweep gives
-    the height the same way.  Applies to an unprotected trace (``cm="none"``)
-    or a NeuroPlug one (``cm="neuroplug"``).
+    the height the same way.  With no key the attacker reads layer 0's write
+    volume from an unprotected sparse-accelerator trace; with a key, the
+    NeuroPlug bin count of layer 0's ofmap under that key.  seed is the
+    model seed.
     """
-    net = scenario.net
     shape0 = net.layers[0].shape
-    if scenario.cm not in ("none", "neuroplug"):
-        raise ConfigError(f"huffduff_attack has no trace model for cm={scenario.cm!r}")
-    if scenario.cm == "none" and not scenario.sparse:
-        raise InapplicableError("boundary-effect volumes need a sparse accelerator trace")
 
     def volume_for(inp: Tensor3D, run_index: int) -> int:
-        if scenario.cm == "neuroplug":
-            run = tracegen.neuroplug_trace(
-                net, inp, scenario.key, run_index=run_index, model_seed=scenario.seed
-            )
-            return run.bins_of(0, "ofmap") * scenario.key.bin_cfg.bin_size
-        tr = tracegen.baseline_trace(net, inp, seed=scenario.seed, sparse=True)
-        return _layer1_write_volume(tr)
+        if key is not None:
+            run = tracegen.neuroplug_trace(net, inp, key, run_index=run_index, model_seed=seed)
+            return run.bins_of(0, "ofmap") * key.bin_cfg.bin_size
+        return _layer1_write_volume(tracegen.baseline_trace(net, inp, seed=seed, sparse=True))
 
     row_sweep = craft_inputs("impulse-row", shape0, shape0.w)
     col_sweep = craft_inputs("impulse-col", shape0, shape0.h)
     row_series = np.array([volume_for(inp, i) for i, inp in enumerate(row_sweep)])
     col_series = np.array([volume_for(inp, i) for i, inp in enumerate(col_sweep)])
 
-    if scenario.cm == "neuroplug":
+    if key is not None:
         # compare against noise-only dispersion at a fixed input
         fixed = [volume_for(row_sweep[0], 1000 + i) for i in range(len(row_sweep))]
         noise_var = float(np.var(fixed))

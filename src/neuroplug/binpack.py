@@ -18,7 +18,7 @@ keyed metadata and are not serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +33,16 @@ _TABLE_ENTRY = np.dtype([("id", "<u4"), ("offset", "<u2"), ("length", "<u2")])
 TABLE_ENTRY_BYTES = _TABLE_ENTRY.itemsize
 
 
+def table_bytes(n: int) -> int:
+    """Bytes of a bin table with n entries: the u16 count, then the entries."""
+    return 2 + n * TABLE_ENTRY_BYTES
+
+
+def half_normal(rng: np.random.Generator, sigma: float, cap: float) -> float:
+    """|N(0, sigma)| clipped to cap; 0 without drawing when sigma is 0."""
+    return min(abs(rng.normal(0.0, sigma)) if sigma > 0 else 0.0, cap)
+
+
 @dataclass(frozen=True)
 class BinConfig:
     bin_size: int = 61440
@@ -41,7 +51,7 @@ class BinConfig:
     def validate(self) -> None:
         if self.kappa < 1:
             raise ConfigError("kappa must be >= 1")
-        if self.bin_size <= 2 + self.kappa * TABLE_ENTRY_BYTES:
+        if self.bin_size <= table_bytes(self.kappa):
             raise ConfigError("bin_size must exceed the full table capacity")
         if self.bin_size > 0xFFFF:
             raise ConfigError("bin_size must fit 16-bit offsets")
@@ -305,9 +315,6 @@ class Bin:
     empty_pad: int
     noise_reserved: int
 
-    def table_bytes(self) -> int:
-        return 2 + len(self.entries) * TABLE_ENTRY_BYTES
-
     def to_bytes(self, cfg: BinConfig) -> bytes:
         if self.payload is None:
             raise IntegrityError("size-only bin has no payload to serialize")
@@ -320,7 +327,7 @@ class Bin:
              for e in self.entries],
             dtype=_TABLE_ENTRY,
         )
-        base = 2 + table.nbytes
+        base = table_bytes(n)
         out[2:base] = table.view(np.uint8)
         out[base : base + self.payload.size] = self.payload
         return out.tobytes()
@@ -331,9 +338,9 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
         raise IntegrityError(f"bin image must be exactly {cfg.bin_size} bytes")
     arr = np.frombuffer(data, dtype=np.uint8)
     n = int(arr[0]) | (int(arr[1]) << 8)
-    if n > cfg.kappa or 2 + n * TABLE_ENTRY_BYTES > cfg.bin_size:
+    payload_base = table_bytes(n)
+    if n > cfg.kappa or payload_base > cfg.bin_size:
         raise IntegrityError("entry count exceeds table capacity")
-    payload_base = 2 + n * TABLE_ENTRY_BYTES
     table = arr[2:payload_base].view(_TABLE_ENTRY)
     lengths = table["length"].astype(np.int64)
     # pack_bins lays segments back to back from offset 0, so any other
@@ -369,11 +376,7 @@ class BinPackReport:
     comp_total: int
 
     def to_json(self) -> dict:
-        return {
-            "layer": self.layer, "tiles_in": self.tiles_in, "bins_out": self.bins_out,
-            "beta": self.beta, "noise_total": self.noise_total,
-            "raw_total": self.raw_total, "comp_total": self.comp_total,
-        }
+        return asdict(self)
 
 
 def pack_bins(
@@ -396,7 +399,7 @@ def pack_bins(
     cfg.validate()
     noise.validate()
     entry = TABLE_ENTRY_BYTES
-    room = cfg.bin_size - 2 - entry - 1
+    room = cfg.bin_size - table_bytes(1) - 1
     if noise.alpha > room:
         raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
                           f"{cfg.bin_size} B bin (at most {room})")
@@ -410,8 +413,7 @@ def pack_bins(
     sigma = math.sqrt(sigma2)
 
     def draw_noise() -> int:
-        n_prime = abs(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-        return min(noise.alpha + int(min(n_prime, noise.support_r)), room)
+        return min(noise.alpha + int(half_normal(rng, sigma, noise.support_r)), room)
 
     bins: list[Bin] = []
     cur_entries: list[BinEntry] = []
@@ -430,14 +432,13 @@ def pack_bins(
                 if cur_segments
                 else np.zeros(0, dtype=np.uint8)
             )
-        table = 2 + len(cur_entries) * entry
         seg_bytes = sum(e.length for e in cur_entries)
         bins.append(
             Bin(
                 index=len(bins),
                 entries=cur_entries,
                 payload=payload,
-                empty_pad=cfg.bin_size - table - seg_bytes,
+                empty_pad=cfg.bin_size - table_bytes(len(cur_entries)) - seg_bytes,
                 noise_reserved=cur_noise,
             )
         )

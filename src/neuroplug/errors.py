@@ -31,7 +31,3 @@ class SupportError(NeuroPlugError):
 
 class IntegrityError(NeuroPlugError):
     """Serialized bin or table content fails validation."""
-
-
-class InapplicableError(NeuroPlugError):
-    """Attack preconditions not met by the given scenario."""

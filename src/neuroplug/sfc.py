@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binpack
 from .errors import PlanningError
 from .model import LayerShape, TilingSpec
 
@@ -111,7 +112,7 @@ class ExecutionPlan:
 def _noise_int(rng: np.random.Generator, spread: float) -> int:
     """Integer mode of the additive-noise sampler: |N(0, s)| with uniform-drawn variance."""
     sigma = math.sqrt(rng.uniform(0.0, spread * spread))
-    return int(min(abs(rng.normal(0.0, sigma)) if sigma > 0 else 0.0, 3 * spread))
+    return int(binpack.half_normal(rng, sigma, 3 * spread))
 
 
 def _random_composition(

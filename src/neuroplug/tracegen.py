@@ -21,6 +21,9 @@ clock but is not an event.
   into fixed-size bins with keyed empty-space noise, and every event is
   exactly one bin with a constant gap of kappa * T_TILE.
 
+A trace has one file form, `Trace.to_binary`: each event as a 33 B
+little-endian copy of EVENT_DTYPE, so every field round-trips bit for bit.
+
 Addresses are per-(tensor, stream) regions: feature map j lives at
 (1 + j) << 28, weights of layer i at WEIGHT_REGION + (i << 28), dummy
 streams likewise; `fmap_index` decodes feature-map addresses.  Attacks may
@@ -30,10 +33,8 @@ use the map (the NPU design is public; only key material is secret).
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,7 @@ EVENT_DTYPE = np.dtype(
     [("op", "u1"), ("addr", "u8"), ("size", "u8"), ("t", "u8"), ("digest", "u8")]
 )
 
-_CSV_HEADER = "op,addr,size,t,digest"
-_CSV_OPS = {"r": OP_READ, "w": OP_WRITE}
-_CSV_DECIMAL = re.compile("[0-9]+")  # ASCII digits only; int() also takes "1_0", " +5", "\u0663"
-_CSV_DIGEST = re.compile("[0-9a-f]{16}")
-_BINARY_RECORD = np.dtype([("addr", "<u8"), ("t", "<u8"), ("size", "<u4"),
-                           ("digest", "<u2"), ("op", "u1"), ("pad", "u1")])
+_RECORD = EVENT_DTYPE.newbyteorder("<")  # the trace file's record, every field whole
 
 REGION_SHIFT = 28
 FMAP_REGION = 1
@@ -116,63 +112,23 @@ class Trace:
     def digest(self):
         return self.arr["digest"]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(_CSV_HEADER + "\n")
-        for row in self.arr:
-            op = "r" if row["op"] == OP_READ else "w"
-            buf.write(f"{op},{row['addr']},{row['size']},{row['t']},{row['digest']:016x}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Trace":
-        """Parse to_csv's form; a malformed row raises IntegrityError."""
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != _CSV_HEADER:
-            raise ConfigError("not a trace CSV")
-        out = np.zeros(len(lines) - 1, dtype=EVENT_DTYPE)
-        for i, line in enumerate(lines[1:]):
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise IntegrityError(f"trace row {i}: {len(fields)} fields, expected 5")
-            op, addr, size, t, digest = fields
-            if op not in _CSV_OPS:
-                raise IntegrityError(f"trace row {i}: op {op!r} is neither 'r' nor 'w'")
-            if not (all(map(_CSV_DECIMAL.fullmatch, (addr, size, t)))
-                    and _CSV_DIGEST.fullmatch(digest)):
-                raise IntegrityError(f"trace row {i}: field not in to_csv's form in {line!r}")
-            vals = (int(addr), int(size), int(t), int(digest, 16))
-            if not all(v < 1 << 64 for v in vals):
-                raise IntegrityError(f"trace row {i}: value outside u64 in {line!r}")
-            out[i] = (_CSV_OPS[op], *vals)
-        return cls(out)
-
     def to_binary(self) -> bytes:
-        """Fixed 24-byte records: addr u64, t u64, size u32, digest u16, op u8, pad.
-
-        The digest is truncated to 16 bits here; the CSV form keeps all 64.
-        """
-        rec = np.zeros(len(self.arr), dtype=_BINARY_RECORD)
-        for name in EVENT_DTYPE.names:  # narrowing keeps the low bits
-            rec[name] = self.arr[name]
-        return rec.tobytes()
+        """Each event as one little-endian copy of EVENT_DTYPE (33 B)."""
+        return self.arr.astype(_RECORD).tobytes()
 
     @classmethod
     def from_binary(cls, data: bytes) -> "Trace":
         """Parse to_binary's records; a malformed blob raises IntegrityError."""
-        if len(data) % _BINARY_RECORD.itemsize:
+        if len(data) % _RECORD.itemsize:
             raise IntegrityError(
-                f"{len(data)} B is not a whole number of {_BINARY_RECORD.itemsize} B records"
+                f"{len(data)} B is not a whole number of {_RECORD.itemsize} B records"
             )
-        rec = np.frombuffer(data, dtype=_BINARY_RECORD)
-        bad = np.flatnonzero((rec["op"] > OP_WRITE) | (rec["pad"] != 0))
+        rec = np.frombuffer(data, dtype=_RECORD)
+        bad = np.flatnonzero(rec["op"] > OP_WRITE)
         if bad.size:
             i = int(bad[0])
-            raise IntegrityError(f"trace record {i}: op {rec['op'][i]}, pad {rec['pad'][i]}")
-        out = np.zeros(len(rec), dtype=EVENT_DTYPE)
-        for name in EVENT_DTYPE.names:
-            out[name] = rec[name]
-        return cls(out)
+            raise IntegrityError(f"trace record {i}: op {rec['op'][i]} is neither read nor write")
+        return cls(rec.astype(EVENT_DTYPE))
 
 
 def _transfer_cycles(size):
@@ -609,19 +565,7 @@ def neuroplug_trace(
 
 
 # ---------------------------------------------------------------------------
-# scenarios
-
-
-@dataclass
-class Scenario:
-    """One experiment configuration: a network, a countermeasure, the
-    accelerator mode, the model seed and (for NeuroPlug) the key."""
-
-    net: NetworkSpec
-    cm: str = "none"  # none | neuroplug
-    sparse: bool = False
-    seed: int = 0
-    key: NeuroPlugKey = field(default_factory=NeuroPlugKey)
+# ground truth
 
 
 def ground_truth(net: NetworkSpec) -> dict:

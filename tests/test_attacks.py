@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from neuroplug import attacks, model, tracegen
+from neuroplug import attacks, binpack, model, tracegen
 from neuroplug.attacks import huffduff_attack
-from neuroplug.errors import ConfigError, InapplicableError, SupportError
+from neuroplug.errors import SupportError
 from neuroplug.model import NetworkSpec
-from neuroplug.tracegen import (EVENT_DTYPE, OP_READ, OP_WRITE, Scenario, Trace, fmap_base,
+from neuroplug.tracegen import (EVENT_DTYPE, OP_READ, OP_WRITE, NeuroPlugKey, Trace, fmap_base,
                                 weight_base)
 
 # What an insider may leak: the public bin geometry of NeuroPlug, and per
 # additive model its hardwired constants (const-mean's mean and jitter floor).
-BIN_LEAKS = {"bin_size": 61440, "kappa": 8, "table_entry_size": 8}
+BIN_LEAKS = {"bin_size": binpack.BinConfig().bin_size, "kappa": binpack.BinConfig().kappa,
+             "table_entry_size": binpack.TABLE_ENTRY_BYTES}
 ADDITIVE_LEAKS = {
     "dummy-writes": {},
-    "const-mean": {"const_mean": 22400, "jitter_lo": -8},
+    "const-mean": {"const_mean": tracegen.CONST_MEAN, "jitter_lo": tracegen.JITTER[0]},
     "layer-divider": {},
 }
 RUNS = 4
@@ -30,30 +31,21 @@ def toy_layer0():
 
 class TestHuffDuff:
     def test_recovers_filter_on_sparse_baseline(self, toy_layer0):
-        report = huffduff_attack(Scenario(net=toy_layer0, cm="none", sparse=True))
+        report = huffduff_attack(toy_layer0)
         assert report.extra["s_hat"] == 3
         assert report.extra["r_hat"] == 3
 
-    def test_dense_baseline_inapplicable(self, toy_layer0):
-        with pytest.raises(InapplicableError):
-            huffduff_attack(Scenario(net=toy_layer0, cm="none", sparse=False))
-
     def test_neuroplug_inconclusive_when_nothing_varies(self, toy_layer0):
         # the impulse sweep moves the sparse baseline's volume on this net ...
-        base = huffduff_attack(Scenario(net=toy_layer0, cm="none", sparse=True))
+        base = huffduff_attack(toy_layer0)
         assert np.var(base.extra["row_series"]) > 0
         # ... but under the default key layer 0's ofmap is one bin at every
         # position and every run, which shows nothing either way
-        report = huffduff_attack(Scenario(net=toy_layer0, cm="neuroplug"))
+        report = huffduff_attack(toy_layer0, key=NeuroPlugKey())
         evidence = report.layers[0].evidence
         assert evidence["series_variance"] == evidence["noise_variance"] == 0.0
         assert evidence["verdict"] == "inconclusive: no variance in either series"
         assert report.notes == [evidence["verdict"]]
-
-    @pytest.mark.parametrize("cm", ["dummy-writes", "const-mean", "layer-divider", "bogus"])
-    def test_additive_cm_rejected(self, toy_layer0, cm):
-        with pytest.raises(ConfigError):
-            huffduff_attack(Scenario(net=toy_layer0, cm=cm, sparse=True))
 
 
 def events(*rows):
@@ -143,6 +135,22 @@ class TestTraceReading:
         trace = events((OP_WRITE, fmap_base(70), 64, 3), (OP_READ, fmap_base(70), 64, 3))
         si = attacks.si_attack([trace])
         assert [(est.layer, est.write_count, est.write_volume) for est in si.layers] == [(69, 1, 64)]
+
+    def test_si_same_after_binary_roundtrip(self):
+        # two writes of one address whose digests differ only above their
+        # low 16 bits: a trace file that kept 16 digest bits would turn the
+        # second into an unchanged-value rewrite
+        trace = events(
+            (OP_READ, fmap_base(0), 64, 1),
+            (OP_WRITE, fmap_base(1), 64, 0x1_2345),
+            (OP_WRITE, fmap_base(1), 64, 0x2_2345),
+            (OP_READ, fmap_base(1), 64, 0x2_2345),
+        )
+        before = attacks.si_attack([trace])
+        after = attacks.si_attack([Trace.from_binary(trace.to_binary())])
+        assert [(est.layer, est.write_volume) for est in before.layers] == [(0, 64)]
+        assert before.extra["fake_writes_removed"] == 0
+        assert after.to_json() == before.to_json()
 
     def test_si_copies_base_report(self):
         def figures(report):

@@ -204,7 +204,7 @@ class TestPackBins:
         bins, report = binpack.pack_bins(tiles, cfg, spec, np.random.default_rng(1))
         for b in bins:
             seg = sum(e.length for e in b.entries)
-            assert b.table_bytes() + seg + b.empty_pad == cfg.bin_size
+            assert binpack.table_bytes(len(b.entries)) + seg + b.empty_pad == cfg.bin_size
             assert b.empty_pad >= b.noise_reserved
         assert report.comp_total == sum(t.comp_size for t in tiles)
         assert report.beta == report.comp_total / report.raw_total

@@ -1,8 +1,10 @@
 """The benchmark's per-layer tracer wraps functions of `neuroplug` by name;
-a name that disappears from the package breaks every traced benchmark run.
+a name that disappears from the package breaks every traced benchmark run,
+and one its workloads, freezer or worker read breaks the benchmark itself.
 Its attack workload leaks constants of `neuroplug` to the Kerckhoff attacker,
 which must equal the constants the traces are built with."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +14,9 @@ from neuroplug import binpack, tracegen
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+# benchmark files and the `neuroplug` modules whose attributes they read
+API_USERS = [WORKLOADS, PERFBENCH / "freeze.py", PERFBENCH / "worker.py"]
+API_MODULES = ("attacks", "binpack", "model", "tracegen", "_njit")
 
 
 def load(path):
@@ -43,3 +48,18 @@ def test_benchmark_leaks_match_constants():
                                    "table_entry_size": binpack.TABLE_ENTRY_BYTES}
     assert workloads.ADDITIVE_LEAKS["const-mean"] == {"const_mean": tracegen.CONST_MEAN,
                                                       "jitter_lo": tracegen.JITTER[0]}
+
+
+def test_benchmark_api_exists():
+    # every `module.name` the benchmark reads of these modules, found by
+    # reading its source, not by running it
+    refs = set()
+    for path in API_USERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in API_MODULES):
+                refs.add((node.value.id, node.attr))
+    assert {module for module, _ in refs} == set(API_MODULES)
+    missing = [f"{module}.{attr}" for module, attr in sorted(refs)
+               if not hasattr(importlib.import_module(f"neuroplug.{module}"), attr)]
+    assert missing == []
