@@ -360,10 +360,13 @@ def huffduff_attack(net: NetworkSpec, seed: int = 0,
     model seed.
     """
     shape0 = net.layers[0].shape
+    caches: dict[int, tracegen.NeuroPlugCache] = {}  # id(input) -> its compressed content
 
     def volume_for(inp: Tensor3D, run_index: int) -> int:
         if key is not None:
-            run = tracegen.neuroplug_trace(net, inp, key, run_index=run_index, model_seed=seed)
+            if id(inp) not in caches:
+                caches[id(inp)] = tracegen.prepare_neuroplug(net, inp, seed)
+            run = tracegen.neuroplug_trace(net, inp, key, run_index, seed, caches[id(inp)])
             return run.bins_of(0, "ofmap") * key.bin_cfg.bin_size
         return _layer1_write_volume(tracegen.baseline_trace(net, inp, seed=seed, sparse=True))
 

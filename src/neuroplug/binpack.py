@@ -5,6 +5,9 @@ Huffman pass, then packed first-fit in curve order into bins of exactly
 ``bin_size`` bytes.  Every bin reserves a noise-drawn slice of empty space,
 so the observable bin count is an affine function of the true data volume:
 a compression factor times the tile bytes plus keyed additive slack.
+`pack_bins` decides the bin count in one layout pass over plain integers,
+drawing the noise in a fixed order (see its docstring), and only then
+builds the bins and their payloads.
 
 Wire image of a bin (little-endian):
     [u16 n_entries][entries ...][payload segments ...][zero pad]
@@ -17,6 +20,7 @@ keyed metadata and are not serialized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -389,16 +393,21 @@ def pack_bins(
 ) -> tuple[list[Bin], BinPackReport]:
     """First-fit sequential packing in curve order.
 
-    Each bin reserves a fresh noise draw of empty space before data is
-    admitted; tiles split across bin boundaries get continuation entries;
-    at most kappa entries start per bin.  The Gaussian noise variance is
-    drawn once per call, so consecutive layers carry different variances.
-    The noise floor alpha must leave room for one entry and one payload
-    byte; only the half-normal tail above it is clamped to fit.
+    One pass lays the stream out: per bin, its reserved noise and its
+    segments (tile, start, length).  Each bin reserves a fresh noise draw of
+    empty space before data is admitted; a tile that does not fit continues
+    in the next bin; at most kappa entries start per bin.  The bins, their
+    tables and (with assemble) their payloads are then built from the
+    layout.  The noise floor alpha must leave room for one entry and one
+    payload byte; only the half-normal tail above it is clamped to fit.
+
+    Draw order, a contract for callers that share one generator: the
+    variance, once per call (so consecutive layers carry different
+    variances), then the first bin's noise before any tile, then one draw
+    each time a bin closes, the last bin included.  No tiles, no draws.
     """
     cfg.validate()
     noise.validate()
-    entry = TABLE_ENTRY_BYTES
     room = cfg.bin_size - table_bytes(1) - 1
     if noise.alpha > room:
         raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
@@ -409,88 +418,45 @@ def pack_bins(
                 raise IntegrityError(f"tile {t.tile_id} has no payload of its {t.comp_size} bytes")
     if not tiles:
         return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
-    sigma2 = rng.uniform(0.0, noise.sigma2_max)
-    sigma = math.sqrt(sigma2)
+    sigma = math.sqrt(rng.uniform(0.0, noise.sigma2_max))
 
     def draw_noise() -> int:
         return min(noise.alpha + int(half_normal(rng, sigma, noise.support_r)), room)
 
-    bins: list[Bin] = []
-    cur_entries: list[BinEntry] = []
-    cur_segments: list[np.ndarray] = []
-    cur_used = 0  # entry + segment bytes consumed
-    cur_noise = draw_noise()
-    cur_payload_off = 0
-    noise_total = 0
-
-    def close_bin():
-        nonlocal cur_entries, cur_segments, cur_used, cur_noise, cur_payload_off, noise_total
-        payload = None
-        if assemble:
-            payload = (
-                np.concatenate(cur_segments)
-                if cur_segments
-                else np.zeros(0, dtype=np.uint8)
-            )
-        seg_bytes = sum(e.length for e in cur_entries)
-        bins.append(
-            Bin(
-                index=len(bins),
-                entries=cur_entries,
-                payload=payload,
-                empty_pad=cfg.bin_size - table_bytes(len(cur_entries)) - seg_bytes,
-                noise_reserved=cur_noise,
-            )
-        )
-        noise_total += cur_noise
-        cur_entries = []
-        cur_segments = []
-        cur_used = 0
-        cur_payload_off = 0
-        cur_noise = draw_noise()
-
+    layout = [(draw_noise(), [])]  # per bin: reserved noise, segments (tile, start, length)
+    used = 0  # segment bytes in the last bin
     for tile in tiles:
-        remaining = tile.comp_size
-        taken = 0
-        first_entry = True
-        while remaining > 0:
-            free = cfg.bin_size - 2 - cur_noise - cur_used - entry
-            if free <= 0 or len(cur_entries) >= cfg.kappa:
-                close_bin()
+        start = 0
+        while start < tile.comp_size:
+            reserved, segs = layout[-1]
+            free = cfg.bin_size - table_bytes(len(segs) + 1) - reserved - used
+            if free <= 0 or len(segs) >= cfg.kappa:
+                layout.append((draw_noise(), []))
+                used = 0
                 continue
-            take = min(remaining, free)
-            cur_entries.append(
-                BinEntry(
-                    tile_id=tile.tile_id,
-                    offset=cur_payload_off,
-                    length=take,
-                    continuation=not first_entry,
-                    dummy_spans=tile.dummy_spans if first_entry else (),
-                )
-            )
-            if assemble:
-                seg = tile.payload[taken : taken + take]
-                cur_segments.append(np.ascontiguousarray(seg, dtype=np.uint8))
-            cur_used += entry + take
-            cur_payload_off += take
-            taken += take
-            remaining -= take
-            first_entry = False
-    if cur_entries:
-        close_bin()
+            take = min(tile.comp_size - start, free)
+            segs.append((tile, start, take))
+            used += take
+            start += take
+    if layout[-1][1]:
+        draw_noise()  # the last bin closes too
+    else:
+        layout.pop()  # no tile holds a byte
 
+    bins = []
+    for index, (reserved, segs) in enumerate(layout):
+        offsets = [0, *itertools.accumulate(n for _, _, n in segs)]
+        entries = [BinEntry(t.tile_id, off, n, start > 0, () if start else t.dummy_spans)
+                   for (t, start, n), off in zip(segs, offsets)]
+        payload = (np.concatenate([t.payload[start : start + n] for t, start, n in segs])
+                   if assemble else None)
+        bins.append(Bin(index, entries, payload,
+                        cfg.bin_size - table_bytes(len(segs)) - offsets[-1], reserved))
     raw_total = sum(t.raw_size for t in tiles)
     comp_total = sum(t.comp_size for t in tiles)
-    report = BinPackReport(
-        layer=layer,
-        tiles_in=len(tiles),
-        bins_out=len(bins),
-        beta=comp_total / raw_total if raw_total else 1.0,
-        noise_total=noise_total,
-        raw_total=raw_total,
-        comp_total=comp_total,
-    )
-    return bins, report
+    return bins, BinPackReport(layer, len(tiles), len(bins),
+                               comp_total / raw_total if raw_total else 1.0,
+                               sum(reserved for reserved, _ in layout), raw_total, comp_total)
 
 
 def unpack_bins(bins: list[Bin], dummy_spans=None) -> list[np.ndarray]:

@@ -467,15 +467,23 @@ def neuroplug_trace(
     model_seed: int = 0,
     cache: NeuroPlugCache | None = None,
 ) -> NeuroPlugRun:
-    """Bin-granularity trace: every event is one bin, every gap is constant."""
+    """Bin-granularity trace: every event is one bin, every gap is constant.
+
+    Every stream (the input, each weight partition part of each stored copy,
+    each output) is packed one way, with a generator seeded by the key, the
+    run and the stream's tag.  A feature map's bin count is kept when it is
+    written and read back by the layers that consume it.
+    """
     if cache is None:
         cache = prepare_neuroplug(net, input_tensor, model_seed)
     cfg = key.bin_cfg
     gap = cfg.kappa * T_TILE
-    rows: list[tuple[int, int, int, int, int]] = []
-    plans: list[ExecutionPlan] = []
-    reports: list[binpack.BinPackReport] = []
-    streams: list[StreamBins] = []
+    rows, plans, reports, streams = [], [], [], []
+
+    def pack(tiles, name: str, *rng_tag: int) -> tuple[int, binpack.BinPackReport]:
+        rng = np.random.default_rng([key.seed, run_index, *rng_tag])
+        bins, report = binpack.pack_bins(tiles, cfg, key.noise, rng, layer=name, assemble=False)
+        return len(bins), report
 
     def emit_bins(op: int, base: int, count: int, region_tag: int, start: int = 0):
         for b in range(start, start + count):
@@ -483,83 +491,54 @@ def neuroplug_trace(
             digest = _digest64(f"{key.seed}:{run_index}:{region_tag}:{addr}".encode())
             rows.append((op, addr, cfg.bin_size, digest, gap))
 
-    prev_out_bins = 0
+    # bins per feature map: layer 0 packs the (dummied) input, and every
+    # other map is stored by the layer that writes it
+    stored = {}
+    stored[0], report = pack(_first_layer_tiles(net, input_tensor, key, run_index), "fmap0", 0, 0xB0)
+    reports.append(report)
     for i, layer in enumerate(net.layers):
-        # input bins: layer 0 packs the (dummied) input; others inherit
-        if i == 0:
-            tiles = _first_layer_tiles(net, input_tensor, key, run_index)
-            bins, rep = binpack.pack_bins(
-                tiles, cfg, key.noise,
-                np.random.default_rng([key.seed, run_index, i, 0xB0]),
-                layer=f"fmap0", assemble=False,
-            )
-            reports.append(rep)
-            n_in = len(bins)
-        else:
-            n_in = prev_out_bins
+        n_in = stored[i]
         streams.append(StreamBins(i, "ifmap", n_in))
 
-        plan_rng = np.random.default_rng([key.seed, run_index, i, 0xA1])
-        plan = sfc.plan_execution(layer.shape, layer.tiling, key.npu_capacity, plan_rng,
+        plan = sfc.plan_execution(layer.shape, layer.tiling, key.npu_capacity,
+                                  np.random.default_rng([key.seed, run_index, i, 0xA1]),
                                   cfg.bin_size, n_in)
         plans.append(plan)
 
         # weight bins: one compressed tile per output map, packed part by
         # part; a stored copy's parts lie back to back
-        parts = plan.ofmap_partition
-        copy_bins = []
-        for copy in range(plan.eta):
-            copy_bins.append(0)
-            for p_idx, k_count in enumerate(parts):
-                k_lo = sum(parts[:p_idx])
-                tiles = cache.weight_tiles[i][k_lo : k_lo + k_count]
-                bins, rep = binpack.pack_bins(
-                    tiles, cfg, key.noise,
-                    np.random.default_rng([key.seed, run_index, i, 0xB1, copy, p_idx]),
-                    layer=f"w{i}", assemble=False,
-                )
-                copy_bins[-1] += len(bins)
-                if copy == 0:
-                    reports.append(rep)
-        streams.append(StreamBins(i, "filter", sum(copy_bins)))
+        k_bounds = list(itertools.pairwise(itertools.accumulate(plan.ofmap_partition, initial=0)))
+        packed = [[pack(cache.weight_tiles[i][lo:hi], f"w{i}", i, 0xB1, copy, p_idx)
+                   for p_idx, (lo, hi) in enumerate(k_bounds)] for copy in range(plan.eta)]
+        reports += [report for _, report in packed[0]]
+        copy_bins = [sum(n for n, _ in parts) for parts in packed]
+        copy_start = list(itertools.accumulate(copy_bins, initial=0))
+        streams.append(StreamBins(i, "filter", copy_start[-1]))
 
-        # output bins
-        out_bins, out_rep = binpack.pack_bins(
-            cache.fmap_tiles[i], cfg, key.noise,
-            np.random.default_rng([key.seed, run_index, i, 0xB2]),
-            layer=f"fmap{i + 1}", assemble=False,
-        )
-        reports.append(out_rep)
-        n_out = len(out_bins)
-        streams.append(StreamBins(i, "ofmap", n_out))
+        stored[i + 1], report = pack(cache.fmap_tiles[i], f"fmap{i + 1}", i, 0xB2)
+        reports.append(report)
+        streams.append(StreamBins(i, "ofmap", stored[i + 1]))
 
         # skip connections re-read the stored curve of the source layer
         for src, dst in net.skips:
             if dst == i:
-                src_bins = next(
-                    s.n_bins for s in streams if s.layer == src and s.stream == "ofmap"
-                )
-                emit_bins(OP_READ, fmap_base(src + 1), src_bins, region_tag=src + 1)
-
-        in_base = fmap_base(i)
+                emit_bins(OP_READ, fmap_base(src + 1), stored[src + 1], region_tag=src + 1)
 
         def read_filter_pass(pass_idx: int):
             copy = pass_idx % plan.eta
             emit_bins(OP_READ, weight_base(i), copy_bins[copy], region_tag=-(i + 1),
-                      start=sum(copy_bins[:copy]))
+                      start=copy_start[copy])
 
         # case II holds the weights on chip and streams the ifmap groups past
         # them; every other case reads a weight pass after each ifmap group
         if plan.case == sfc.CASE_II:
             read_filter_pass(0)
-        done = 0
-        for pass_idx, g in enumerate(plan.ifmap_bin_groups):
-            emit_bins(OP_READ, in_base, g, region_tag=i, start=done)
-            done += g
+        groups = plan.ifmap_bin_groups
+        for pass_idx, (g, start) in enumerate(zip(groups, itertools.accumulate(groups, initial=0))):
+            emit_bins(OP_READ, fmap_base(i), g, region_tag=i, start=start)
             if plan.case != sfc.CASE_II:
                 read_filter_pass(pass_idx)
-        emit_bins(OP_WRITE, fmap_base(i + 1), n_out, region_tag=i + 1)
-        prev_out_bins = n_out
+        emit_bins(OP_WRITE, fmap_base(i + 1), stored[i + 1], region_tag=i + 1)
 
     return NeuroPlugRun(trace=_build(rows), streams=streams, plans=plans, reports=reports)
 

@@ -11,7 +11,18 @@ import math
 import numpy as np
 
 from neuroplug import sfc, tracegen
-from neuroplug.errors import DomainError
+from neuroplug.binpack import (
+    TABLE_ENTRY_BYTES,
+    Bin,
+    BinConfig,
+    BinEntry,
+    BinPackReport,
+    CompressedTile,
+    NoiseSpec,
+    half_normal,
+    table_bytes,
+)
+from neuroplug.errors import ConfigError, DomainError, IntegrityError
 from neuroplug.mellin import GridPdf, MellinFn
 from neuroplug.tracegen import (
     CONST_MEAN,
@@ -593,3 +604,122 @@ def segment_trace_loop(arr) -> list[np.ndarray]:
             segments[i] = cur[: j + 1]
             segments[i + 1] = np.concatenate([np.array(sorted(moved)), nxt])
     return segments
+
+
+# ---------------------------------------------------------------------------
+# bin packing: the closure-state loop that neuroplug.binpack.pack_bins
+# replaced with one layout pass
+
+
+def pack_bins_loop(
+    tiles: list[CompressedTile],
+    cfg: BinConfig,
+    noise: NoiseSpec,
+    rng: np.random.Generator,
+    layer: str = "",
+    assemble: bool = True,
+) -> tuple[list[Bin], BinPackReport]:
+    """First-fit sequential packing in curve order.
+
+    Each bin reserves a fresh noise draw of empty space before data is
+    admitted; tiles split across bin boundaries get continuation entries;
+    at most kappa entries start per bin.  The Gaussian noise variance is
+    drawn once per call, so consecutive layers carry different variances.
+    The noise floor alpha must leave room for one entry and one payload
+    byte; only the half-normal tail above it is clamped to fit.
+    """
+    cfg.validate()
+    noise.validate()
+    entry = TABLE_ENTRY_BYTES
+    room = cfg.bin_size - table_bytes(1) - 1
+    if noise.alpha > room:
+        raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
+                          f"{cfg.bin_size} B bin (at most {room})")
+    if assemble:
+        for t in tiles:
+            if t.payload is None or t.payload.size != t.comp_size:
+                raise IntegrityError(f"tile {t.tile_id} has no payload of its {t.comp_size} bytes")
+    if not tiles:
+        return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
+    sigma2 = rng.uniform(0.0, noise.sigma2_max)
+    sigma = math.sqrt(sigma2)
+
+    def draw_noise() -> int:
+        return min(noise.alpha + int(half_normal(rng, sigma, noise.support_r)), room)
+
+    bins: list[Bin] = []
+    cur_entries: list[BinEntry] = []
+    cur_segments: list[np.ndarray] = []
+    cur_used = 0  # entry + segment bytes consumed
+    cur_noise = draw_noise()
+    cur_payload_off = 0
+    noise_total = 0
+
+    def close_bin():
+        nonlocal cur_entries, cur_segments, cur_used, cur_noise, cur_payload_off, noise_total
+        payload = None
+        if assemble:
+            payload = (
+                np.concatenate(cur_segments)
+                if cur_segments
+                else np.zeros(0, dtype=np.uint8)
+            )
+        seg_bytes = sum(e.length for e in cur_entries)
+        bins.append(
+            Bin(
+                index=len(bins),
+                entries=cur_entries,
+                payload=payload,
+                empty_pad=cfg.bin_size - table_bytes(len(cur_entries)) - seg_bytes,
+                noise_reserved=cur_noise,
+            )
+        )
+        noise_total += cur_noise
+        cur_entries = []
+        cur_segments = []
+        cur_used = 0
+        cur_payload_off = 0
+        cur_noise = draw_noise()
+
+    for tile in tiles:
+        remaining = tile.comp_size
+        taken = 0
+        first_entry = True
+        while remaining > 0:
+            free = cfg.bin_size - 2 - cur_noise - cur_used - entry
+            if free <= 0 or len(cur_entries) >= cfg.kappa:
+                close_bin()
+                continue
+            take = min(remaining, free)
+            cur_entries.append(
+                BinEntry(
+                    tile_id=tile.tile_id,
+                    offset=cur_payload_off,
+                    length=take,
+                    continuation=not first_entry,
+                    dummy_spans=tile.dummy_spans if first_entry else (),
+                )
+            )
+            if assemble:
+                seg = tile.payload[taken : taken + take]
+                cur_segments.append(np.ascontiguousarray(seg, dtype=np.uint8))
+            cur_used += entry + take
+            cur_payload_off += take
+            taken += take
+            remaining -= take
+            first_entry = False
+    if cur_entries:
+        close_bin()
+
+    raw_total = sum(t.raw_size for t in tiles)
+    comp_total = sum(t.comp_size for t in tiles)
+    report = BinPackReport(
+        layer=layer,
+        tiles_in=len(tiles),
+        bins_out=len(bins),
+        beta=comp_total / raw_total if raw_total else 1.0,
+        noise_total=noise_total,
+        raw_total=raw_total,
+        comp_total=comp_total,
+    )
+    return bins, report

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,32 @@ class TestHuffDuff:
         assert evidence["series_variance"] == evidence["noise_variance"] == 0.0
         assert evidence["verdict"] == "inconclusive: no variance in either series"
         assert report.notes == [evidence["verdict"]]
+
+    # two keys: the default, at which nothing varies, and small bins, at
+    # which both series vary and the sweep hides in the noise
+    KEYS = {
+        "default": NeuroPlugKey(),
+        "small bins": NeuroPlugKey(seed=99, noise=binpack.NoiseSpec(alpha=128, support_r=3072,
+                                                                    sigma2_max=1280**2),
+                                   bin_cfg=binpack.BinConfig(bin_size=2048, kappa=8)),
+    }
+    PINNED_REPORTS = {
+        "default": "81c1de4e7ae18317f8aa2bd539a2554a",
+        "small bins": "7b1d8e2413ce7cd387dca4e0fa748a09",
+    }
+
+    @pytest.mark.parametrize("name", list(KEYS))
+    def test_neuroplug_compresses_each_input_once(self, toy_layer0, monkeypatch, name):
+        calls = []
+        prepare = tracegen.prepare_neuroplug
+        monkeypatch.setattr(tracegen, "prepare_neuroplug",
+                            lambda *args: calls.append(args) or prepare(*args))
+        report = huffduff_attack(toy_layer0, key=self.KEYS[name])
+        # one cache per sweep input; the noise-only series reuses the first
+        shape = toy_layer0.layers[0].shape
+        assert len(calls) == shape.w + shape.h
+        record = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.blake2b(record, digest_size=16).hexdigest() == self.PINNED_REPORTS[name]
 
 
 def events(*rows):

@@ -7,6 +7,8 @@ from neuroplug import binpack
 from neuroplug.binpack import BinConfig, NoiseSpec
 from neuroplug.errors import ConfigError, DomainError, IntegrityError, NeuroPlugError
 
+from oracles import pack_bins_loop
+
 
 def no_noise():
     return NoiseSpec(alpha=0, support_r=0, sigma2_max=0, dummy_bytes_first_layer=0)
@@ -238,6 +240,50 @@ class TestPackBins:
                 [binpack.CompressedTile(0, 10, 10, np.zeros(10, np.uint8))],
                 BinConfig(bin_size=60, kappa=8), no_noise(), np.random.default_rng(0),
             )
+
+
+@st.composite
+def pack_inputs(draw):
+    """Tiles of 1 to 3x the bin, with and without dummy spans; kappa 1-8,
+    bins of 64-4096 B and any noise whose floor fits."""
+    kappa = draw(st.integers(1, 8))
+    bin_size = draw(st.integers(max(64, binpack.table_bytes(kappa) + 1), 4096))
+    room = bin_size - binpack.table_bytes(1) - 1
+    noise = NoiseSpec(alpha=draw(st.integers(0, room)), support_r=draw(st.integers(0, bin_size)),
+                      sigma2_max=draw(st.floats(0, float(bin_size) ** 2)))
+    data = np.random.default_rng(draw(st.integers(0, 2**16)))
+    tiles = []
+    for i in range(draw(st.integers(0, 10))):
+        comp = draw(st.integers(1, 3 * bin_size))
+        spans = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9)), max_size=2))
+        tiles.append(binpack.CompressedTile(
+            tile_id=i, raw_size=draw(st.integers(1, 4 * bin_size)), comp_size=comp,
+            payload=data.integers(0, 256, comp, dtype=np.uint8), dummy_spans=tuple(spans)))
+    return tiles, BinConfig(bin_size=bin_size, kappa=kappa), noise
+
+
+class TestAgainstPackLoop:
+    """pack_bins gives what the closure-state loop gave, bin for bin, and
+    leaves the generator where the loop left it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pack_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_loop(self, inputs, seed, assemble):
+        tiles, cfg, noise = inputs
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, want_report = pack_bins_loop(tiles, cfg, noise, want_rng, "L", assemble)
+        got, got_report = binpack.pack_bins(tiles, cfg, noise, got_rng, "L", assemble)
+        assert got_report == want_report
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.index, g.entries, g.empty_pad, g.noise_reserved) == \
+                   (w.index, w.entries, w.empty_pad, w.noise_reserved)
+            if assemble:
+                assert g.payload.dtype == np.uint8 and g.payload.tobytes() == w.payload.tobytes()
+            else:
+                assert g.payload is w.payload is None
+        # the trailing draw after the last bin is part of the contract
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestUnpackBins:

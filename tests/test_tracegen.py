@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -532,6 +535,7 @@ def pinned_traces():
     inp = toy_input(toy, 1)
     yield "skip dense", baseline_trace(toy, inp)
     yield "skip sparse values", baseline_trace(toy, inp, sparse=True, observe_values=True)
+    yield "skip neuroplug run 0", neuroplug_trace(toy, inp, NeuroPlugKey(), 0, 1).trace
 
 
 PINNED_TRACES = {
@@ -557,6 +561,7 @@ PINNED_TRACES = {
     "vgg layer-divider": "cb5204c209a689d7fe556f3ed661fc9a",
     "skip dense": "f65c9755a2a612fd0e24aa908ee62040",
     "skip sparse values": "78a3416fd47f6941d5d44a87f3c091ab",
+    "skip neuroplug run 0": "6596e084aa95fe5858c898c7ef5f16a5",
 }
 
 
@@ -565,3 +570,85 @@ def test_pinned_traces():
     got = {name: hashlib.blake2b(tr.arr.tobytes(), digest_size=16).hexdigest()
            for name, tr in pinned_traces()}
     assert got == PINNED_TRACES
+
+
+def digest_json(record) -> str:
+    return hashlib.blake2b(json.dumps(record, sort_keys=True).encode(), digest_size=16).hexdigest()
+
+
+def run_record(run):
+    """What a NeuroPlug run reports besides its trace: pack reports, bins per
+    stream and plans."""
+    return {"reports": [r.to_json() for r in run.reports],
+            "streams": [dataclasses.asdict(s) for s in run.streams],
+            "plans": [p.to_json() for p in run.plans]}
+
+
+PINNED_RUN_RECORDS = {
+    "toy run 0": "083c7ab6f2acc57f2ce4fbb201acd39d",
+    "toy run 1": "62a3171e39c47b522f0e43a7f37cac49",
+    "toy run 2": "b2e0a7e009905f298e93ee04568358d1",
+    "case II run 0": "29ac7abc226c103447afd955a5a8b0d7",
+    "case II run 1": "bfcbfcdb9eec364f5a2717f9b9fc77ae",
+    "case II run 2": "ba350d02c414bfa0071afff8773f2378",
+    "case II run 3": "bea0444b1ae957f63df55598ec1029ba",
+    "case III run 0": "edea7337d4c5a32d970255d9a5817e54",
+    "case III run 1": "6a5b1d418ab3bf99b02251908d3f4528",
+    "case III run 21": "f3b4b5396bb2e30c77475bb31f3e4036",
+    "case III run 24": "61d567d21eb72c0a3e69c7cc0737270e",
+}
+
+
+def test_pinned_run_records(case_two_runs, case_three_runs):
+    # bit-identity gate over everything a NeuroPlug run reports next to its trace
+    toy = model.load_network("toy-sparse")
+    inp = toy_input(toy, 1)
+    cache = prepare_neuroplug(toy, inp, model_seed=1)
+    runs = {f"toy run {r}": neuroplug_trace(toy, inp, NeuroPlugKey(), r, 1, cache) for r in range(3)}
+    runs.update({f"case II run {r}": run for r, run in enumerate(case_two_runs)})
+    runs.update({f"case III run {r}": run for r, run in zip((0, 1, 21, 24), case_three_runs)})
+    got = {name: digest_json(run_record(run)) for name, run in runs.items()}
+    assert got == PINNED_RUN_RECORDS
+
+
+def test_pinned_bin_images():
+    # the wire images of one assembled ofmap stream, small bins so that
+    # tiles continue across bins
+    toy = model.load_network("toy-sparse")
+    inp = toy_input(toy, 1)
+    cache = prepare_neuroplug(toy, inp, model_seed=1)
+    key = np_key()
+    bins, _ = binpack.pack_bins(cache.fmap_tiles[0], key.bin_cfg, key.noise,
+                                np.random.default_rng([key.seed, 0, 0, 0xB2]), "fmap1")
+    assert any(e.continuation for b in bins for e in b.entries)
+    images = b"".join(b.to_bytes(key.bin_cfg) for b in bins)
+    assert len(bins) == 9
+    assert hashlib.blake2b(images, digest_size=16).hexdigest() == "eceb5975777e8f8933489d65fa8085e0"
+
+
+class TestFindingOne:
+    """ROADMAP Finding 1: at the default key every bin closes on kappa, not
+    on bytes, so the bin counts follow the tile counts and the data, its
+    compression and the keyed noise never move them.
+
+    When the defaults change so that bins close on bytes, invert these
+    assertions (the counts then vary with the content); do not delete them.
+    """
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_follow_tiles_at_default_key(self, seed):
+        net = model.load_network("toy-sparse")
+        inp = toy_input(net, seed)
+        key = NeuroPlugKey()
+        kappa = key.bin_cfg.kappa
+        cache = prepare_neuroplug(net, inp, model_seed=seed)
+        for r in range(3):
+            run = neuroplug_trace(net, inp, key, r, seed, cache)
+            n_in = len(tracegen._first_layer_tiles(net, inp, key, r))
+            assert run.bins_of(0, "ifmap") == math.ceil(n_in / kappa)
+            for i, plan in enumerate(run.plans):
+                assert run.bins_of(i, "ofmap") == math.ceil(len(cache.fmap_tiles[i]) / kappa)
+                # Finding 5: one weight tile per output map, so the filter
+                # stream counts the output maps of each partition part
+                per_copy = sum(math.ceil(part / kappa) for part in plan.ofmap_partition)
+                assert run.bins_of(i, "filter") == plan.eta * per_copy
