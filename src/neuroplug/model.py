@@ -195,19 +195,24 @@ def conv_forward(layer: LayerShape, ifmap, weights) -> np.ndarray:
 def generate_weights(net: NetworkSpec, seed: int) -> list[np.ndarray]:
     """Per-layer (k, c, r, s) int8 filters, pruned to the layer's sparsity.
 
-    Pruning zeroes the smallest magnitudes; ties resolve by element order so
-    the result is deterministic for a seed.
+    Pruning zeroes the round(sparsity * size) smallest magnitudes; ties
+    resolve by element order so the result is deterministic for a seed.
     """
     out = []
     for idx, layer in enumerate(net.layers):
         sh = layer.shape
         rng = np.random.default_rng([seed, idx, 0xEE17])
         w = rng.integers(-64, 64, size=(sh.k, sh.c, sh.r, sh.s), dtype=np.int8)
-        if layer.sparsity > 0:
+        n_zero = min(round(layer.sparsity * w.size), w.size)
+        if n_zero > 0:
             flat = w.reshape(-1)
-            n_zero = round(layer.sparsity * flat.size)
-            order = np.lexsort((np.arange(flat.size), np.abs(flat)))
-            flat[order[:n_zero]] = 0
+            mag = np.abs(flat)
+            # the n_zero-th smallest magnitude (a radix sort on 8-bit values):
+            # every smaller one goes, and the first ties at it in element order
+            v = np.sort(mag, kind="stable")[n_zero - 1]
+            ties = np.flatnonzero(mag == v)[: n_zero - np.count_nonzero(mag < v)]
+            np.multiply(flat, mag >= v, out=flat)
+            flat[ties] = 0
         out.append(w)
     return out
 

@@ -723,3 +723,26 @@ def pack_bins_loop(
         comp_total=comp_total,
     )
     return bins, report
+
+
+# ---------------------------------------------------------------------------
+# weight pruning: the full two-key sort that neuroplug.model.generate_weights
+# replaced with one threshold and a tie prefix
+
+
+def generate_weights_lexsort(net, seed):
+    """Per-layer (k, c, r, s) int8 filters, pruned by ranking every weight
+    on (magnitude, element index) and zeroing the round(sparsity * size)
+    first; the same draws as `model.generate_weights`."""
+    out = []
+    for idx, layer in enumerate(net.layers):
+        sh = layer.shape
+        rng = np.random.default_rng([seed, idx, 0xEE17])
+        w = rng.integers(-64, 64, size=(sh.k, sh.c, sh.r, sh.s), dtype=np.int8)
+        if layer.sparsity > 0:
+            flat = w.reshape(-1)
+            n_zero = round(layer.sparsity * flat.size)
+            order = np.lexsort((np.arange(flat.size), np.abs(flat)))
+            flat[order[:n_zero]] = 0
+        out.append(w)
+    return out

@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuroplug import _kernels, model, sfc
 from neuroplug.errors import ConfigError, DomainError, ShapeError
 
-from oracles import conv_brute, maxpool_brute, nsqf_mask_modulo, nsqf_sieve
+from oracles import (
+    conv_brute,
+    generate_weights_lexsort,
+    maxpool_brute,
+    nsqf_mask_modulo,
+    nsqf_sieve,
+)
 
 
 def small_layer(**kw):
@@ -155,6 +163,86 @@ class TestGenerateWeights:
         np.testing.assert_array_equal(a, b)
         c = model.generate_weights(self._net(0.5), seed=43)[0]
         assert (a != c).any()
+
+    def test_ties_resolve_by_element_order(self):
+        """The docstring's rule, read off the result: below the threshold
+        magnitude v everything is zero, above it nothing is pruned, and of
+        the weights at v exactly the first ones in element order are."""
+        dense = model.generate_weights(self._net(0.0), seed=1)[0].reshape(-1)
+        w = model.generate_weights(self._net(0.5), seed=1)[0].reshape(-1)
+        n_zero = round(0.5 * w.size)
+        assert np.array_equal(w[w != 0], dense[w != 0])
+        mag = np.abs(dense)
+        zero = w == 0
+        v = mag[zero].max()
+        assert zero[mag < v].all() and not zero[mag > v].any()
+        at_v = zero[mag == v]
+        n_tied = int(at_v.sum())
+        assert 0 < n_tied < at_v.size  # the group at v is split
+        assert at_v[:n_tied].all() and not at_v[n_tied:].any()
+        assert np.count_nonzero(zero) == n_zero
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+                st.one_of(
+                    st.sampled_from([0.0, 1e-9, 0.5, 0.999999, 1.0]),
+                    st.floats(0, 1),
+                    # n_zero beside count(|w| <= v), so the cut falls on or
+                    # next to the end of the group tied at v
+                    st.tuples(st.integers(0, 64), st.integers(-1, 1)),
+                ),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(specs=[(1, 1, 1, 0.5)], seed=0)
+    @example(specs=[(1, 1, 1, 1.0), (1, 1, 1, 0.0)], seed=3)
+    def test_matches_lexsort(self, specs, seed):
+        def net(sparsities):
+            return model.NetworkSpec(layers=[
+                model.Layer(shape=small_layer(k=k, c=c, h=r, w=r, r=r, s=r, pad=0),
+                            tiling=model.TilingSpec(1, 1, 1, 1), sparsity=sp)
+                for (k, c, r, _), sp in zip(specs, sparsities)])
+
+        dense = model.generate_weights(net([0.0] * len(specs)), seed)
+        sparsities = []
+        for (*_, target), w in zip(specs, dense):
+            if isinstance(target, tuple):
+                v, delta = target
+                n_zero = np.count_nonzero(np.abs(w) <= v) + delta
+                target = min(max(n_zero, 0), w.size) / w.size
+            sparsities.append(target)
+        pruned = net(sparsities)
+        got = model.generate_weights(pruned, seed)
+        want = generate_weights_lexsort(pruned, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("name", ["vgg16-32", "toy-sparse"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bundled_nets_match_lexsort(self, name, seed):
+        net = model.load_network(name)
+        got = model.generate_weights(net, seed)
+        want = generate_weights_lexsort(net, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_pruning_memory_near_one_layer(self):
+        """Pruning needs a few bytes per weight of the layer it prunes, not a
+        full sort's index arrays (numpy reports its buffers to tracemalloc)."""
+        net = model.load_network("vgg16-32")
+        largest = max(layer.shape.k * layer.shape.c * layer.shape.r * layer.shape.s
+                      for layer in net.layers)
+        tracemalloc.start()
+        try:
+            weights = model.generate_weights(net, 1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained >= sum(w.nbytes for w in weights)
+        assert peak - retained <= 4 * largest
 
 
 class TestGenerateInput:

@@ -236,6 +236,71 @@ class TestAgainstEmitterLoop:
             assert got_cm.arr.tobytes() == want_cm.arr.tobytes()
 
 
+def retiled(net, skips=()):
+    """The same layers with other tilings (halved k and c tiles, 16x16 maps)."""
+    layers = [dataclasses.replace(layer, tiling=TilingSpec(
+        tk=max(1, layer.shape.k // 2), tc=max(1, layer.shape.c // 2), th=16, tw=16))
+        for layer in net.layers]
+    return NetworkSpec(layers=layers, skips=list(skips))
+
+
+class TestTableMemo:
+    """`baseline_trace` builds each layer's event table once per NetData and
+    looks it up on later calls; every trace still equals the emitter's."""
+
+    @pytest.fixture
+    def toy(self):
+        net = model.load_network("toy-sparse")
+        net.skips.append((0, 2))
+        inp = toy_input(net, 1)
+        return net, inp, tracegen.compute_net_data(net, inp, 1)
+
+    def test_each_block_hashed_once_per_input(self, toy, monkeypatch):
+        net, inp, data = toy
+        hashed = []
+        digest64 = tracegen._digest64
+        monkeypatch.setattr(tracegen, "_digest64", lambda b: hashed.append(1) or digest64(b))
+        blocks = 0
+        for i, layer in enumerate(net.layers):
+            shp, til = layer.shape, layer.tiling
+            blocks += math.ceil(shp.k / til.tk) * math.ceil(shp.c / til.tc)
+            blocks += len(sfc.ifmap_walk(shp, til)[0]) + len(sfc.ofmap_walk(shp, til)[0])
+            blocks += sum(len(sfc.ofmap_walk(net.layers[src].shape, net.layers[src].tiling)[0])
+                          for src, dst in net.skips if dst == i)
+        base = baseline_trace_loop(net, inp, 1, observe_values=True, data=data)
+        counts = []
+        for run in range(4):
+            for cm_model in tracegen.ADDITIVE_MODELS:
+                got = additive_cm_trace(net, inp, cm_model, 1, run, observe_values=True, data=data)
+                counts.append(len(hashed))
+                want = additive_cm_loop(base, net, cm_model, 1, run)
+                assert got.arr.tobytes() == want.arr.tobytes()
+        assert counts == [blocks] * 12
+
+    def test_returned_trace_is_a_copy(self, toy):
+        net, inp, data = toy
+        want = baseline_trace_loop(net, inp, 1, observe_values=True, data=data).arr.tobytes()
+        for _ in range(2):
+            tr = baseline_trace(net, inp, 1, observe_values=True, data=data)
+            assert tr.arr.tobytes() == want
+            tr.arr[:] = np.zeros(1, dtype=tr.arr.dtype)
+            tr.arr["size"] += 1
+
+    def test_nets_and_modes_sharing_data(self, toy):
+        """Other tilings and skips, sparse and dense, all on one NetData."""
+        net, inp, data = toy
+        nets = [net, retiled(net), retiled(net, net.skips),
+                NetworkSpec(layers=net.layers)]
+        modes = [(False, True), (True, False), (True, True), (False, False)]
+        want = {(n, mode): baseline_trace_loop(nn, inp, 1, *mode, data=data).arr.tobytes()
+                for n, nn in enumerate(nets) for mode in modes}
+        for _ in range(2):
+            for n, nn in enumerate(nets):
+                for mode in modes:
+                    got = baseline_trace(nn, inp, 1, *mode, data=data)
+                    assert got.arr.tobytes() == want[n, mode], (n, mode)
+
+
 def np_key(**kw):
     base = dict(
         seed=99,
