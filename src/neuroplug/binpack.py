@@ -459,15 +459,13 @@ def pack_bins(
                                sum(reserved for reserved, _ in layout), raw_total, comp_total)
 
 
-def unpack_bins(bins: list[Bin], dummy_spans=None) -> list[np.ndarray]:
+def unpack_bins(bins: list[Bin]) -> list[np.ndarray]:
     """Reassemble, decompress and strip dummies; exact inverse of the pipeline.
 
-    dummy_spans optionally maps tile_id -> spans for bins deserialized from
-    the wire (the table image does not carry the keyed dummy map).
+    A tile's dummy spans come from its start entry's `BinEntry.dummy_spans`.
     """
     chunks: dict[int, list[np.ndarray]] = {}
-    spans: dict[int, tuple] = dict(dummy_spans or {})
-    order: list[int] = []
+    starts: list[BinEntry] = []
     for b in bins:
         if b.payload is None:
             raise IntegrityError("cannot unpack size-only bins")
@@ -481,13 +479,7 @@ def unpack_bins(bins: list[Bin], dummy_spans=None) -> list[np.ndarray]:
             else:
                 if e.tile_id in chunks:
                     raise IntegrityError(f"duplicate start entry for tile {e.tile_id}")
-                order.append(e.tile_id)
-                if e.dummy_spans:
-                    spans.setdefault(e.tile_id, e.dummy_spans)
+                starts.append(e)
             chunks.setdefault(e.tile_id, []).append(seg)
-    out = []
-    for tid in order:
-        container = np.concatenate(chunks[tid])
-        raw = decompress_tile(container)
-        out.append(strip_dummies(raw, spans.get(tid, ())))
-    return out
+    return [strip_dummies(decompress_tile(np.concatenate(chunks[e.tile_id])), e.dummy_spans)
+            for e in starts]

@@ -214,11 +214,6 @@ class RankResult:
     rank: int
     n_candidates: int
 
-    @property
-    def n_choices(self) -> int:
-        """Choices an optimal guesser burns through: the rank itself."""
-        return self.rank
-
     def to_json(self) -> dict:
         return {
             "layer": self.layer,
@@ -230,5 +225,6 @@ class RankResult:
 
 
 def search_space_size(per_layer: list[RankResult]) -> float:
-    """log10 of the product of per-layer choice counts."""
-    return float(sum(math.log10(r.n_choices) for r in per_layer))
+    """log10 of the product of per-layer choice counts: an optimal guesser
+    burns through rank choices per layer."""
+    return float(sum(math.log10(r.rank) for r in per_layer))

@@ -329,21 +329,6 @@ def network_from_json(doc) -> NetworkSpec:
     return net
 
 
-def network_to_json(net: NetworkSpec) -> dict:
-    layers = []
-    for layer in net.layers:
-        sh, ti = layer.shape, layer.tiling
-        layers.append(
-            {
-                "k": sh.k, "c": sh.c, "h": sh.h, "w": sh.w, "r": sh.r, "s": sh.s,
-                "stride": sh.stride, "pad": sh.pad, "pool": sh.pool,
-                "sparsity": layer.sparsity,
-                "tiling": {"tk": ti.tk, "tc": ti.tc, "th": ti.th, "tw": ti.tw},
-            }
-        )
-    return {"name": net.name, "layers": layers, "skips": [list(p) for p in net.skips]}
-
-
 def load_network(name_or_path: str) -> NetworkSpec:
     """Load a network config: a bundled name ("vgg16-32", "toy-sparse",
     "vgg16-head") or a path to a JSON document."""

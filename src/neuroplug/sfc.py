@@ -2,7 +2,10 @@
 
 A feature map is walked as deep tiles: row-major over the (row, col) grid
 with the channel groups of one position kept adjacent.  `ifmap_walk` and
-`ofmap_walk` are the one walk every trace generator uses.  Execution
+`ofmap_walk` are the one walk every trace generator uses, and
+`curve_image` is the map's one stored form: its tiles back to back in
+walk order.  Baseline tiles and NeuroPlug storage chunks are slices of
+that image, so it is the only place a walk turns into bytes.  Execution
 planning picks the capacity case (AllFit, I, II, III) when weights and/or
 inputs overflow the on-chip capacity, and owns the chopping of the layer's
 real ifmap bin count into the groups read between weight passes (tau
@@ -75,6 +78,14 @@ def ofmap_walk(layer: LayerShape, tiling: TilingSpec):
     """Write order of the pooled output; same walk shape as an ifmap read."""
     th_out, tw_out = ofmap_tile_dims(layer, tiling)
     return _walk(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk)
+
+
+def curve_image(tensor: np.ndarray, walk) -> np.ndarray:
+    """A (channels, rows, cols) int8 map's stored bytes: the walk's deep
+    tiles back to back in walk order, each in C order.  Tile j of the walk
+    is image[offset : offset + actual_bytes] (see `_walk`)."""
+    return np.concatenate([tensor[c0:c1, r0:r1, w0:w1].reshape(-1)
+                           for _, (c0, c1, r0, r1, w0, w1), _ in walk]).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ clock but is not an event.
   into fixed-size bins with keyed empty-space noise, and every event is
   exactly one bin with a constant gap of kappa * T_TILE.
 
+Both read a feature map in one stored form, `sfc.curve_image`: a baseline
+tile and a NeuroPlug storage chunk are each a slice of it.  The chunks are
+cut at `chunk_ends`, which depends on the walk alone, so a map's chunk
+count is public geometry that an attacker computes without the data.
+
 A trace has one file form, `Trace.to_binary`: each event as a 33 B
 little-endian copy of EVENT_DTYPE, so every field round-trips bit for bit.
 
@@ -242,10 +247,10 @@ def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
     """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only."""
 
     def tile_rows(op, fmap, walk):
-        base, tensor = fmap_base(fmap), fmaps[fmap]
-        return [(op, base + off, *_size_digest(tensor, np.s_[c0:c1, r0:r1, w0:w1], actual,
-                                               sparse, observe_values))
-                for off, (c0, c1, r0, r1, w0, w1), actual in walk]
+        image = None if fmaps[fmap] is None else sfc.curve_image(fmaps[fmap], walk)
+        return [(op, fmap_base(fmap) + off,
+                 *_size_digest(image, np.s_[off:off + actual], actual, sparse, observe_values))
+                for off, _, actual in walk]
 
     shp, til = net.layers[i].shape, net.layers[i].tiling
     n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
@@ -418,48 +423,50 @@ class NeuroPlugCache:
     weight_tiles: list[list[CompressedTile]]  # per layer, one tile per output map
 
 
-def _coalesced_raw_chunks(tensor: np.ndarray, entries) -> list[np.ndarray]:
-    """Concatenate consecutive curve tiles into storage chunks of about
-    CHUNK_TARGET bytes.
+def chunk_ends(walk) -> list[int]:
+    """Byte ends of a walked map's storage chunks, the last at the map's end.
 
-    Tiny deep tiles (pooling shrinks them fast) are re-created as larger
-    units before compression so the bin table stays useful.
+    Consecutive curve tiles coalesce until a chunk holds at least
+    CHUNK_TARGET bytes, so tiny deep tiles (pooling shrinks them fast) are
+    stored as larger units and the bin table stays useful.  The cuts depend
+    on the walk alone: the chunk count is public geometry, known without
+    the data.
     """
-    chunks = []
-    cur: list[np.ndarray] = []
-    cur_bytes = 0
-    for _slot, (c0, c1, r0, r1, w0, w1), _actual in entries:
-        piece = np.ascontiguousarray(tensor[c0:c1, r0:r1, w0:w1]).view(np.uint8).reshape(-1)
-        cur.append(piece)
-        cur_bytes += piece.size
-        if cur_bytes >= CHUNK_TARGET:
-            chunks.append(np.concatenate(cur))
-            cur, cur_bytes = [], 0
-    if cur:
-        chunks.append(np.concatenate(cur))
-    return chunks
+    ends = [0]
+    for off, _, actual in walk:
+        if off + actual - ends[-1] >= CHUNK_TARGET:
+            ends.append(off + actual)
+    total = walk[-1][0] + walk[-1][2]
+    if ends[-1] < total:
+        ends.append(total)
+    return ends[1:]
+
+
+def _chunks(tensor: np.ndarray, walk) -> list[np.ndarray]:
+    """The raw storage chunks: the map's curve image cut at `chunk_ends`."""
+    return np.split(sfc.curve_image(tensor, walk), chunk_ends(walk)[:-1])
+
+
+def _compress_stream(chunks, dummy_bytes: int = 0, rng=None) -> list[CompressedTile]:
+    """Compress a stream's raw chunks in order, tile j from chunks[j].
+
+    dummy_bytes keyed dummy bytes drawn from rng are spread over the chunks,
+    the first dummy_bytes % len(chunks) of them taking one byte more.
+    """
+    share, extra = divmod(dummy_bytes, len(chunks))
+    tiles = []
+    for j, raw in enumerate(chunks):
+        inflated, spans = binpack.inject_dummy(raw, share + (j < extra), rng)
+        tiles.append(binpack.compress_tile(inflated, tile_id=j, dummy_spans=spans))
+    return tiles
 
 
 def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
-    fmap_tiles = []
-    for i, layer in enumerate(net.layers):
-        entries, _ = sfc.ofmap_walk(layer.shape, layer.tiling)
-        chunks = _coalesced_raw_chunks(data.fmaps[i + 1], entries)
-        fmap_tiles.append(
-            [binpack.compress_tile(raw, tile_id=j) for j, raw in enumerate(chunks)]
-        )
-    weight_tiles = []
-    for i, layer in enumerate(net.layers):
-        per_k = []
-        for k in range(layer.shape.k):
-            per_k.append(
-                binpack.compress_tile(
-                    np.ascontiguousarray(data.weights[i][k]).view(np.uint8).reshape(-1),
-                    tile_id=k,
-                )
-            )
-        weight_tiles.append(per_k)
+    fmap_tiles = [_compress_stream(_chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
+                  for fmap, layer in zip(data.fmaps[1:], net.layers)]
+    # a weight tile per output map: the rows of the (k, c*r*s) weight bytes
+    weight_tiles = [_compress_stream(w.view(np.uint8).reshape(len(w), -1)) for w in data.weights]
     return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles, weight_tiles=weight_tiles)
 
 
@@ -468,19 +475,9 @@ def _first_layer_tiles(
 ) -> list[CompressedTile]:
     """Input tiles with fresh keyed dummy bytes, recompressed per run."""
     layer = net.layers[0]
-    entries, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
-    chunks = _coalesced_raw_chunks(input_tensor.values, entries)
-    rng = np.random.default_rng([key.seed, run_index, 0xD0])
-    total_dummy = key.noise.dummy_bytes_first_layer
-    n_chunks = len(chunks)
-    share = [total_dummy // n_chunks] * n_chunks
-    for i in range(total_dummy % n_chunks):
-        share[i] += 1
-    tiles = []
-    for j, (raw, extra) in enumerate(zip(chunks, share)):
-        inflated, spans = binpack.inject_dummy(raw, extra, rng)
-        tiles.append(binpack.compress_tile(inflated, tile_id=j, dummy_spans=spans))
-    return tiles
+    walk, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
+    return _compress_stream(_chunks(input_tensor.values, walk), key.noise.dummy_bytes_first_layer,
+                            np.random.default_rng([key.seed, run_index, 0xD0]))
 
 
 def neuroplug_trace(

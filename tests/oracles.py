@@ -25,6 +25,7 @@ from neuroplug.binpack import (
 from neuroplug.errors import ConfigError, DomainError, IntegrityError
 from neuroplug.mellin import GridPdf, MellinFn
 from neuroplug.tracegen import (
+    CHUNK_TARGET,
     CONST_MEAN,
     DUMMY_RATIO,
     EVENT_DTYPE,
@@ -746,3 +747,50 @@ def generate_weights_lexsort(net, seed):
             flat[order[:n_zero]] = 0
         out.append(w)
     return out
+
+
+# ---------------------------------------------------------------------------
+# storage chunks: the per-tile concatenation that neuroplug.tracegen's
+# curve image cut at chunk_ends replaced
+
+
+def coalesced_raw_chunks(tensor: np.ndarray, entries) -> list[np.ndarray]:
+    """Concatenate consecutive curve tiles into storage chunks of about
+    CHUNK_TARGET bytes.
+
+    Tiny deep tiles (pooling shrinks them fast) are re-created as larger
+    units before compression so the bin table stays useful.
+    """
+    chunks = []
+    cur: list[np.ndarray] = []
+    cur_bytes = 0
+    for _slot, (c0, c1, r0, r1, w0, w1), _actual in entries:
+        piece = np.ascontiguousarray(tensor[c0:c1, r0:r1, w0:w1]).view(np.uint8).reshape(-1)
+        cur.append(piece)
+        cur_bytes += piece.size
+        if cur_bytes >= CHUNK_TARGET:
+            chunks.append(np.concatenate(cur))
+            cur, cur_bytes = [], 0
+    if cur:
+        chunks.append(np.concatenate(cur))
+    return chunks
+
+
+# ---------------------------------------------------------------------------
+# network configs: the inverse of neuroplug.model.network_from_json, which
+# only tests need
+
+
+def network_to_json(net) -> dict:
+    layers = []
+    for layer in net.layers:
+        sh, ti = layer.shape, layer.tiling
+        layers.append(
+            {
+                "k": sh.k, "c": sh.c, "h": sh.h, "w": sh.w, "r": sh.r, "s": sh.s,
+                "stride": sh.stride, "pad": sh.pad, "pool": sh.pool,
+                "sparsity": layer.sparsity,
+                "tiling": {"tk": ti.tk, "tc": ti.tc, "th": ti.th, "tw": ti.tw},
+            }
+        )
+    return {"name": net.name, "layers": layers, "skips": [list(p) for p in net.skips]}

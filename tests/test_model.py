@@ -12,6 +12,7 @@ from oracles import (
     conv_brute,
     generate_weights_lexsort,
     maxpool_brute,
+    network_to_json,
     nsqf_mask_modulo,
     nsqf_sieve,
 )
@@ -334,12 +335,12 @@ class TestVolumesAndConfigs:
 
     def test_roundtrip_json(self):
         net = model.load_network("toy-sparse")
-        doc = model.network_to_json(net)
+        doc = network_to_json(net)
         again = model.network_from_json(doc)
         assert again == net
 
     def test_dimension_mismatch_rejected(self):
-        doc = model.network_to_json(model.load_network("toy-sparse"))
+        doc = network_to_json(model.load_network("toy-sparse"))
         doc["layers"][1]["c"] = 32
         with pytest.raises(ConfigError):
             model.network_from_json(doc)
@@ -347,7 +348,7 @@ class TestVolumesAndConfigs:
     @pytest.mark.parametrize("where, key", [("layer", "strdie"), ("layer", "bytes_per_elem"),
                                             ("tiling", "tz")])
     def test_unknown_key_rejected(self, where, key):
-        doc = model.network_to_json(model.load_network("toy-sparse"))
+        doc = network_to_json(model.load_network("toy-sparse"))
         target = doc["layers"][2] if where == "layer" else doc["layers"][2]["tiling"]
         target[key] = 2
         with pytest.raises(ConfigError, match=key):
@@ -370,13 +371,13 @@ class TestVolumesAndConfigs:
             "tiling-list", "layer-list", "layers-object", "skip-single", "skip-str", "name-int",
             "network-key"])
     def test_value_types_checked(self, edit, match):
-        doc = model.network_to_json(model.load_network("toy-sparse"))
+        doc = network_to_json(model.load_network("toy-sparse"))
         edit(doc)
         with pytest.raises(ConfigError, match=match):
             model.network_from_json(doc)
 
     def test_bad_skip_rejected(self):
-        doc = model.network_to_json(model.load_network("toy-sparse"))
+        doc = network_to_json(model.load_network("toy-sparse"))
         doc["skips"] = [[2, 1]]
         with pytest.raises(ConfigError):
             model.network_from_json(doc)

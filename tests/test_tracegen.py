@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuroplug import binpack, model, sfc, tracegen
@@ -31,7 +31,7 @@ from neuroplug.tracegen import (
     weight_base,
 )
 
-from oracles import additive_cm_loop, baseline_trace_loop
+from oracles import additive_cm_loop, baseline_trace_loop, coalesced_raw_chunks
 
 
 def tiny_net(k=1, c=1, h=4, w=4, r=1, s=1, pad=0, layers=1):
@@ -374,9 +374,8 @@ class TestNeuroPlug:
         )
         chunks = binpack.unpack_bins(bins)
         got = np.concatenate(chunks)
-        entries, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
-        want = np.concatenate(tracegen._coalesced_raw_chunks(inp.values, entries))
-        np.testing.assert_array_equal(got, want)
+        walk, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
+        np.testing.assert_array_equal(got, sfc.curve_image(inp.values, walk))
         assert got.size == inp.values.size  # every input byte is in the stream
 
 
@@ -696,6 +695,11 @@ class TestFindingOne:
     on bytes, so the bin counts follow the tile counts and the data, its
     compression and the keyed noise never move them.
 
+    The expected counts are what a kappa-aware attacker knows without the
+    data: kappa is public, and so is each map's chunk count,
+    len(chunk_ends(walk)) of its public curve walk.  A map of n chunks
+    packs into ceil(n / kappa) bins.
+
     When the defaults change so that bins close on bytes, invert these
     assertions (the counts then vary with the content); do not delete them.
     """
@@ -706,14 +710,49 @@ class TestFindingOne:
         inp = toy_input(net, seed)
         key = NeuroPlugKey()
         kappa = key.bin_cfg.kappa
+
+        def public_bins(walk):
+            return math.ceil(len(tracegen.chunk_ends(walk)) / kappa)
+
+        first = net.layers[0]
+        n_in = public_bins(sfc.ifmap_walk(first.shape, first.tiling)[0])
+        n_out = [public_bins(sfc.ofmap_walk(layer.shape, layer.tiling)[0]) for layer in net.layers]
         cache = prepare_neuroplug(net, inp, model_seed=seed)
         for r in range(3):
             run = neuroplug_trace(net, inp, key, r, seed, cache)
-            n_in = len(tracegen._first_layer_tiles(net, inp, key, r))
-            assert run.bins_of(0, "ifmap") == math.ceil(n_in / kappa)
+            assert run.bins_of(0, "ifmap") == n_in
             for i, plan in enumerate(run.plans):
-                assert run.bins_of(i, "ofmap") == math.ceil(len(cache.fmap_tiles[i]) / kappa)
+                assert run.bins_of(i, "ofmap") == n_out[i]
                 # Finding 5: one weight tile per output map, so the filter
                 # stream counts the output maps of each partition part
                 per_copy = sum(math.ceil(part / kappa) for part in plan.ofmap_partition)
                 assert run.bins_of(i, "filter") == plan.eta * per_copy
+
+
+class TestStoredForm:
+    """A map is stored once, as its curve image: every walk tile is a slice
+    of it, and the NeuroPlug storage chunks are the image cut at
+    `chunk_ends`, the same chunks as coalescing the tiles one by one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 64), p_out=st.integers(1, 16), q_out=st.integers(1, 16),
+           pool=st.sampled_from([1, 2, 4]), tk=st.integers(1, 64), th=st.integers(1, 24),
+           tw=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    # tiles of exactly CHUNK_TARGET bytes close a chunk each
+    @example(k=8, p_out=32, q_out=32, pool=1, tk=8, th=16, tw=16, seed=0)
+    # half-target tiles close a chunk on every second tile, and one is left over
+    @example(k=8, p_out=16, q_out=40, pool=2, tk=8, th=32, tw=16, seed=0)
+    def test_chunks_match_per_tile_coalescing(self, k, p_out, q_out, pool, tk, th, tw, seed):
+        shape = LayerShape(k=k, c=1, h=p_out * pool, w=q_out * pool, r=1, s=1, pool=pool)
+        walk, _ = sfc.ofmap_walk(shape, TilingSpec(tk=tk, tc=1, th=th, tw=tw))
+        tensor = np.random.default_rng(seed).integers(-128, 128, (k, p_out, q_out), dtype=np.int8)
+        image = sfc.curve_image(tensor, walk)
+        assert image.dtype == np.uint8 and image.size == tensor.size
+        for off, (c0, c1, r0, r1, w0, w1), actual in walk:
+            np.testing.assert_array_equal(image[off:off + actual],
+                                          tensor[c0:c1, r0:r1, w0:w1].reshape(-1).view(np.uint8))
+        want = coalesced_raw_chunks(tensor, walk)
+        got = tracegen._chunks(tensor, walk)
+        assert len(tracegen.chunk_ends(walk)) == len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)

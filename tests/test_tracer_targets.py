@@ -2,7 +2,9 @@
 a name that disappears from the package breaks every traced benchmark run,
 and one its workloads, freezer or worker read breaks the benchmark itself.
 Its attack workload leaks constants of `neuroplug` to the Kerckhoff attacker,
-which must equal the constants the traces are built with."""
+which must equal the constants the traces are built with.  Conversely, every
+public name of the package must have a caller in the package or the
+benchmark, not only in tests."""
 
 import ast
 import importlib
@@ -63,3 +65,53 @@ def test_benchmark_api_exists():
     missing = [f"{module}.{attr}" for module, attr in sorted(refs)
                if not hasattr(importlib.import_module(f"neuroplug.{module}"), attr)]
     assert missing == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "neuroplug"
+# public names that nothing outside tests calls yet, each with the ROADMAP
+# open item that will give it a caller
+CALLERS_TO_COME = {
+    ("attacks", "huffduff_attack"): "items 1 and 2",
+    ("mellin", "search_space_size"): "item 4",
+    **{("stats", name): "item 5" for name in (
+        "fisher_information", "mutual_information", "pearson_cc", "runs_test", "cvm_test",
+        "heteroskedasticity_tests", "block_variance_regressor", "extract_bits", "MetricReport",
+        "CVM_CRIT_5PCT")},
+}
+
+
+def _defined(stmt) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(stmt) -> set[str]:
+    """Every name a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_public_names_have_callers():
+    # ROADMAP design aim: no public symbol that only tests reach.  A public
+    # module-level name of the package must be read by the package or the
+    # benchmark outside its own definition
+    programs = sorted(SRC.glob("*.py")) + [p for p in sorted(PERFBENCH.glob("*.py"))
+                                          if not p.name.startswith("test_")]
+    defined, used = set(), set()
+    for path in programs:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _defined(stmt) if path.parent == SRC else []
+            defined.update((path.stem, name) for name in own if not name.startswith("_"))
+            used.update(_referenced(stmt) - set(own))
+    uncalled = {(module, name) for module, name in defined if name not in used}
+    assert uncalled == set(CALLERS_TO_COME)
