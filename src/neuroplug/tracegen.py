@@ -26,6 +26,14 @@ tile and a NeuroPlug storage chunk are each a slice of it.  The chunks are
 cut at `chunk_ends`, which depends on the walk alone, so a map's chunk
 count is public geometry that an attacker computes without the data.
 
+Content is computed per model or per input.  A model, one (net layers,
+model seed) pair, has weights and compressed weight tiles; an input has
+feature maps and compressed feature-map tiles.  A one-slot store holds the
+last model's weights and weight tiles, so the many inputs an attack runs
+against one model generate and compress them once.  Everything the store
+and `compute_net_data` compute is read-only, so no caller can change what
+later inputs read.
+
 A trace has one file form, `Trace.to_binary`: each event as a 33 B
 little-endian copy of EVENT_DTYPE, so every field round-trips bit for bit.
 
@@ -175,17 +183,46 @@ def _size_digest(tensor, index, size: int, sparse: bool, observe_values: bool) -
 
 
 # ---------------------------------------------------------------------------
-# forward-pass cache
+# the model store and the forward-pass cache
+
+
+@dataclass
+class _Model:
+    """One model's read-only weights and, once asked for, their compressed tiles."""
+
+    key: tuple  # (tuple(net.layers), model seed)
+    weights: list[np.ndarray]
+    weight_tiles: list[list[CompressedTile]] | None = None
+
+
+_held: _Model | None = None  # the store: the last model asked for
+
+
+def _model(net: NetworkSpec, model_seed: int) -> _Model:
+    """The model of (net, model_seed), generated unless it is the one held."""
+    global _held
+    key = (tuple(net.layers), model_seed)
+    model = _held  # read once: another thread may replace the held model
+    if model is None or model.key != key:
+        _held = None  # never hold two models' weights at once
+        weights = generate_weights(net, model_seed)
+        for w in weights:
+            w.flags.writeable = False
+        model = _held = _Model(key, weights)
+    return model
 
 
 @dataclass
 class NetData:
-    """Values needed by content-dependent traces, computed once per input.
+    """Values needed by content-dependent traces: one input's feature maps
+    and its model's weights.
 
-    Its arrays are read as immutable once a trace has been built from it:
-    `baseline_trace` memoises each layer's ordered event table (sizes and
-    digests of every block) here, so later traces of the same input look
-    the table up instead of hashing every block again.
+    The weights are the model store's, shared by every input of the same
+    (net, model seed); the computed maps fmaps[1:] belong to this input.
+    Both are read-only, and `baseline_trace` relies on that: it memoises
+    each layer's ordered event table (sizes and digests of every block)
+    here, so later traces of the same input look the table up instead of
+    hashing every block again.  fmaps[0] is the caller's input array.
     """
 
     fmaps: list[np.ndarray]  # tensor per fmap index, fmaps[0] = input
@@ -194,12 +231,12 @@ class NetData:
 
 
 def compute_net_data(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NetData:
-    weights = generate_weights(net, model_seed)
+    weights = list(_model(net, model_seed).weights)
     fmaps = [input_tensor.values]
-    cur = input_tensor.values
     for layer, w in zip(net.layers, weights):
-        cur = conv_forward(layer.shape, cur, w)
-        fmaps.append(cur)
+        fmap = conv_forward(layer.shape, fmaps[-1], w)
+        fmap.flags.writeable = False
+        fmaps.append(fmap)
     return NetData(fmaps=fmaps, weights=weights)
 
 
@@ -416,7 +453,9 @@ class NeuroPlugRun:
 
 @dataclass
 class NeuroPlugCache:
-    """Per-(net, input, model seed) compressed content reused across runs."""
+    """Compressed content reused across runs: fmap_tiles per input, and
+    weight_tiles per (net, model seed), shared read-only through the model
+    store by every input of that model."""
 
     data: NetData
     fmap_tiles: list[list[CompressedTile]]  # compressed tiles per fmap index >= 1
@@ -461,13 +500,27 @@ def _compress_stream(chunks, dummy_bytes: int = 0, rng=None) -> list[CompressedT
     return tiles
 
 
+def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile]]:
+    """The model's weight tiles, compressed the first time they are asked for.
+
+    The tiles are shared; the lists are new, so a caller that edits them
+    leaves the store as it was."""
+    model = _model(net, model_seed)
+    if model.weight_tiles is None:
+        # a weight tile per output map: the rows of the (k, c*r*s) weight bytes
+        model.weight_tiles = [_compress_stream(w.view(np.uint8).reshape(len(w), -1))
+                              for w in model.weights]
+        for tile in itertools.chain.from_iterable(model.weight_tiles):
+            tile.payload.flags.writeable = False
+    return [list(tiles) for tiles in model.weight_tiles]
+
+
 def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
     fmap_tiles = [_compress_stream(_chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
                   for fmap, layer in zip(data.fmaps[1:], net.layers)]
-    # a weight tile per output map: the rows of the (k, c*r*s) weight bytes
-    weight_tiles = [_compress_stream(w.view(np.uint8).reshape(len(w), -1)) for w in data.weights]
-    return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles, weight_tiles=weight_tiles)
+    return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles,
+                          weight_tiles=_weight_tiles(net, model_seed))
 
 
 def _first_layer_tiles(

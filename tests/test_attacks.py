@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from neuroplug import attacks, binpack, model, tracegen
+from neuroplug import attacks, binpack, model, sfc, tracegen
 from neuroplug.attacks import huffduff_attack
 from neuroplug.errors import SupportError
 from neuroplug.model import NetworkSpec
@@ -33,10 +33,12 @@ def toy_layer0():
 
 
 class TestHuffDuff:
-    def test_recovers_filter_on_sparse_baseline(self, toy_layer0):
+    def test_recovers_filter_on_sparse_baseline(self, toy_layer0, generated):
         report = huffduff_attack(toy_layer0)
         assert report.extra["s_hat"] == 3
         assert report.extra["r_hat"] == 3
+        # every sweep input runs against one model
+        assert len(generated) == 1
 
     def test_neuroplug_inconclusive_when_nothing_varies(self, toy_layer0):
         # the impulse sweep moves the sparse baseline's volume on this net ...
@@ -64,15 +66,25 @@ class TestHuffDuff:
     }
 
     @pytest.mark.parametrize("name", list(KEYS))
-    def test_neuroplug_compresses_each_input_once(self, toy_layer0, monkeypatch, name):
-        calls = []
-        prepare = tracegen.prepare_neuroplug
+    def test_neuroplug_compresses_each_input_once(self, toy_layer0, monkeypatch, generated, name):
+        calls, compressed = [], []
+        prepare, compress = tracegen.prepare_neuroplug, binpack.compress_tile
         monkeypatch.setattr(tracegen, "prepare_neuroplug",
                             lambda *args: calls.append(args) or prepare(*args))
+        monkeypatch.setattr(binpack, "compress_tile",
+                            lambda *a, **kw: compressed.append(a) or compress(*a, **kw))
         report = huffduff_attack(toy_layer0, key=self.KEYS[name])
         # one cache per sweep input; the noise-only series reuses the first
-        shape = toy_layer0.layers[0].shape
+        layer = toy_layer0.layers[0]
+        shape = layer.shape
         assert len(calls) == shape.w + shape.h
+        # the compressed tiles: per sweep input its ofmap chunks, per run
+        # its input chunks, and for the one model one weight tile per output map
+        out_chunks = len(tracegen.chunk_ends(sfc.ofmap_walk(shape, layer.tiling)[0]))
+        in_chunks = len(tracegen.chunk_ends(sfc.ifmap_walk(shape, layer.tiling)[0]))
+        runs = 2 * shape.w + shape.h
+        assert len(compressed) == len(calls) * out_chunks + runs * in_chunks + shape.k
+        assert len(generated) == 1
         record = json.dumps(report.to_json(), sort_keys=True).encode()
         assert hashlib.blake2b(record, digest_size=16).hexdigest() == self.PINNED_REPORTS[name]
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from neuroplug.tracegen import (
     weight_base,
 )
 
-from oracles import additive_cm_loop, baseline_trace_loop, coalesced_raw_chunks
+from oracles import (additive_cm_loop, baseline_trace_loop, coalesced_raw_chunks,
+                     generate_weights_lexsort)
 
 
 def tiny_net(k=1, c=1, h=4, w=4, r=1, s=1, pad=0, layers=1):
@@ -299,6 +302,97 @@ class TestTableMemo:
                 for mode in modes:
                     got = baseline_trace(nn, inp, 1, *mode, data=data)
                     assert got.arr.tobytes() == want[n, mode], (n, mode)
+
+
+class TestModelStore:
+    """The store holds one model's weights and weight tiles, shared by
+    every input of that (net, model seed); what it hands out is read-only
+    and equals what a fresh generation gives."""
+
+    @staticmethod
+    def toy_models():
+        """toy-sparse at seed 1 (A), at seed 2 (B), with a denser last
+        layer (C) and retiled (D)."""
+        net = model.load_network("toy-sparse")
+        sparser = NetworkSpec(layers=net.layers[:-1] + [
+            dataclasses.replace(net.layers[-1], sparsity=net.layers[-1].sparsity / 2)])
+        return {"A": (net, 1), "B": (net, 2), "C": (sparser, 1), "D": (retiled(net), 1)}
+
+    def test_inputs_of_one_model_generate_weights_once(self, generated):
+        net = model.load_network("toy-sparse")
+        first = tracegen.compute_net_data(net, toy_input(net, 1), 5)
+        second = tracegen.compute_net_data(net, toy_input(net, 2), 5)
+        assert len(generated) == 1
+        assert all(a is b for a, b in zip(first.weights, second.weights))
+        assert not np.array_equal(first.fmaps[-1], second.fmaps[-1])
+
+    @pytest.mark.parametrize("sequence", ["AABA", "ABCDA", "CCAC", "DAD"])
+    def test_weights_match_fresh_generation(self, generated, sequence):
+        models = self.toy_models()
+        for n, name in enumerate(sequence):
+            net, seed = models[name]
+            data = tracegen.compute_net_data(net, toy_input(net, n), seed)
+            fresh, lexsort = model.generate_weights(net, seed), generate_weights_lexsort(net, seed)
+            assert len(data.weights) == len(fresh) == len(lexsort)
+            for got, want, oracle in zip(data.weights, fresh, lexsort):
+                assert got.tobytes() == want.tobytes() == oracle.tobytes()
+        # a model is generated again each time the key changes, and only then
+        changes = 1 + sum(a != b for a, b in zip(sequence, sequence[1:]))
+        assert len(generated) == changes
+
+    def test_holds_only_the_last_model(self, generated):
+        models = self.toy_models()
+        net, seed = models["A"]
+        data = tracegen.compute_net_data(net, toy_input(net), seed)
+        first = weakref.ref(data.weights[0])
+        del data
+        for name in "BC":
+            net, seed = models[name]
+            tracegen.compute_net_data(net, toy_input(net), seed)
+        gc.collect()
+        assert first() is None
+        assert tracegen._held.key == (tuple(net.layers), seed)
+        net, seed = models["A"]
+        tracegen.compute_net_data(net, toy_input(net), seed)
+        assert len(generated) == 4
+
+    def test_shared_arrays_are_read_only(self, generated):
+        net = model.load_network("toy-sparse")
+        inp = toy_input(net, 1)
+        cache = prepare_neuroplug(net, inp, 1)
+        data = cache.data
+        for arr in data.weights + data.fmaps[1:] + [cache.weight_tiles[0][0].payload]:
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 1
+        # the caller's own input stays theirs to write
+        assert data.fmaps[0] is inp.values
+        inp.values[0, 0, 0] = 1
+        assert data.fmaps[0][0, 0, 0] == 1
+
+    def test_weight_streams_compressed_once_per_model(self, generated, monkeypatch):
+        net = model.load_network("toy-sparse")
+        compressed = []
+        compress = binpack.compress_tile
+        monkeypatch.setattr(binpack, "compress_tile",
+                            lambda *a, **kw: compressed.append(1) or compress(*a, **kw))
+        fmap_chunks = sum(len(tracegen.chunk_ends(sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
+                          for layer in net.layers)
+        weight_rows = sum(layer.shape.k for layer in net.layers)
+        caches = []
+        for n in range(2):
+            caches.append(prepare_neuroplug(net, toy_input(net, n), 3))
+            assert len(compressed) == (n + 1) * fmap_chunks + weight_rows
+        assert len(generated) == 1
+        first, second = caches
+        want = [tracegen._compress_stream(w.view(np.uint8).reshape(len(w), -1))
+                for w in model.generate_weights(net, 3)]
+        for i, tiles in enumerate(want):
+            assert len(first.weight_tiles[i]) == len(second.weight_tiles[i]) == len(tiles)
+            for a, b, w in zip(first.weight_tiles[i], second.weight_tiles[i], tiles):
+                assert a is b
+                assert a.payload.tobytes() == w.payload.tobytes()
+                assert (a.tile_id, a.raw_size, a.comp_size, a.dummy_spans) == (
+                    w.tile_id, w.raw_size, w.comp_size, w.dummy_spans)
 
 
 def np_key(**kw):

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from neuroplug import binpack, tracegen
+from neuroplug import binpack, model, tracegen
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -39,6 +39,21 @@ def test_tracer_targets_exist():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_tracer_counts_only_what_runs(monkeypatch):
+    # two inputs of one model: the weights are generated once and the
+    # forward pass runs per input, and the tracer's counts say so
+    tracer = load(TRACER).Tracer()
+    net = model.load_network("toy-sparse")
+    monkeypatch.setattr(tracegen, "_held", None)
+    with tracer.installed():
+        for seed in (1, 2):
+            tracegen.compute_net_data(net, model.generate_input(net.layers[0].shape, seed), 3)
+    t = tracer.totals
+    assert t["tracegen.compute_net_data.calls"] == 2
+    assert t["model.generate_weights.calls"] == 1
+    assert t["model.conv_forward.calls"] == 2 * len(net.layers)
 
 
 def test_benchmark_leaks_match_constants():
