@@ -14,13 +14,14 @@ Wire image of a bin (little-endian):
     entry: [u32 id | bit31 = continuation][u16 offset][u16 length]
 each entry is TABLE_ENTRY_BYTES = 8 bytes; offsets are relative to the
 payload area, which starts right after the table, and the segments lie
-back to back from offset 0 in table order.  Dummy-byte spans are
-keyed metadata and are not serialized.
+back to back from offset 0 in table order.  A `Bin` holds its table in
+this wire dtype, so the table has one form in memory and on the wire.
+Dummy-byte spans are keyed metadata that stay on the `CompressedTile`;
+a bin carries only the stored bytes, and unpacking returns them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -90,9 +91,12 @@ class NoiseSpec:
 class CompressedTile:
     tile_id: int
     raw_size: int
-    comp_size: int
-    payload: np.ndarray | None
-    dummy_spans: tuple = ()
+    payload: np.ndarray
+    dummy_spans: tuple = ()  # (offset, length) of dummy bytes in the raw tile
+
+    @property
+    def comp_size(self) -> int:
+        return self.payload.size
 
 
 def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
@@ -193,7 +197,7 @@ def _varint_decode(data: np.ndarray, pos: int) -> tuple[int, int]:
 
 def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedTile:
     """Compress one tile's bytes into a self-describing container."""
-    raw = np.ascontiguousarray(np.frombuffer(bytes(raw), dtype=np.uint8) if isinstance(raw, (bytes, bytearray)) else raw, dtype=np.uint8)
+    raw = np.ascontiguousarray(raw, dtype=np.uint8)
     if raw.size == 0:
         raise DomainError("cannot compress an empty tile")
     tokens = _kernels.rle_encode(raw)
@@ -207,13 +211,8 @@ def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedT
     packed = np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
     if packed.size >= raw.size + 1:
         packed = np.concatenate([np.array([MODE_STORED], dtype=np.uint8), raw])
-    return CompressedTile(
-        tile_id=tile_id,
-        raw_size=raw.size,
-        comp_size=packed.size,
-        payload=packed,
-        dummy_spans=tuple(dummy_spans),
-    )
+    return CompressedTile(tile_id=tile_id, raw_size=raw.size, payload=packed,
+                          dummy_spans=tuple(dummy_spans))
 
 
 def decompress_tile(payload: np.ndarray) -> np.ndarray:
@@ -281,7 +280,7 @@ def inject_dummy(raw, n_bytes: int, rng: np.random.Generator):
     grown = 0
     for pos, ln in zip(positions, chunk_lens):
         pieces.append(raw[prev:pos])
-        pieces.append(rng.integers(0, 256, size=ln, dtype=np.uint8).astype(np.uint8))
+        pieces.append(rng.integers(0, 256, size=ln, dtype=np.uint8))
         spans.append((int(pos) + grown, int(ln)))
         grown += int(ln)
         prev = pos
@@ -289,32 +288,14 @@ def inject_dummy(raw, n_bytes: int, rng: np.random.Generator):
     return np.concatenate(pieces), tuple(spans)
 
 
-def strip_dummies(data: np.ndarray, spans) -> np.ndarray:
-    if not spans:
-        return np.asarray(data, dtype=np.uint8).copy()
-    keep = np.ones(len(data), dtype=bool)
-    for off, ln in spans:
-        keep[off : off + ln] = False
-    return np.asarray(data, dtype=np.uint8)[keep]
-
-
 # ---------------------------------------------------------------------------
 # bins
-
-
-@dataclass(frozen=True)
-class BinEntry:
-    tile_id: int
-    offset: int  # relative to the payload area
-    length: int
-    continuation: bool
-    dummy_spans: tuple = ()
 
 
 @dataclass
 class Bin:
     index: int
-    entries: list[BinEntry]
+    table: np.ndarray  # _TABLE_ENTRY entries, as the wire image holds them
     payload: np.ndarray | None
     empty_pad: int
     noise_reserved: int
@@ -323,16 +304,10 @@ class Bin:
         if self.payload is None:
             raise IntegrityError("size-only bin has no payload to serialize")
         out = np.zeros(cfg.bin_size, dtype=np.uint8)
-        n = len(self.entries)
-        out[0] = n & 0xFF
-        out[1] = (n >> 8) & 0xFF
-        table = np.array(
-            [(e.tile_id | (_CONT_BIT if e.continuation else 0), e.offset, e.length)
-             for e in self.entries],
-            dtype=_TABLE_ENTRY,
-        )
+        n = len(self.table)
         base = table_bytes(n)
-        out[2:base] = table.view(np.uint8)
+        out[:2] = n & 0xFF, n >> 8
+        out[2:base] = self.table.view(np.uint8)
         out[base : base + self.payload.size] = self.payload
         return out.tobytes()
 
@@ -345,7 +320,7 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     payload_base = table_bytes(n)
     if n > cfg.kappa or payload_base > cfg.bin_size:
         raise IntegrityError("entry count exceeds table capacity")
-    table = arr[2:payload_base].view(_TABLE_ENTRY)
+    table = arr[2:payload_base].view(_TABLE_ENTRY).copy()
     lengths = table["length"].astype(np.int64)
     # pack_bins lays segments back to back from offset 0, so any other
     # layout (a gap, an overlap, an empty segment) is corruption
@@ -359,13 +334,7 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     used = int(lengths.sum())
     if used > cfg.bin_size - payload_base:
         raise IntegrityError("segment runs past the bin payload area")
-    entries = [
-        BinEntry(tile_id=ident & ~_CONT_BIT, offset=off, length=ln,
-                 continuation=bool(ident & _CONT_BIT))
-        for ident, off, ln in table.tolist()
-    ]
-    payload = arr[payload_base:].copy()
-    return Bin(index=index, entries=entries, payload=payload,
+    return Bin(index=index, table=table, payload=arr[payload_base:].copy(),
                empty_pad=cfg.bin_size - payload_base - used, noise_reserved=0)
 
 
@@ -393,13 +362,16 @@ def pack_bins(
 ) -> tuple[list[Bin], BinPackReport]:
     """First-fit sequential packing in curve order.
 
-    One pass lays the stream out: per bin, its reserved noise and its
-    segments (tile, start, length).  Each bin reserves a fresh noise draw of
-    empty space before data is admitted; a tile that does not fit continues
-    in the next bin; at most kappa entries start per bin.  The bins, their
-    tables and (with assemble) their payloads are then built from the
-    layout.  The noise floor alpha must leave room for one entry and one
-    payload byte; only the half-normal tail above it is clamped to fit.
+    One pass lays the stream out in plain integers: per bin, its reserved
+    noise and its first segment, and per segment its table entry.  Each bin
+    reserves a fresh noise draw of empty space before data is admitted; a
+    tile that does not fit continues in the next bin; at most kappa entries
+    start per bin.  The stream's entries then become one table array, and
+    each bin's table is a slice of it.  The segments lie back to back across
+    the bins as well, so with assemble each bin's payload is a slice of the
+    tile payloads' concatenation.  The noise floor alpha must leave room for
+    one entry and one payload byte; only the half-normal tail above it is
+    clamped to fit.
 
     Draw order, a contract for callers that share one generator: the
     variance, once per call (so consecutive layers carry different
@@ -412,10 +384,6 @@ def pack_bins(
     if noise.alpha > room:
         raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
                           f"{cfg.bin_size} B bin (at most {room})")
-    if assemble:
-        for t in tiles:
-            if t.payload is None or t.payload.size != t.comp_size:
-                raise IntegrityError(f"tile {t.tile_id} has no payload of its {t.comp_size} bytes")
     if not tiles:
         return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
     sigma = math.sqrt(rng.uniform(0.0, noise.sigma2_max))
@@ -423,63 +391,66 @@ def pack_bins(
     def draw_noise() -> int:
         return min(noise.alpha + int(half_normal(rng, sigma, noise.support_r)), room)
 
-    layout = [(draw_noise(), [])]  # per bin: reserved noise, segments (tile, start, length)
+    entries = []  # per segment: id (with the continuation bit), offset, length
+    opened = [(draw_noise(), 0)]  # per bin: reserved noise, its first entry
     used = 0  # segment bytes in the last bin
     for tile in tiles:
-        start = 0
-        while start < tile.comp_size:
-            reserved, segs = layout[-1]
-            free = cfg.bin_size - table_bytes(len(segs) + 1) - reserved - used
-            if free <= 0 or len(segs) >= cfg.kappa:
-                layout.append((draw_noise(), []))
+        size, start = tile.comp_size, 0
+        while start < size:
+            reserved, first = opened[-1]
+            n = len(entries) - first
+            free = cfg.bin_size - table_bytes(n + 1) - reserved - used
+            if free <= 0 or n >= cfg.kappa:
+                opened.append((draw_noise(), len(entries)))
                 used = 0
                 continue
-            take = min(tile.comp_size - start, free)
-            segs.append((tile, start, take))
+            take = min(size - start, free)
+            entries.append((tile.tile_id | (_CONT_BIT if start else 0), used, take))
             used += take
             start += take
-    if layout[-1][1]:
+    if len(entries) > opened[-1][1]:
         draw_noise()  # the last bin closes too
     else:
-        layout.pop()  # no tile holds a byte
+        opened.pop()  # no tile holds a byte
 
+    table = np.array(entries, dtype=_TABLE_ENTRY)
+    image = np.concatenate([t.payload for t in tiles]) if assemble else None
     bins = []
-    for index, (reserved, segs) in enumerate(layout):
-        offsets = [0, *itertools.accumulate(n for _, _, n in segs)]
-        entries = [BinEntry(t.tile_id, off, n, start > 0, () if start else t.dummy_spans)
-                   for (t, start, n), off in zip(segs, offsets)]
-        payload = (np.concatenate([t.payload[start : start + n] for t, start, n in segs])
-                   if assemble else None)
-        bins.append(Bin(index, entries, payload,
-                        cfg.bin_size - table_bytes(len(segs)) - offsets[-1], reserved))
+    pos = 0  # where the bin's segments start in image
+    ends = [first for _, first in opened[1:]] + [len(entries)]
+    for index, ((reserved, first), end) in enumerate(zip(opened, ends)):
+        _, off, n = entries[end - 1]
+        data = off + n
+        bins.append(Bin(index, table[first:end], image[pos : pos + data] if assemble else None,
+                        cfg.bin_size - table_bytes(end - first) - data, reserved))
+        pos += data
     raw_total = sum(t.raw_size for t in tiles)
     comp_total = sum(t.comp_size for t in tiles)
     return bins, BinPackReport(layer, len(tiles), len(bins),
                                comp_total / raw_total if raw_total else 1.0,
-                               sum(reserved for reserved, _ in layout), raw_total, comp_total)
+                               sum(reserved for reserved, _ in opened), raw_total, comp_total)
 
 
 def unpack_bins(bins: list[Bin]) -> list[np.ndarray]:
-    """Reassemble, decompress and strip dummies; exact inverse of the pipeline.
+    """Reassemble and decompress every tile, in the order the tiles start.
 
-    A tile's dummy spans come from its start entry's `BinEntry.dummy_spans`.
+    Each tile comes back as the bytes it was compressed from, dummy bytes
+    included: their spans are keyed metadata on the `CompressedTile`, not
+    part of a bin, so a bin and its parsed wire image unpack the same.
     """
-    chunks: dict[int, list[np.ndarray]] = {}
-    starts: list[BinEntry] = []
+    chunks: dict[int, list[np.ndarray]] = {}  # per tile, in start order
     for b in bins:
         if b.payload is None:
             raise IntegrityError("cannot unpack size-only bins")
-        for e in b.entries:
-            seg = b.payload[e.offset : e.offset + e.length]
-            if seg.size != e.length:
+        for ident, off, n in b.table.tolist():
+            tile_id = ident & (_CONT_BIT - 1)
+            seg = b.payload[off : off + n]
+            if seg.size != n:
                 raise IntegrityError("table entry runs past payload")
-            if e.continuation:
-                if e.tile_id not in chunks:
-                    raise IntegrityError(f"continuation without a start for tile {e.tile_id}")
-            else:
-                if e.tile_id in chunks:
-                    raise IntegrityError(f"duplicate start entry for tile {e.tile_id}")
-                starts.append(e)
-            chunks.setdefault(e.tile_id, []).append(seg)
-    return [strip_dummies(decompress_tile(np.concatenate(chunks[e.tile_id])), e.dummy_spans)
-            for e in starts]
+            if ident & _CONT_BIT:
+                if tile_id not in chunks:
+                    raise IntegrityError(f"continuation without a start for tile {tile_id}")
+            elif tile_id in chunks:
+                raise IntegrityError(f"duplicate start entry for tile {tile_id}")
+            chunks.setdefault(tile_id, []).append(seg)
+    return [decompress_tile(np.concatenate(segs)) for segs in chunks.values()]

@@ -26,8 +26,9 @@ tile and a NeuroPlug storage chunk are each a slice of it.  The chunks are
 cut at `chunk_ends`, which depends on the walk alone, so a map's chunk
 count is public geometry that an attacker computes without the data.
 
-Content is computed per model or per input.  A model, one (net layers,
-model seed) pair, has weights and compressed weight tiles; an input has
+Content is computed per model or per input.  A model, the layer shapes
+and sparsities of a net with one model seed, has weights and compressed
+weight tiles (the tiling does not enter them); an input has
 feature maps and compressed feature-map tiles.  A one-slot store holds the
 last model's weights and weight tiles, so the many inputs an attack runs
 against one model generate and compress them once.  Everything the store
@@ -190,7 +191,7 @@ def _size_digest(tensor, index, size: int, sparse: bool, observe_values: bool) -
 class _Model:
     """One model's read-only weights and, once asked for, their compressed tiles."""
 
-    key: tuple  # (tuple(net.layers), model seed)
+    key: tuple  # ((shape, sparsity) per layer, model seed)
     weights: list[np.ndarray]
     weight_tiles: list[list[CompressedTile]] | None = None
 
@@ -199,9 +200,12 @@ _held: _Model | None = None  # the store: the last model asked for
 
 
 def _model(net: NetworkSpec, model_seed: int) -> _Model:
-    """The model of (net, model_seed), generated unless it is the one held."""
+    """The model of (net, model_seed), generated unless it is the one held.
+
+    The weights and their tiles depend on each layer's shape and sparsity
+    only, so nets that differ in tiling alone share one model."""
     global _held
-    key = (tuple(net.layers), model_seed)
+    key = (tuple((layer.shape, layer.sparsity) for layer in net.layers), model_seed)
     model = _held  # read once: another thread may replace the held model
     if model is None or model.key != key:
         _held = None  # never hold two models' weights at once
@@ -218,7 +222,7 @@ class NetData:
     and its model's weights.
 
     The weights are the model store's, shared by every input of the same
-    (net, model seed); the computed maps fmaps[1:] belong to this input.
+    model; the computed maps fmaps[1:] belong to this input.
     Both are read-only, and `baseline_trace` relies on that: it memoises
     each layer's ordered event table (sizes and digests of every block)
     here, so later traces of the same input look the table up instead of
@@ -454,8 +458,8 @@ class NeuroPlugRun:
 @dataclass
 class NeuroPlugCache:
     """Compressed content reused across runs: fmap_tiles per input, and
-    weight_tiles per (net, model seed), shared read-only through the model
-    store by every input of that model."""
+    weight_tiles per model, shared read-only through the model store by
+    every input of that model."""
 
     data: NetData
     fmap_tiles: list[list[CompressedTile]]  # compressed tiles per fmap index >= 1

@@ -7,22 +7,21 @@ separate from the code paths under test.
 import hashlib
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from neuroplug import sfc, tracegen
 from neuroplug.binpack import (
     TABLE_ENTRY_BYTES,
-    Bin,
     BinConfig,
-    BinEntry,
     BinPackReport,
     CompressedTile,
     NoiseSpec,
     half_normal,
     table_bytes,
 )
-from neuroplug.errors import ConfigError, DomainError, IntegrityError
+from neuroplug.errors import ConfigError, DomainError
 from neuroplug.mellin import GridPdf, MellinFn
 from neuroplug.tracegen import (
     CHUNK_TARGET,
@@ -609,7 +608,22 @@ def segment_trace_loop(arr) -> list[np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # bin packing: the closure-state loop that neuroplug.binpack.pack_bins
-# replaced with one layout pass
+# replaced with one layout pass, with its own entry and bin records
+
+
+class LoopEntry(NamedTuple):
+    tile_id: int
+    offset: int  # relative to the payload area
+    length: int
+    continuation: bool
+
+
+class LoopBin(NamedTuple):
+    index: int
+    entries: list
+    payload: np.ndarray | None
+    empty_pad: int
+    noise_reserved: int
 
 
 def pack_bins_loop(
@@ -619,7 +633,7 @@ def pack_bins_loop(
     rng: np.random.Generator,
     layer: str = "",
     assemble: bool = True,
-) -> tuple[list[Bin], BinPackReport]:
+) -> tuple[list[LoopBin], BinPackReport]:
     """First-fit sequential packing in curve order.
 
     Each bin reserves a fresh noise draw of empty space before data is
@@ -636,10 +650,6 @@ def pack_bins_loop(
     if noise.alpha > room:
         raise ConfigError(f"noise floor alpha={noise.alpha} leaves no payload room in a "
                           f"{cfg.bin_size} B bin (at most {room})")
-    if assemble:
-        for t in tiles:
-            if t.payload is None or t.payload.size != t.comp_size:
-                raise IntegrityError(f"tile {t.tile_id} has no payload of its {t.comp_size} bytes")
     if not tiles:
         return [], BinPackReport(layer, 0, 0, 1.0, 0, 0, 0)
     sigma2 = rng.uniform(0.0, noise.sigma2_max)
@@ -648,8 +658,8 @@ def pack_bins_loop(
     def draw_noise() -> int:
         return min(noise.alpha + int(half_normal(rng, sigma, noise.support_r)), room)
 
-    bins: list[Bin] = []
-    cur_entries: list[BinEntry] = []
+    bins: list[LoopBin] = []
+    cur_entries: list[LoopEntry] = []
     cur_segments: list[np.ndarray] = []
     cur_used = 0  # entry + segment bytes consumed
     cur_noise = draw_noise()
@@ -667,7 +677,7 @@ def pack_bins_loop(
             )
         seg_bytes = sum(e.length for e in cur_entries)
         bins.append(
-            Bin(
+            LoopBin(
                 index=len(bins),
                 entries=cur_entries,
                 payload=payload,
@@ -683,7 +693,7 @@ def pack_bins_loop(
         cur_noise = draw_noise()
 
     for tile in tiles:
-        remaining = tile.comp_size
+        remaining = tile.payload.size
         taken = 0
         first_entry = True
         while remaining > 0:
@@ -693,12 +703,11 @@ def pack_bins_loop(
                 continue
             take = min(remaining, free)
             cur_entries.append(
-                BinEntry(
+                LoopEntry(
                     tile_id=tile.tile_id,
                     offset=cur_payload_off,
                     length=take,
                     continuation=not first_entry,
-                    dummy_spans=tile.dummy_spans if first_entry else (),
                 )
             )
             if assemble:
@@ -713,7 +722,7 @@ def pack_bins_loop(
         close_bin()
 
     raw_total = sum(t.raw_size for t in tiles)
-    comp_total = sum(t.comp_size for t in tiles)
+    comp_total = sum(t.payload.size for t in tiles)
     report = BinPackReport(
         layer=layer,
         tiles_in=len(tiles),
@@ -724,6 +733,16 @@ def pack_bins_loop(
         comp_total=comp_total,
     )
     return bins, report
+
+
+def strip_dummies(data: np.ndarray, spans) -> np.ndarray:
+    """The bytes of data outside the (offset, length) dummy spans."""
+    if not spans:
+        return np.asarray(data, dtype=np.uint8).copy()
+    keep = np.ones(len(data), dtype=bool)
+    for off, ln in spans:
+        keep[off : off + ln] = False
+    return np.asarray(data, dtype=np.uint8)[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from neuroplug import binpack
 from neuroplug.binpack import BinConfig, NoiseSpec
 from neuroplug.errors import ConfigError, DomainError, IntegrityError, NeuroPlugError
 
-from oracles import pack_bins_loop
+from oracles import pack_bins_loop, strip_dummies
 
 
 def no_noise():
@@ -25,6 +25,8 @@ class TestCompressTile:
         raw = rng.integers(0, 256, size=1024, dtype=np.uint8).astype(np.uint8)
         t = binpack.compress_tile(raw)
         assert t.comp_size == 1025  # stored with a one-byte flag
+        with pytest.raises(AttributeError):  # the size is the payload's
+            t.comp_size = 1024
         np.testing.assert_array_equal(binpack.decompress_tile(t.payload), raw)
 
     def test_roundtrip_many_random_shapes(self):
@@ -80,12 +82,12 @@ class TestInjectDummy:
             raw = rng.integers(0, 256, size=n, dtype=np.uint8).astype(np.uint8)
             d = int(rng.integers(0, 200))
             out, spans = binpack.inject_dummy(raw, d, rng)
-            np.testing.assert_array_equal(binpack.strip_dummies(out, spans), raw)
+            np.testing.assert_array_equal(strip_dummies(out, spans), raw)
 
 
 def bin_noise(spec, rng, n_bins=100):
     """noise_reserved of n_bins one-entry bins packed by one pack_bins call."""
-    tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, comp_size=1, payload=None)
+    tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, payload=np.zeros(1, np.uint8))
              for i in range(n_bins)]
     bins, _ = binpack.pack_bins(tiles, BinConfig(kappa=1), spec, rng, assemble=False)
     assert len(bins) == n_bins
@@ -123,8 +125,7 @@ class TestPackBins:
     def test_spill_by_table_overhead(self):
         cfg = BinConfig(bin_size=60000, kappa=8)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=20000, comp_size=20000,
-                                   payload=np.zeros(20000, np.uint8))
+            binpack.CompressedTile(tile_id=i, raw_size=20000, payload=np.zeros(20000, np.uint8))
             for i in range(3)
         ]
         bins, report = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
@@ -137,7 +138,7 @@ class TestPackBins:
     def test_bin_count_grows_with_alpha(self):
         rng_tiles = np.random.default_rng(1)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=3000, comp_size=3000,
+            binpack.CompressedTile(tile_id=i, raw_size=3000,
                                    payload=rng_tiles.integers(0, 256, 3000).astype(np.uint8))
             for i in range(12)
         ]
@@ -153,13 +154,12 @@ class TestPackBins:
     def test_kappa_opens_new_bin(self):
         cfg = BinConfig(bin_size=4096, kappa=2)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=10, comp_size=10,
-                                   payload=np.full(10, i, np.uint8))
+            binpack.CompressedTile(tile_id=i, raw_size=10, payload=np.full(10, i, np.uint8))
             for i in range(5)
         ]
         bins, report = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
         assert report.bins_out == 3
-        assert all(len(b.entries) <= 2 for b in bins)
+        assert all(len(b.table) <= 2 for b in bins)
 
     def test_wire_image_exact_size_and_parse(self):
         cfg = BinConfig(bin_size=4096)
@@ -174,21 +174,20 @@ class TestPackBins:
             img = b.to_bytes(cfg)
             assert len(img) == 4096
             back = binpack.bin_from_bytes(img, cfg, index=b.index)
-            assert [ (e.tile_id, e.offset, e.length, e.continuation) for e in back.entries ] == \
-                   [ (e.tile_id, e.offset, e.length, e.continuation) for e in b.entries ]
+            assert back.table.dtype == b.table.dtype == binpack._TABLE_ENTRY
+            assert back.table.tobytes() == b.table.tobytes()
 
     def test_wire_table_layout(self):
         # [u16 count][u32 id | bit31 continuation][u16 offset][u16 length] ... payload
         cfg = BinConfig(bin_size=64, kappa=2)
-        entries = [binpack.BinEntry(7, 0, 2, True), binpack.BinEntry(0x0102, 2, 3, False)]
+        table = np.array([(7 | binpack._CONT_BIT, 0, 2), (0x0102, 2, 3)], dtype=binpack._TABLE_ENTRY)
         b = binpack.Bin(index=0, payload=np.arange(1, 6, dtype=np.uint8), empty_pad=0,
-                        noise_reserved=0, entries=entries)
+                        noise_reserved=0, table=table)
         img = b.to_bytes(cfg)
         assert img == (bytes([2, 0, 7, 0, 0, 0x80, 0, 0, 2, 0, 2, 1, 0, 0, 2, 0, 3, 0])
                        + bytes(range(1, 6)) + bytes(64 - 23))
         back = binpack.bin_from_bytes(img, cfg)
-        assert [(e.tile_id, e.offset, e.length, e.continuation) for e in back.entries] == [
-            (7, 0, 2, True), (0x0102, 2, 3, False)]
+        assert back.table.tolist() == [(7 | binpack._CONT_BIT, 0, 2), (0x0102, 2, 3)]
         assert back.empty_pad == 64 - 18 - 5
         past = bytearray(img)
         past[16] = 64 - 18 - 2 + 1  # entry 1 now ends one byte past the payload area
@@ -205,8 +204,8 @@ class TestPackBins:
         spec = NoiseSpec(alpha=100, support_r=200, sigma2_max=10000)
         bins, report = binpack.pack_bins(tiles, cfg, spec, np.random.default_rng(1))
         for b in bins:
-            seg = sum(e.length for e in b.entries)
-            assert binpack.table_bytes(len(b.entries)) + seg + b.empty_pad == cfg.bin_size
+            seg = int(b.table["length"].sum())
+            assert binpack.table_bytes(len(b.table)) + seg + b.empty_pad == cfg.bin_size
             assert b.empty_pad >= b.noise_reserved
         assert report.comp_total == sum(t.comp_size for t in tiles)
         assert report.beta == report.comp_total / report.raw_total
@@ -215,7 +214,7 @@ class TestPackBins:
 
     def test_noise_floor_must_fit_bin(self):
         # the default floor (alpha = 8000) does not fit a 2048 B bin
-        tiles = [binpack.CompressedTile(0, 10, 10, np.zeros(10, np.uint8))]
+        tiles = [binpack.CompressedTile(0, 10, np.zeros(10, np.uint8))]
         with pytest.raises(ConfigError):
             binpack.pack_bins(tiles, BinConfig(bin_size=2048), NoiseSpec(), np.random.default_rng(0))
         # the largest floor that leaves one entry and one payload byte is accepted
@@ -224,20 +223,10 @@ class TestPackBins:
                                     NoiseSpec(alpha=room, support_r=0), np.random.default_rng(0))
         assert len(bins) == 10 and all(b.noise_reserved == room for b in bins)
 
-    def test_tile_without_payload_not_assembled(self):
-        cfg = BinConfig(bin_size=4096)
-        for payload in (None, np.zeros(9, np.uint8)):  # size-only, and short
-            tiles = [binpack.CompressedTile(0, 10, 10, payload)]
-            with pytest.raises(IntegrityError):
-                binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
-            bins, _ = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0),
-                                        assemble=False)
-            assert [e.length for e in bins[0].entries] == [10]
-
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             binpack.pack_bins(
-                [binpack.CompressedTile(0, 10, 10, np.zeros(10, np.uint8))],
+                [binpack.CompressedTile(0, 10, np.zeros(10, np.uint8))],
                 BinConfig(bin_size=60, kappa=8), no_noise(), np.random.default_rng(0),
             )
 
@@ -257,7 +246,7 @@ def pack_inputs(draw):
         comp = draw(st.integers(1, 3 * bin_size))
         spans = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9)), max_size=2))
         tiles.append(binpack.CompressedTile(
-            tile_id=i, raw_size=draw(st.integers(1, 4 * bin_size)), comp_size=comp,
+            tile_id=i, raw_size=draw(st.integers(1, 4 * bin_size)),
             payload=data.integers(0, 256, comp, dtype=np.uint8), dummy_spans=tuple(spans)))
     return tiles, BinConfig(bin_size=bin_size, kappa=kappa), noise
 
@@ -276,8 +265,11 @@ class TestAgainstPackLoop:
         assert got_report == want_report
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert (g.index, g.entries, g.empty_pad, g.noise_reserved) == \
-                   (w.index, w.entries, w.empty_pad, w.noise_reserved)
+            assert g.table.dtype == binpack._TABLE_ENTRY
+            assert g.table.tolist() == [(e.tile_id | (binpack._CONT_BIT if e.continuation else 0),
+                                         e.offset, e.length) for e in w.entries]
+            assert (g.index, g.empty_pad, g.noise_reserved) == \
+                   (w.index, w.empty_pad, w.noise_reserved)
             if assemble:
                 assert g.payload.dtype == np.uint8 and g.payload.tobytes() == w.payload.tobytes()
             else:
@@ -287,18 +279,19 @@ class TestAgainstPackLoop:
 
 
 class TestUnpackBins:
-    def _pipeline(self, raws, cfg=None, noise=None, seed=0, dummies=None):
-        cfg = cfg or BinConfig(bin_size=4096)
-        noise = noise or no_noise()
+    @staticmethod
+    def _tiles(raws, dummies=0, seed=0):
         rng = np.random.default_rng([seed, 1])
         tiles = []
         for i, raw in enumerate(raws):
-            spans = ()
-            data = raw
-            if dummies:
-                data, spans = binpack.inject_dummy(raw, dummies, rng)
+            data, spans = binpack.inject_dummy(raw, dummies, rng)
             tiles.append(binpack.compress_tile(data, tile_id=i, dummy_spans=spans))
-        bins, _ = binpack.pack_bins(tiles, cfg, noise, np.random.default_rng([seed, 2]))
+        return tiles
+
+    def _pipeline(self, raws, cfg=None, seed=0, dummies=0):
+        cfg = cfg or BinConfig(bin_size=4096)
+        bins, _ = binpack.pack_bins(self._tiles(raws, dummies, seed), cfg, no_noise(),
+                                    np.random.default_rng([seed, 2]))
         return bins
 
     def test_roundtrip_identity(self):
@@ -322,11 +315,33 @@ class TestUnpackBins:
         np.testing.assert_array_equal(got[0], big)
 
     def test_roundtrip_with_dummies_stripped(self):
+        # a bin holds the stored bytes, dummies included; the tile's spans
+        # strip them
         rng = np.random.default_rng(7)
         raws = [rng.integers(0, 100, size=1500, dtype=np.uint8).astype(np.uint8) for _ in range(4)]
-        bins = self._pipeline(raws, dummies=64)
+        tiles = self._tiles(raws, dummies=64)
+        bins, _ = binpack.pack_bins(tiles, BinConfig(bin_size=4096), no_noise(),
+                                    np.random.default_rng(0))
         got = binpack.unpack_bins(bins)
-        for a, b in zip(got, raws):
+        assert len(got) == len(raws)
+        for a, t, raw in zip(got, tiles, raws):
+            assert a.size == raw.size + 64
+            np.testing.assert_array_equal(strip_dummies(a, t.dummy_spans), raw)
+
+    def test_bin_and_its_image_unpack_the_same(self):
+        # dummy spans are not in the wire image, so a bin that carried them
+        # would unpack differently from its own parsed image
+        rng = np.random.default_rng(11)
+        raws = [rng.integers(0, 100, size=int(rng.integers(200, 1500)), dtype=np.uint8)
+                for _ in range(6)]
+        cfg = BinConfig(bin_size=1024, kappa=4)
+        bins, _ = binpack.pack_bins(self._tiles(raws, dummies=32), cfg, no_noise(),
+                                    np.random.default_rng(0))
+        assert any(ident & binpack._CONT_BIT for b in bins for ident in b.table["id"])
+        parsed = [binpack.bin_from_bytes(b.to_bytes(cfg), cfg, b.index) for b in bins]
+        got, back = binpack.unpack_bins(bins), binpack.unpack_bins(parsed)
+        assert [a.size for a in got] == [a.size for a in back] == [r.size + 32 for r in raws]
+        for a, b in zip(got, back):
             np.testing.assert_array_equal(a, b)
 
     def test_lossless_pipeline_many_sets(self):
@@ -361,7 +376,7 @@ class TestUnpackBins:
         raws = [rng.integers(0, 8, size=400, dtype=np.uint8) for _ in range(3)]
         cfg = BinConfig(bin_size=4096)
         [b] = self._pipeline(raws, cfg=cfg)
-        assert len(b.entries) == 3
+        assert len(b.table) == 3
         return raws, cfg, b.to_bytes(cfg)
 
     @staticmethod
@@ -414,12 +429,13 @@ class TestUnpackBins:
         try:
             b = binpack.bin_from_bytes(bytes(img), cfg)
             end = 0
-            for e in b.entries:  # an accepted table never overlaps or leaves a gap
-                assert e.offset == end and e.length >= 1
-                end += e.length
+            for _, off, n in b.table.tolist():  # an accepted table never overlaps or leaves a gap
+                assert off == end and n >= 1
+                end += n
             # ... and lists each tile once, continuing one only in its first entry
-            assert len({e.tile_id for e in b.entries}) == len(b.entries)
-            assert not any(e.continuation for e in b.entries[1:])
+            ids = b.table["id"]
+            assert len(set((ids & (binpack._CONT_BIT - 1)).tolist())) == len(ids)
+            assert not any(ids[1:] & binpack._CONT_BIT)
             assert all(isinstance(raw, np.ndarray) for raw in binpack.unpack_bins([b]))
         except NeuroPlugError:
             pass

@@ -34,7 +34,7 @@ from neuroplug.tracegen import (
 )
 
 from oracles import (additive_cm_loop, baseline_trace_loop, coalesced_raw_chunks,
-                     generate_weights_lexsort)
+                     generate_weights_lexsort, strip_dummies)
 
 
 def tiny_net(k=1, c=1, h=4, w=4, r=1, s=1, pad=0, layers=1):
@@ -312,7 +312,8 @@ class TestModelStore:
     @staticmethod
     def toy_models():
         """toy-sparse at seed 1 (A), at seed 2 (B), with a denser last
-        layer (C) and retiled (D)."""
+        layer (C) and retiled (D, the same model as A: the tiling does not
+        enter the weights)."""
         net = model.load_network("toy-sparse")
         sparser = NetworkSpec(layers=net.layers[:-1] + [
             dataclasses.replace(net.layers[-1], sparsity=net.layers[-1].sparsity / 2)])
@@ -336,8 +337,9 @@ class TestModelStore:
             assert len(data.weights) == len(fresh) == len(lexsort)
             for got, want, oracle in zip(data.weights, fresh, lexsort):
                 assert got.tobytes() == want.tobytes() == oracle.tobytes()
-        # a model is generated again each time the key changes, and only then
-        changes = 1 + sum(a != b for a, b in zip(sequence, sequence[1:]))
+        # a model is generated again each time the model changes, and only then
+        held = sequence.replace("D", "A")
+        changes = 1 + sum(a != b for a, b in zip(held, held[1:]))
         assert len(generated) == changes
 
     def test_holds_only_the_last_model(self, generated):
@@ -351,10 +353,28 @@ class TestModelStore:
             tracegen.compute_net_data(net, toy_input(net), seed)
         gc.collect()
         assert first() is None
-        assert tracegen._held.key == (tuple(net.layers), seed)
+        assert tracegen._held.key == (tuple((layer.shape, layer.sparsity) for layer in net.layers),
+                                      seed)
         net, seed = models["A"]
         tracegen.compute_net_data(net, toy_input(net), seed)
         assert len(generated) == 4
+
+    def test_retiled_net_shares_the_model(self, generated):
+        # the weights and the weight tiles depend on each layer's shape and
+        # sparsity only, so a retiled net takes both from the store
+        net = model.load_network("toy-sparse")
+        first = prepare_neuroplug(net, toy_input(net, 1), 4)
+        second = prepare_neuroplug(retiled(net), toy_input(net, 1), 4)
+        assert len(generated) == 1
+        lexsort = generate_weights_lexsort(net, 4)
+        for a, b, oracle in zip(first.data.weights, second.data.weights, lexsort, strict=True):
+            assert a is b
+            assert a.tobytes() == oracle.tobytes()
+        for a, b, oracle in zip(first.weight_tiles, second.weight_tiles, lexsort, strict=True):
+            assert all(x is y for x, y in zip(a, b, strict=True))
+            rows = oracle.view(np.uint8).reshape(len(oracle), -1)
+            assert [t.payload.tobytes() for t in a] == [
+                binpack.compress_tile(row).payload.tobytes() for row in rows]
 
     def test_shared_arrays_are_read_only(self, generated):
         net = model.load_network("toy-sparse")
@@ -458,7 +478,9 @@ class TestNeuroPlug:
         assert not np.any(a.trace.digest[:n] == b.trace.digest[:n])
 
     def test_pipeline_roundtrip_through_bins(self):
-        # layer-0 bins, unpacked, reproduce the exact input bytes
+        # layer-0 bins and their parsed wire images unpack to the same
+        # dummied chunks, and the tiles' spans strip them to the exact
+        # input bytes
         net = model.load_network("toy-sparse")
         inp = model.generate_input(net.layers[0].shape, 7)
         key = np_key()
@@ -467,7 +489,13 @@ class TestNeuroPlug:
             tiles, key.bin_cfg, key.noise, np.random.default_rng(0), assemble=True
         )
         chunks = binpack.unpack_bins(bins)
-        got = np.concatenate(chunks)
+        parsed = [binpack.bin_from_bytes(b.to_bytes(key.bin_cfg), key.bin_cfg, b.index)
+                  for b in bins]
+        assert np.concatenate(chunks).tobytes() == np.concatenate(
+            binpack.unpack_bins(parsed)).tobytes()
+        assert sum(c.size for c in chunks) == inp.values.size + key.noise.dummy_bytes_first_layer
+        got = np.concatenate([strip_dummies(c, t.dummy_spans)
+                              for c, t in zip(chunks, tiles, strict=True)])
         walk, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
         np.testing.assert_array_equal(got, sfc.curve_image(inp.values, walk))
         assert got.size == inp.values.size  # every input byte is in the stream
@@ -778,7 +806,7 @@ def test_pinned_bin_images():
     key = np_key()
     bins, _ = binpack.pack_bins(cache.fmap_tiles[0], key.bin_cfg, key.noise,
                                 np.random.default_rng([key.seed, 0, 0, 0xB2]), "fmap1")
-    assert any(e.continuation for b in bins for e in b.entries)
+    assert any(ident & binpack._CONT_BIT for b in bins for ident in b.table["id"])
     images = b"".join(b.to_bytes(key.bin_cfg) for b in bins)
     assert len(bins) == 9
     assert hashlib.blake2b(images, digest_size=16).hexdigest() == "eceb5975777e8f8933489d65fa8085e0"

@@ -1,6 +1,7 @@
 """The benchmark's per-layer tracer wraps functions of `neuroplug` by name;
 a name that disappears from the package breaks every traced benchmark run,
-and one its workloads, freezer or worker read breaks the benchmark itself.
+and one its workloads, freezer or worker read breaks the benchmark itself,
+as does a call of theirs whose arguments no longer bind.
 Its attack workload leaks constants of `neuroplug` to the Kerckhoff attacker,
 which must equal the constants the traces are built with.  Conversely, every
 public name of the package must have a caller in the package or the
@@ -9,6 +10,7 @@ benchmark, not only in tests."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from neuroplug import binpack, model, tracegen
@@ -67,19 +69,56 @@ def test_benchmark_leaks_match_constants():
                                                       "jitter_lo": tracegen.JITTER[0]}
 
 
+def _api_ref(node):
+    """(module, name) if node reads `module.name` of one of API_MODULES."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in API_MODULES):
+        return node.value.id, node.attr
+    return None
+
+
+def _api_calls(tree, where):
+    """Every call of a `module.name` in tree, with its argument count and
+    keyword names: direct calls, and `ops.run(module.name, describe, *args)`,
+    which calls module.name(*args).  Calls that unpack * or ** are left out."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args, keywords = node.func, node.args, node.keywords
+        if isinstance(func, ast.Attribute) and func.attr == "run" and args and _api_ref(args[0]):
+            func, args, keywords = args[0], args[2:], []
+        ref = _api_ref(func)
+        if (ref and not any(isinstance(a, ast.Starred) for a in args)
+                and all(k.arg for k in keywords)):
+            calls.append((f"{where}:{node.lineno}", ref, len(args), [k.arg for k in keywords]))
+    return calls
+
+
 def test_benchmark_api_exists():
     # every `module.name` the benchmark reads of these modules, found by
-    # reading its source, not by running it
-    refs = set()
+    # reading its source, not by running it; and every call of one binds to
+    # the callee's signature, so a renamed or dropped parameter fails here
+    refs, calls = set(), []
     for path in API_USERS:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in API_MODULES):
-                refs.add((node.value.id, node.attr))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refs.update(ref for ref in map(_api_ref, ast.walk(tree)) if ref)
+        calls += _api_calls(tree, path.name)
     assert {module for module, _ in refs} == set(API_MODULES)
     missing = [f"{module}.{attr}" for module, attr in sorted(refs)
                if not hasattr(importlib.import_module(f"neuroplug.{module}"), attr)]
     assert missing == []
+    unbound = []
+    for where, (module, attr), n_args, keywords in calls:
+        callee = getattr(importlib.import_module(f"neuroplug.{module}"), attr)
+        try:
+            inspect.signature(callee).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where} {module}.{attr}: {exc}")
+    assert unbound == []
+    # the scan sees the calls a signature change would break
+    assert {("binpack", "pack_bins"), ("binpack", "bin_from_bytes"),
+            ("tracegen", "neuroplug_trace")} <= {ref for _, ref, _, _ in calls}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "neuroplug"
