@@ -7,11 +7,13 @@ with the channel groups of one position kept adjacent.  `ifmap_walk` and
 walk order.  Baseline tiles and NeuroPlug storage chunks are slices of
 that image, so it is the only place a walk turns into bytes.  Execution
 planning picks the capacity case (AllFit, I, II, III) when weights and/or
-inputs overflow the on-chip capacity, and owns the chopping of the layer's
-real ifmap bin count into the groups read between weight passes (tau
-passes in case III, over eta stored weight copies); `neuroplug_trace`
-emits exactly that schedule.  Elements are int8, so every size here is
-an element count and a byte count at once.
+inputs overflow the on-chip capacity.  The case is decided once, in
+`plan_execution`, and the plan owns the layer's read order: the weight
+partition, the chopping of the layer's real ifmap bin count into groups,
+and the eta stored weight copies the passes cycle through.
+`ExecutionPlan.passes` lists that order, and `neuroplug_trace` emits it
+without knowing the case.  Elements are int8, so every size here is an
+element count and a byte count at once.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ CASE_II = "II"
 CASE_III = "III"
 
 
-def grid_dims(shape_h: int, shape_w: int, channels: int, th: int, tw: int, tc: int):
-    """(n_rows, n_cols, n_chan_groups) with ceil division for remainders."""
-    return (math.ceil(shape_h / th), math.ceil(shape_w / tw), math.ceil(channels / tc))
-
-
-def ofmap_tile_dims(layer: LayerShape, tiling: TilingSpec):
-    """Spatial tile dims of the pooled output walk."""
-    th_out = max(1, tiling.th // layer.pool)
-    tw_out = max(1, tiling.tw // layer.pool)
-    return th_out, tw_out
-
-
 def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
     """Deep tiles in curve order: rows outer, cols inner, channel groups innermost.
 
@@ -51,17 +41,13 @@ def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
     offsets are running sums of the actual tile bytes; any tiling of the
     same tensor covers the identical byte extent.
     """
-    n_rows, n_cols, n_groups = grid_dims(h, w, ch, th, tw, tch)
     out = []
     offset = 0
-    for row in range(n_rows):
-        r0 = row * th
+    for r0 in range(0, h, th):
         r1 = min(h, r0 + th)
-        for col in range(n_cols):
-            w0 = col * tw
+        for w0 in range(0, w, tw):
             w1 = min(w, w0 + tw)
-            for g in range(n_groups):
-                lo = g * tch
+            for lo in range(0, ch, tch):
                 hi = min(ch, lo + tch)
                 actual = (hi - lo) * (r1 - r0) * (w1 - w0)
                 out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
@@ -76,8 +62,8 @@ def ifmap_walk(layer: LayerShape, tiling: TilingSpec):
 
 def ofmap_walk(layer: LayerShape, tiling: TilingSpec):
     """Write order of the pooled output; same walk shape as an ifmap read."""
-    th_out, tw_out = ofmap_tile_dims(layer, tiling)
-    return _walk(layer.p_out, layer.q_out, layer.k, th_out, tw_out, tiling.tk)
+    return _walk(layer.p_out, layer.q_out, layer.k,
+                 max(1, tiling.th // layer.pool), max(1, tiling.tw // layer.pool), tiling.tk)
 
 
 def curve_image(tensor: np.ndarray, walk) -> np.ndarray:
@@ -109,6 +95,18 @@ class ExecutionPlan:
         if not 1 <= self.eta <= self.tau:
             raise PlanningError(f"eta={self.eta} must lie in [1, tau={self.tau}]")
 
+    def passes(self) -> list[tuple[str, int]]:
+        """The layer's read order: ("ifmap", group) and ("filter", stored copy).
+
+        Case II holds the weights on chip and streams the ifmap groups past
+        them, so it reads its weights first; every other case reads a weight
+        pass after each ifmap group, pass p reading stored copy p mod eta.
+        """
+        groups = range(len(self.ifmap_bin_groups))
+        if self.case == CASE_II:
+            return [("filter", 0)] + [("ifmap", g) for g in groups]
+        return [read for g in groups for read in (("ifmap", g), ("filter", g % self.eta))]
+
     def to_json(self) -> dict:
         return {
             "case": self.case,
@@ -126,17 +124,15 @@ def _noise_int(rng: np.random.Generator, spread: float) -> int:
     return int(binpack.half_normal(rng, sigma, 3 * spread))
 
 
-def _random_composition(
-    rng: np.random.Generator, total: int, parts: int, part_cap: int | None = None
-) -> list[int]:
-    """Uniform composition of total into parts >= 1, optionally capped per part."""
+def _random_composition(rng: np.random.Generator, total: int, parts: int, cap: int) -> list[int]:
+    """Uniform composition of total into parts >= 1, each at most cap."""
     if parts <= 1:
         return [total]
     for _ in range(16):
         cuts = np.sort(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
         edges = np.concatenate(([0], cuts, [total]))
         comp = np.diff(edges).astype(int).tolist()
-        if part_cap is None or max(comp) <= part_cap:
+        if max(comp) <= cap:
             return comp
     # even split always satisfies the cap whenever parts * cap >= total
     base, extra = divmod(total, parts)
@@ -151,7 +147,7 @@ def ifmap_bytes(layer: LayerShape) -> int:
     return layer.c * layer.h * layer.w
 
 
-def deep_tile_bytes(layer: LayerShape, tiling: TilingSpec) -> int:
+def deep_tile_bytes(tiling: TilingSpec) -> int:
     return tiling.tc * tiling.th * tiling.tw
 
 
@@ -165,53 +161,50 @@ def plan_execution(
 ) -> ExecutionPlan:
     """Choose the capacity case and randomized partitions for one layer.
 
-    The case is chosen on raw byte footprints; the ifmap groups chop the
-    layer's real input bin count, ifmap_bins.  The ofmap partition count
-    and the unroll factor are random variables drawn from the same
-    sampler family as the bin noise, so the plan is a per-run secret.
+    The case is chosen on raw byte footprints and sets two on-chip budgets,
+    one for weights and one for ifmap bins; a budget is None where that
+    stream fits whole.  Weights with a budget stream in randomly many parts
+    of output maps; ifmap bins with one are chopped into groups of the
+    layer's real input bin count, ifmap_bins.  The part count and the
+    unroll factor eta are random variables drawn from the same sampler
+    family as the bin noise, so the plan is a per-run secret.  Draws come
+    in one order: the partition seed, the partition, then eta.
     """
     w_bytes = weight_bytes(layer)
     i_bytes = ifmap_bytes(layer)
-    tile_bytes = deep_tile_bytes(layer, tiling)
+    tile_bytes = deep_tile_bytes(tiling)
     if npu_capacity_bytes < max(tile_bytes, bin_size):
         raise PlanningError(
             f"capacity {npu_capacity_bytes} below one deep tile ({tile_bytes}) or bin ({bin_size})"
         )
     seed = int(rng.integers(0, 2**31 - 1))
 
-    kernel_bytes = layer.c * layer.r * layer.s
-    weights_fit = w_bytes + tile_bytes <= npu_capacity_bytes
-    both_fit = w_bytes + i_bytes <= npu_capacity_bytes
-    ifmap_fits = i_bytes + tile_bytes <= npu_capacity_bytes
-
-    if both_fit:
-        plan = ExecutionPlan(CASE_ALL_FIT, [layer.k], [ifmap_bins], 1, 1, seed)
-    elif not weights_fit and ifmap_fits:
-        # case I: stream the weights in n randomly sized chunks of output maps
-        headroom = npu_capacity_bytes - i_bytes
-        k_cap = max(1, headroom // kernel_bytes)
-        n_min = max(2, math.ceil(layer.k / k_cap))
-        n = min(layer.k, n_min + _noise_int(rng, 1.5))
-        partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
-        plan = ExecutionPlan(CASE_I, partition, [ifmap_bins], 1, 1, seed)
-    elif weights_fit:
-        # case II: chop the ifmap walk into groups of bins that fit beside the weights
-        g_max = max(1, (npu_capacity_bytes - w_bytes) // bin_size)
-        groups = _chop(ifmap_bins, g_max)
-        plan = ExecutionPlan(CASE_II, [layer.k], groups, 1, 1, seed)
+    if w_bytes + i_bytes <= npu_capacity_bytes:
+        case, w_budget, i_budget = CASE_ALL_FIT, None, None
+    elif w_bytes + tile_bytes <= npu_capacity_bytes:
+        # case II: the weights stay on chip beside groups of ifmap bins
+        case, w_budget, i_budget = CASE_II, None, npu_capacity_bytes - w_bytes
+    elif i_bytes + tile_bytes <= npu_capacity_bytes:
+        # case I: the ifmap stays on chip and the weights stream in parts
+        case, w_budget, i_budget = CASE_I, npu_capacity_bytes - i_bytes, None
     else:
-        # case III: both overflow; weights streamed per ifmap group, unrolled
+        # case III: both overflow and share the capacity half and half
         half = npu_capacity_bytes // 2
-        k_cap = max(1, half // kernel_bytes)
+        case, w_budget, i_budget = CASE_III, half, half
+
+    partition = [layer.k]
+    if w_budget is not None:
+        k_cap = max(1, w_budget // (layer.c * layer.r * layer.s))
         n_min = max(2, math.ceil(layer.k / k_cap))
         n = min(layer.k, n_min + _noise_int(rng, 1.5))
-        partition = _random_composition(rng, layer.k, n, part_cap=k_cap)
-        g_max = max(1, half // bin_size)
-        groups = _chop(ifmap_bins, g_max)
+        partition = _random_composition(rng, layer.k, n, k_cap)
+    groups = [ifmap_bins] if i_budget is None else _chop(ifmap_bins, max(1, i_budget // bin_size))
+    tau = eta = 1
+    if case == CASE_III:
+        # weights streamed per ifmap group, unrolled over eta stored copies
         tau = len(groups)
-        eta = 1 + _noise_int(rng, 1.0)
-        eta = max(1, min(eta, tau))
-        plan = ExecutionPlan(CASE_III, partition, groups, tau, eta, seed)
+        eta = max(1, min(1 + _noise_int(rng, 1.0), tau))
+    plan = ExecutionPlan(case, partition, groups, tau, eta, seed)
     plan.validate(layer.k)
     return plan
 

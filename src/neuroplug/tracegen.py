@@ -397,7 +397,7 @@ def _additive_edits(arr: np.ndarray, net: NetworkSpec, cm_model: str, rng):
             # a hardwired constant plus small zero-mean jitter of extra reads
             # that extend the layer's input region, so that their addresses
             # look like real input traffic
-            cap = sfc.deep_tile_bytes(layer.shape, layer.tiling)
+            cap = sfc.deep_tile_bytes(layer.tiling)
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             offs = np.arange(0, total, cap)
             rows = np.repeat(arr[reads[-1:]], offs.size)
@@ -411,7 +411,7 @@ def _additive_edits(arr: np.ndarray, net: NetworkSpec, cm_model: str, rng):
             # again byte-identical beside the genuinely new half, so a
             # re-read filter alone keeps every write.  Replacing everything
             # from the first write to the last also drops the later
-            # k-blocks' reads between them (ROADMAP item 6); keeping them
+            # k-blocks' reads between them (ROADMAP item 1); keeping them
             # moves the attack-vgg16-32 golden records.
             w = arr[writes]
             h = writes.size // 2
@@ -590,8 +590,7 @@ def neuroplug_trace(
                    for p_idx, (lo, hi) in enumerate(k_bounds)] for copy in range(plan.eta)]
         reports += [report for _, report in packed[0]]
         copy_bins = [sum(n for n, _ in parts) for parts in packed]
-        copy_start = list(itertools.accumulate(copy_bins, initial=0))
-        streams.append(StreamBins(i, "filter", copy_start[-1]))
+        streams.append(StreamBins(i, "filter", sum(copy_bins)))
 
         stored[i + 1], report = pack(cache.fmap_tiles[i], f"fmap{i + 1}", i, 0xB2)
         reports.append(report)
@@ -602,20 +601,13 @@ def neuroplug_trace(
             if dst == i:
                 emit_bins(OP_READ, fmap_base(src + 1), stored[src + 1], region_tag=src + 1)
 
-        def read_filter_pass(pass_idx: int):
-            copy = pass_idx % plan.eta
-            emit_bins(OP_READ, weight_base(i), copy_bins[copy], region_tag=-(i + 1),
-                      start=copy_start[copy])
-
-        # case II holds the weights on chip and streams the ifmap groups past
-        # them; every other case reads a weight pass after each ifmap group
-        if plan.case == sfc.CASE_II:
-            read_filter_pass(0)
-        groups = plan.ifmap_bin_groups
-        for pass_idx, (g, start) in enumerate(zip(groups, itertools.accumulate(groups, initial=0))):
-            emit_bins(OP_READ, fmap_base(i), g, region_tag=i, start=start)
-            if plan.case != sfc.CASE_II:
-                read_filter_pass(pass_idx)
+        # the plan's read order: ifmap groups and stored weight copies, each
+        # a run of bins that starts where the stream's earlier ones end
+        reads = {"ifmap": (fmap_base(i), i, plan.ifmap_bin_groups),
+                 "filter": (weight_base(i), -(i + 1), copy_bins)}
+        for stream, idx in plan.passes():
+            base, region_tag, counts = reads[stream]
+            emit_bins(OP_READ, base, counts[idx], region_tag, start=sum(counts[:idx]))
         emit_bins(OP_WRITE, fmap_base(i + 1), stored[i + 1], region_tag=i + 1)
 
     return NeuroPlugRun(trace=_build(rows), streams=streams, plans=plans, reports=reports)

@@ -21,7 +21,7 @@ from neuroplug.binpack import (
     half_normal,
     table_bytes,
 )
-from neuroplug.errors import ConfigError, DomainError
+from neuroplug.errors import ConfigError, DomainError, PlanningError
 from neuroplug.mellin import GridPdf, MellinFn
 from neuroplug.tracegen import (
     CHUNK_TARGET,
@@ -813,3 +813,58 @@ def network_to_json(net) -> dict:
             }
         )
     return {"name": net.name, "layers": layers, "skips": [list(p) for p in net.skips]}
+
+
+# ---------------------------------------------------------------------------
+# execution planning: one branch per capacity case, each drawing its own
+# partition, which neuroplug.sfc's one weight and one ifmap budget replaced
+
+
+def plan_execution_cases(layer, tiling, npu_capacity_bytes, rng, bin_size, ifmap_bins):
+    """The capacity case and randomized partitions for one layer, chosen
+    branch by branch on raw byte footprints; the same draws as
+    `sfc.plan_execution`."""
+    w_bytes = sfc.weight_bytes(layer)
+    i_bytes = sfc.ifmap_bytes(layer)
+    tile_bytes = tiling.tc * tiling.th * tiling.tw
+    if npu_capacity_bytes < max(tile_bytes, bin_size):
+        raise PlanningError(
+            f"capacity {npu_capacity_bytes} below one deep tile ({tile_bytes}) or bin ({bin_size})"
+        )
+    seed = int(rng.integers(0, 2**31 - 1))
+
+    kernel_bytes = layer.c * layer.r * layer.s
+    weights_fit = w_bytes + tile_bytes <= npu_capacity_bytes
+    both_fit = w_bytes + i_bytes <= npu_capacity_bytes
+    ifmap_fits = i_bytes + tile_bytes <= npu_capacity_bytes
+
+    if both_fit:
+        plan = sfc.ExecutionPlan(sfc.CASE_ALL_FIT, [layer.k], [ifmap_bins], 1, 1, seed)
+    elif not weights_fit and ifmap_fits:
+        # case I: stream the weights in n randomly sized chunks of output maps
+        headroom = npu_capacity_bytes - i_bytes
+        k_cap = max(1, headroom // kernel_bytes)
+        n_min = max(2, math.ceil(layer.k / k_cap))
+        n = min(layer.k, n_min + sfc._noise_int(rng, 1.5))
+        partition = sfc._random_composition(rng, layer.k, n, k_cap)
+        plan = sfc.ExecutionPlan(sfc.CASE_I, partition, [ifmap_bins], 1, 1, seed)
+    elif weights_fit:
+        # case II: chop the ifmap walk into groups of bins that fit beside the weights
+        g_max = max(1, (npu_capacity_bytes - w_bytes) // bin_size)
+        groups = sfc._chop(ifmap_bins, g_max)
+        plan = sfc.ExecutionPlan(sfc.CASE_II, [layer.k], groups, 1, 1, seed)
+    else:
+        # case III: both overflow; weights streamed per ifmap group, unrolled
+        half = npu_capacity_bytes // 2
+        k_cap = max(1, half // kernel_bytes)
+        n_min = max(2, math.ceil(layer.k / k_cap))
+        n = min(layer.k, n_min + sfc._noise_int(rng, 1.5))
+        partition = sfc._random_composition(rng, layer.k, n, k_cap)
+        g_max = max(1, half // bin_size)
+        groups = sfc._chop(ifmap_bins, g_max)
+        tau = len(groups)
+        eta = 1 + sfc._noise_int(rng, 1.0)
+        eta = max(1, min(eta, tau))
+        plan = sfc.ExecutionPlan(sfc.CASE_III, partition, groups, tau, eta, seed)
+    plan.validate(layer.k)
+    return plan

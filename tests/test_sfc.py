@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neuroplug import sfc
 from neuroplug.errors import PlanningError
 from neuroplug.model import LayerShape, TilingSpec
+
+from oracles import plan_execution_cases
 
 
 def layer(h=8, w=8, c=4, k=4, r=3, s=3, pad=1, pool=1):
@@ -135,6 +139,79 @@ class TestPlanExecution:
             np.random.default_rng(s), bin_size=2048, ifmap_bins=79,
         )
         assert mk(7).to_json() == mk(7).to_json()
+
+
+@st.composite
+def plan_inputs(draw):
+    """A layer and a valid tiling, a bin size, a capacity from just below
+    the planner's floor (one deep tile or bin) to that floor plus twice the
+    layer's weight and ifmap bytes, a real ifmap bin count and a seed."""
+    k, c, h, w = (draw(st.integers(1, n)) for n in (128, 128, 64, 64))
+    r = draw(st.sampled_from([1, 3, 5]))
+    lay = layer(h=h, w=w, c=c, k=k, r=r, s=r, pad=r // 2)
+    til = TilingSpec(*(draw(st.integers(1, n)) for n in (k, c, h, w)))
+    bin_size = draw(st.integers(64, 16384))
+    floor = max(sfc.deep_tile_bytes(til), bin_size)
+    cap = floor + draw(st.integers(-16, 2 * (sfc.weight_bytes(lay) + sfc.ifmap_bytes(lay))))
+    return lay, til, cap, bin_size, draw(st.integers(0, 100)), draw(st.integers(0, 2**32 - 1))
+
+
+# (layer, tiling, capacity, bin size, ifmap bins, seed) per capacity case
+CASE_EXAMPLES = {
+    sfc.CASE_ALL_FIT: (layer(c=4, k=4), TilingSpec(4, 4, 4, 4), 1 << 20, 4096, 3, 0),
+    sfc.CASE_I: (layer(c=64, k=64), TilingSpec(64, 64, 4, 4), 18432, 2048, 2, 1),
+    sfc.CASE_II: (layer(h=64, w=64, c=16, k=4), TilingSpec(4, 16, 8, 8), 20000, 2048, 39, 2),
+    sfc.CASE_III: (layer(h=64, w=64, c=32, k=64), TilingSpec(64, 32, 8, 8), 16384, 2048, 79, 3),
+}
+
+
+def planned(planner, args):
+    """A planner's plan (or PlanningError message) and its generator's state after."""
+    lay, til, cap, bin_size, ifmap_bins, seed = args
+    rng = np.random.default_rng(seed)
+    try:
+        out = planner(lay, til, cap, rng, bin_size, ifmap_bins).to_json()
+    except PlanningError as exc:
+        out = f"PlanningError: {exc}"
+    return out, rng.bit_generator.state
+
+
+class TestPlanAgainstCaseOracle:
+    """One weight budget and one ifmap budget plan exactly as the planner
+    with a branch per case: the same plan, the same PlanningError and the
+    same draws, read from the generator's state after the call."""
+
+    @pytest.mark.parametrize("case", list(CASE_EXAMPLES))
+    def test_each_case(self, case):
+        got = planned(sfc.plan_execution, CASE_EXAMPLES[case])
+        assert got[0]["case"] == case
+        assert got == planned(plan_execution_cases, CASE_EXAMPLES[case])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(args=plan_inputs())
+    @example(args=CASE_EXAMPLES[sfc.CASE_ALL_FIT])
+    @example(args=CASE_EXAMPLES[sfc.CASE_I])
+    @example(args=CASE_EXAMPLES[sfc.CASE_II])
+    @example(args=CASE_EXAMPLES[sfc.CASE_III])
+    @example(args=(*CASE_EXAMPLES[sfc.CASE_III][:4], 0, 5))  # no ifmap bins: one empty group
+    @example(args=(*CASE_EXAMPLES[sfc.CASE_III][:2], 16383, 2048, 79, 3))  # halves round down
+    @example(args=(layer(), TilingSpec(4, 4, 4, 4), 32, 2048, 1, 0))  # below one bin
+    def test_same_plan_and_draws(self, args):
+        assert planned(sfc.plan_execution, args) == planned(plan_execution_cases, args)
+
+
+class TestPasses:
+    def test_case_two_reads_weights_first(self):
+        plan = sfc.ExecutionPlan(sfc.CASE_II, [4], [9, 9, 3], 1, 1, 0)
+        assert plan.passes() == [("filter", 0), ("ifmap", 0), ("ifmap", 1), ("ifmap", 2)]
+
+    def test_other_cases_read_copy_p_mod_eta_after_each_group(self):
+        plan = sfc.ExecutionPlan(sfc.CASE_III, [30, 34], [4, 4, 3], 3, 2, 0)
+        assert plan.passes() == [("ifmap", 0), ("filter", 0), ("ifmap", 1), ("filter", 1),
+                                 ("ifmap", 2), ("filter", 0)]
+        for case in (sfc.CASE_ALL_FIT, sfc.CASE_I):
+            plan = sfc.ExecutionPlan(case, [64], [5], 1, 1, 0)
+            assert plan.passes() == [("ifmap", 0), ("filter", 0)]
 
 
 class TestOfmapMatchesNextIfmap:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import weakref
@@ -510,6 +511,19 @@ def one_layer_runs(shape, tiling, npu_capacity, run_indices):
 
 
 @pytest.fixture(scope="module")
+def case_one_runs():
+    """One layer whose weights overflow the NPU beside its ifmap (case I), runs 0-3.
+
+    Weights 36,864 B on 18,432 B: 24 output maps fit beside the 4,096 B
+    ifmap, so the weights stream in at least three parts."""
+    shape = LayerShape(k=64, c=64, h=8, w=8, r=3, s=3, pad=1)
+    runs = one_layer_runs(shape, TilingSpec(64, 64, 4, 4), sfc.weight_bytes(shape) // 2, range(4))
+    assert [run.plans[0].case for run in runs] == [sfc.CASE_I] * 4
+    assert [len(run.plans[0].ofmap_partition) for run in runs] == [3, 3, 5, 4]
+    return runs
+
+
+@pytest.fixture(scope="module")
 def case_two_runs():
     """One layer whose ifmap overflows the NPU beside its weights (case II), runs 0-3."""
     runs = one_layer_runs(LayerShape(k=4, c=16, h=64, w=64, r=3, s=3, pad=1),
@@ -545,6 +559,17 @@ def read_passes(run):
 
 def trace_digest(run):
     return hashlib.blake2b(run.trace.arr.tobytes(), digest_size=16).hexdigest()
+
+
+class TestCaseOneEmission:
+    def test_pinned_digests(self, case_one_runs):
+        # bit-identity gate: these traces may change only with a deliberate schedule change
+        assert [trace_digest(run) for run in case_one_runs] == [
+            "1b6f9b3253f6d47fc2cff51f57589292",
+            "98d3ae0fa54aff8cdff0e1904a2a1fb7",
+            "9495d2cb42c1f6be5d23962a9fb8823a",
+            "bdbcc8f2e63232ff85e3fa35f5cf8174",
+        ]
 
 
 class TestCaseTwoEmission:
@@ -611,16 +636,53 @@ class TestPlanMatchesEmission:
 
     @staticmethod
     def check(run):
-        passes = read_passes(run)
-        for i, plan in enumerate(run.plans):
+        """Layer by layer, the reads are plan.passes() expanded to bins: an
+        ifmap pass reads its group's bins, a weight pass one whole stored
+        copy, and the copies lie back to back in copy order."""
+        bin_size = int(run.trace.size[0])
+        # a layer's events end with its output writes
+        ops = run.trace.op
+        ends = np.flatnonzero((ops[:-1] == OP_WRITE) & (ops[1:] == OP_READ)) + 1
+        layers = np.split(run.trace.arr, ends)
+        for i, (plan, events) in enumerate(zip(run.plans, layers, strict=True)):
+            region = events["addr"] >> REGION_SHIFT
+            reads = events[(events["op"] == OP_READ)
+                           & ((region == FMAP_REGION + i) | (region == WEIGHT_REGION + i))]
+            got = [(int(a) >> REGION_SHIFT, (int(a) & ((1 << REGION_SHIFT) - 1)) // bin_size)
+                   for a in reads["addr"]]
+            group_start = list(itertools.accumulate(plan.ifmap_bin_groups, initial=0))
+            copies, pos = {}, 0
+            for stream, idx in plan.passes():
+                if stream == "ifmap":
+                    want = [(FMAP_REGION + i, b)
+                            for b in range(group_start[idx], group_start[idx + 1])]
+                else:
+                    n = next((j for j, (r, _) in enumerate(got[pos:]) if r != WEIGHT_REGION + i),
+                             len(got) - pos)
+                    assert n > 0
+                    want = copies.setdefault(idx, got[pos:pos + n])
+                assert got[pos:pos + len(want)] == want
+                pos += len(want)
+            assert pos == len(got)
             assert sum(plan.ifmap_bin_groups) == run.bins_of(i, "ifmap")
+            assert sorted(copies) == list(range(plan.eta))
+            assert sum((copies[c] for c in range(plan.eta)), []) == [
+                (WEIGHT_REGION + i, b) for b in range(run.bins_of(i, "filter"))]
             if plan.case == sfc.CASE_III:
-                assert plan.tau == sum(r == WEIGHT_REGION + i for r, _ in passes)
+                assert plan.tau == sum(stream == "filter" for stream, _ in plan.passes())
 
     def test_toy_sparse_default_key(self, toy_run):
         net, inp, cache = toy_run
+        cases = set()
         for ridx in range(12):
-            self.check(neuroplug_trace(net, inp, NeuroPlugKey(), run_index=ridx, cache=cache))
+            run = neuroplug_trace(net, inp, NeuroPlugKey(), run_index=ridx, cache=cache)
+            self.check(run)
+            cases.update(plan.case for plan in run.plans)
+        assert sfc.CASE_ALL_FIT in cases
+
+    def test_case_one(self, case_one_runs):
+        for run in case_one_runs:
+            self.check(run)
 
     def test_case_two_and_three(self, case_two_runs, case_three_runs):
         for run in case_two_runs + case_three_runs:
@@ -771,6 +833,10 @@ def run_record(run):
 
 
 PINNED_RUN_RECORDS = {
+    "case I run 0": "e2dedc0d0ceab887b1fb7f36a1c700b9",
+    "case I run 1": "9cf88007b5f57c915f880b26844b7902",
+    "case I run 2": "24904a08285fe12a87585bba9443af9a",
+    "case I run 3": "c0b041bd7c21570a1caef5211727dfc9",
     "toy run 0": "083c7ab6f2acc57f2ce4fbb201acd39d",
     "toy run 1": "62a3171e39c47b522f0e43a7f37cac49",
     "toy run 2": "b2e0a7e009905f298e93ee04568358d1",
@@ -785,12 +851,13 @@ PINNED_RUN_RECORDS = {
 }
 
 
-def test_pinned_run_records(case_two_runs, case_three_runs):
+def test_pinned_run_records(case_one_runs, case_two_runs, case_three_runs):
     # bit-identity gate over everything a NeuroPlug run reports next to its trace
     toy = model.load_network("toy-sparse")
     inp = toy_input(toy, 1)
     cache = prepare_neuroplug(toy, inp, model_seed=1)
     runs = {f"toy run {r}": neuroplug_trace(toy, inp, NeuroPlugKey(), r, 1, cache) for r in range(3)}
+    runs.update({f"case I run {r}": run for r, run in enumerate(case_one_runs)})
     runs.update({f"case II run {r}": run for r, run in enumerate(case_two_runs)})
     runs.update({f"case III run {r}": run for r, run in zip((0, 1, 21, 24), case_three_runs)})
     got = {name: digest_json(run_record(run)) for name, run in runs.items()}
