@@ -20,7 +20,10 @@ def conv2d_acc(ifmap, weights, stride, pad):
 
     Exact: every product and partial sum is an integer of magnitude at most
     C*R*S*2**14, far below 2**53, so float64 rounds nothing.  The columns are
-    built for a band of output rows at a time to bound the memory.
+    built for a band of output rows at a time to bound the memory: a band's
+    columns take no more than the larger of _IM2COL_ELEMS elements and the
+    float64 weight matrix the call holds anyway, so a layer with a large
+    weight matrix streams it through few GEMMs.
     """
     C, H, W = ifmap.shape
     K, _, R, S = weights.shape
@@ -32,7 +35,7 @@ def conv2d_acc(ifmap, weights, stride, pad):
     win = win[:, ::stride, ::stride][:, :P, :Q].transpose(0, 3, 4, 1, 2)
     w = weights.reshape(K, C * R * S).astype(np.float64)
     out = np.empty((K, P, Q), dtype=np.int32)
-    band = max(1, _IM2COL_ELEMS // (C * R * S * Q))
+    band = max(1, max(_IM2COL_ELEMS, K * C * R * S) // (C * R * S * Q))
     for p0 in range(0, P, band):
         cols = np.array(win[..., p0 : p0 + band, :], dtype=np.float64)
         out[:, p0 : p0 + band] = (w @ cols.reshape(C * R * S, -1)).reshape(K, -1, Q)
@@ -74,21 +77,19 @@ def rle_encode(data):
     data = np.ascontiguousarray(data, dtype=np.uint8)
     zero = np.concatenate(([False], data == 0, [False]))
     bounds = np.flatnonzero(zero[1:] != zero[:-1])
-    starts, ends = bounds[::2], bounds[1::2]  # zero runs [starts[i], ends[i])
-    # a run emits one (0, len) pair per started 255 zeros, at the pair's
-    # first zero; within counts the pairs before it in the same run
-    pairs = (ends - starts + 254) // 255
-    first = np.cumsum(pairs) - pairs
-    within = np.arange(pairs.sum()) - np.repeat(first, pairs)
-    pair_at = np.repeat(starts, pairs) + 255 * within
+    starts, run = bounds[::2], bounds[1::2] - bounds[::2]  # zero runs [start, start + run)
     # slot 0 of each input byte holds the byte, slot 1 a pair's length;
-    # the nonzero bytes and the pairs, read in order, are the output
+    # the nonzero bytes and the pairs, read in order, are the output.  A
+    # run emits one (0, len) pair per started 255 zeros, at the pair's
+    # first zero: one pass per 255 zeros of the longest run
     slots = np.zeros((data.size, 2), dtype=np.uint8)
     slots[:, 0] = data
-    slots[pair_at, 1] = np.minimum(np.repeat(ends, pairs) - pair_at, 255)
+    for skip in range(0, int(run.max(initial=0)), 255):
+        live = run > skip
+        slots[starts[live] + skip, 1] = np.minimum(run[live] - skip, 255)
     keep = slots != 0
     keep[:, 0] |= keep[:, 1]
-    return slots[keep]
+    return np.compress(keep.ravel(), slots.ravel())
 
 
 def rle_decode(tokens):
@@ -115,14 +116,15 @@ def rle_decode(tokens):
 def huff_encode(tokens, codes, lens):
     """Concatenate the codes of tokens MSB first, zero-padding the last byte."""
     tokens = np.asarray(tokens, dtype=np.intp)
-    lens = np.asarray(lens)
-    maxlen = int(lens.max(initial=0))
-    # per symbol: its code's bits left-aligned in maxlen columns, and which
-    # of those columns the code uses
-    left = np.asarray(codes, dtype=np.uint64) << (maxlen - lens.astype(np.int64)).astype(np.uint64)
-    bits = np.unpackbits(left.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - maxlen :]
-    used = np.arange(maxlen) < lens[:, None]
-    return np.packbits(np.take(bits, tokens, axis=0)[np.take(used, tokens, axis=0)])
+    lens = np.asarray(lens, dtype=np.intp)
+    # per symbol: a row of 64 bits that starts with its code
+    top = np.asarray(codes, dtype=np.uint64) << (64 - lens).astype(np.uint64)
+    rows = np.unpackbits(top.astype(">u8").view(np.uint8))
+    # output bit i is bit i - start of its token's row
+    tok_lens = lens[tokens]
+    at = np.repeat(64 * tokens - (np.cumsum(tok_lens) - tok_lens), tok_lens)
+    at += np.arange(at.size)
+    return np.packbits(rows[at])
 
 
 def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):

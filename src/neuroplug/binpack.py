@@ -1,7 +1,12 @@
 """Tile compression and fixed-size bin packing with keyed empty-space noise.
 
 Tiles are compressed with a zero run-length pass followed by a canonical
-Huffman pass, then packed first-fit in curve order into bins of exactly
+Huffman pass, or stored raw behind a mode byte where that container would
+not be shorter.  The stored decision comes before any Huffman work when a
+floor on the Huffman container from the token counts alone (header and
+code table, plus Shannon's n * H bits and at least a bit per token)
+already reaches the stored size; the container is the same either way.
+Tiles are then packed first-fit in curve order into bins of exactly
 ``bin_size`` bytes.  Every bin reserves a noise-drawn slice of empty space,
 so the observable bin count is an affine function of the true data volume:
 a compression factor times the tile bytes plus keyed additive slack.
@@ -107,65 +112,92 @@ def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
     a weight tie.  That is the merge order of a heap on (weight, id) whose
     leaf ids are the symbols and whose internal ids count up from 256.  While
     a code is too long the frequencies are halved, rounding up, and the tree
-    is rebuilt.
+    is rebuilt.  The merge runs on Python ints.
     """
-    freq = freq.astype(np.int64)
-    lens = np.zeros(256, dtype=np.uint8)
     present = np.flatnonzero(freq)
-    n = present.size
+    weights = freq[present].tolist()
+    lens = np.zeros(256, dtype=np.uint8)
+    n = len(weights)
     if n <= 1:
         lens[present] = 1
         return lens
     while True:
-        order = present[np.argsort(freq[present], kind="stable")]
+        order = sorted(range(n), key=weights.__getitem__)
         # the sentinel weight ends each queue: past the last leaf, and at
         # internal nodes not made yet
-        leaf_w = freq[order].tolist() + [math.inf]
+        leaf_w = [weights[i] for i in order] + [math.inf]
         node_w = [math.inf] * (n - 1)
         # parent of leaves 0..n-1, then of internal nodes 0..n-3 at n + i;
         # internal node n-2 is the root
         parent = [0] * (2 * n - 2)
         li = ni = 0
-        for node in range(n - 1):
-            w = 0
-            for _ in range(2):
-                if leaf_w[li] <= node_w[ni]:
-                    w += leaf_w[li]
-                    parent[li] = node
-                    li += 1
-                else:
-                    w += node_w[ni]
-                    parent[n + ni] = node
-                    ni += 1
+        for node in range(n - 1):  # the two lightest queue heads merge
+            if leaf_w[li] <= node_w[ni]:
+                w = leaf_w[li]
+                parent[li] = node
+                li += 1
+            else:
+                w = node_w[ni]
+                parent[n + ni] = node
+                ni += 1
+            if leaf_w[li] <= node_w[ni]:
+                w += leaf_w[li]
+                parent[li] = node
+                li += 1
+            else:
+                w += node_w[ni]
+                parent[n + ni] = node
+                ni += 1
             node_w[node] = w
         depth = [0] * (n - 1)
         for i in range(n - 3, -1, -1):
             depth[i] = depth[parent[n + i]] + 1
-        leaf_len = np.array(depth)[parent[:n]] + 1
-        if leaf_len.max() <= _MAX_CODE_LEN:
-            lens[order] = leaf_len
+        leaf_len = [depth[p] + 1 for p in parent[:n]]
+        if max(leaf_len) <= _MAX_CODE_LEN:
+            lens[present[order]] = leaf_len
             return lens
-        freq[present] = (freq[present] + 1) >> 1
+        weights = [(w + 1) >> 1 for w in weights]
+
+
+def _canonical_codes(lens: np.ndarray) -> np.ndarray:
+    """Canonical codes (uint64, 0 for absent symbols) of the code lengths.
+
+    As in RFC 1951 section 3.2.2, symbols sorted by (length, symbol) take
+    consecutive codes, lengthened with zeros where the length grows.  So the
+    code of a symbol is the code space that the symbols before it take, in
+    units of its own length: sum over them of 2**(maxlen - length), shifted
+    right by maxlen - its length.  The lengths must satisfy Kraft's
+    inequality.
+    """
+    present = np.flatnonzero(lens)
+    sym_lens = lens[present].tolist()
+    maxlen = max(sym_lens)
+    codes = [0] * len(sym_lens)
+    space = 0  # the code space of the codes so far, in maxlen-bit units
+    for i in sorted(range(len(sym_lens)), key=sym_lens.__getitem__):
+        codes[i] = space >> (maxlen - sym_lens[i])
+        space += 1 << (maxlen - sym_lens[i])
+    out = np.zeros(256, dtype=np.uint64)
+    out[present] = codes
+    return out
 
 
 def _canonical_tables(lens: np.ndarray):
     """Canonical codes plus decode tables (first/count/offset/symtab) per length.
 
-    As in RFC 1951 section 3.2.2: symbols sorted by (length, symbol) take
-    consecutive codes, and the first code of length l is
-    sum over m < l of count[m] * 2**(l - m).  The lengths must satisfy
-    Kraft's inequality.  first and offset are meaningful where count > 0.
+    symtab lists the symbols in code order; the codes of length l are the
+    count[l] consecutive values from first[l], and they decode to
+    symtab[offset[l]:offset[l] + count[l]].  first and offset are
+    meaningful where count > 0.
     """
+    codes = _canonical_codes(lens)
     maxlen = int(lens.max())
     present = np.flatnonzero(lens)
-    symtab = present[np.lexsort((present, lens[present]))]
-    sym_lens = lens[symtab].astype(np.int64)
-    count = np.bincount(sym_lens, minlength=maxlen + 1)
+    symtab = present[np.argsort(lens[present], kind="stable")]
+    count = np.bincount(lens[symtab], minlength=maxlen + 1)
     offset = np.cumsum(count) - count
-    drop = maxlen - np.arange(maxlen + 1)
-    first = (np.cumsum(count << drop) - (count << drop)) >> drop
-    codes = np.zeros(256, dtype=np.uint64)
-    codes[symtab] = first[sym_lens] + np.arange(symtab.size) - offset[sym_lens]
+    # the code of each length's first symbol (clamped where no code has it)
+    first = codes[symtab[np.minimum(offset, symtab.size - 1)]].astype(np.int64)
     return codes, first, count, offset, symtab.astype(np.uint8), maxlen
 
 
@@ -195,21 +227,55 @@ def _varint_decode(data: np.ndarray, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def _size_floor(n_tokens: int, counts: np.ndarray) -> int:
+    """A lower bound on the bytes of an RLE+Huffman container of n_tokens
+    tokens whose symbols occur counts times (counts > 0).
+
+    The header and code table take 2 + len(varint(n)) + 2 * n_sym bytes.
+    Every prefix code spends at least n * H bits on the tokens (Shannon, H
+    their empirical entropy) and at least one bit per token.  The float sum
+    is shrunk by a relative 1e-9, far above its rounding error, so the
+    floor of it never exceeds n * H.
+    """
+    n_h = float((counts * np.log2(n_tokens / counts)).sum())
+    bits = max(n_tokens, math.floor(n_h * (1 - 1e-9)))
+    return 2 + len(_varint_encode(n_tokens)) + 2 * counts.size + (bits + 7) // 8
+
+
+def _rle_huffman(raw: np.ndarray) -> np.ndarray | None:
+    """The RLE+Huffman container of raw, or None where it would take at
+    least raw.size + 1 bytes.  The code lengths are built only when
+    `_size_floor` leaves them a chance, and the bitstream only when the
+    lengths give a container short enough."""
+    tokens = _kernels.rle_encode(raw)
+    freq = np.bincount(tokens, minlength=256)
+    present = np.flatnonzero(freq)
+    if _size_floor(tokens.size, freq[present]) >= raw.size + 1:
+        return None
+    lens = _huffman_lengths(freq)
+    header = bytes([MODE_RLE_HUF]) + _varint_encode(tokens.size) + bytes([present.size - 1])
+    if len(header) + 2 * present.size + (int(freq @ lens) + 7) // 8 >= raw.size + 1:
+        return None
+    bitstream = _kernels.huff_encode(tokens, _canonical_codes(lens), lens)
+    table = np.stack((present, lens[present]), axis=1).astype(np.uint8)
+    return np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
+
+
 def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedTile:
-    """Compress one tile's bytes into a self-describing container."""
+    """Compress one tile's bytes into a self-describing container.
+
+    The container is RLE+Huffman unless that takes at least raw.size + 1
+    bytes; then it is stored mode, one mode byte and the raw bytes.  For n
+    RLE tokens over n_sym symbols with empirical entropy H, the RLE+Huffman
+    container takes at least 2 + len(varint(n)) + 2 * n_sym +
+    ceil(max(n, n * H) / 8) bytes (`_size_floor`); where that floor already
+    reaches raw.size + 1, stored mode is chosen without building a code.
+    """
     raw = np.ascontiguousarray(raw, dtype=np.uint8)
     if raw.size == 0:
         raise DomainError("cannot compress an empty tile")
-    tokens = _kernels.rle_encode(raw)
-    freq = np.bincount(tokens, minlength=256)
-    lens = _huffman_lengths(freq)
-    codes, *_ = _canonical_tables(lens)
-    bitstream = _kernels.huff_encode(tokens, codes, lens)
-    present = np.flatnonzero(lens)
-    header = bytes([MODE_RLE_HUF]) + _varint_encode(tokens.size) + bytes([present.size - 1])
-    table = np.stack((present, lens[present]), axis=1).astype(np.uint8)
-    packed = np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
-    if packed.size >= raw.size + 1:
+    packed = _rle_huffman(raw)
+    if packed is None:
         packed = np.concatenate([np.array([MODE_STORED], dtype=np.uint8), raw])
     return CompressedTile(tile_id=tile_id, raw_size=raw.size, payload=packed,
                           dummy_spans=tuple(dummy_spans))

@@ -265,6 +265,13 @@ def baseline_trace(
     channel group.  Each layer's event table is built once per `data` and
     looked up by later calls (see `NetData`).
     """
+    return _build(np.concatenate(_baseline_tables(net, input_tensor, seed, sparse,
+                                                  observe_values, data)))
+
+
+def _baseline_tables(net: NetworkSpec, input_tensor: Tensor3D, seed: int, sparse: bool,
+                     observe_values: bool, data: NetData | None) -> list[np.ndarray]:
+    """The baseline's per-layer event tables, in layer order."""
     need_values = sparse or observe_values
     if need_values and data is None:
         data = compute_net_data(net, input_tensor, seed)
@@ -280,7 +287,7 @@ def baseline_trace(
         if key not in tables:
             tables[key] = _layer_table(net, i, fmaps, weights, sparse, observe_values)
         layers.append(tables[key])
-    return _build(np.concatenate(layers))
+    return layers
 
 
 def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
@@ -360,30 +367,33 @@ def additive_cm_trace(
         raise ConfigError(f"unknown additive model {cm_model!r}")
     rng = np.random.default_rng([seed, run_index, 0xC3])
     # the layer divider's rewrites repeat the digests of the writes they copy
-    base = baseline_trace(net, input_tensor, seed, sparse,
-                          observe_values or cm_model == "layer-divider", data).arr
+    tables = _baseline_tables(net, input_tensor, seed, sparse,
+                              observe_values or cm_model == "layer-divider", data)
+    base = _build(np.concatenate(tables)).arr
+    # where each layer's events end in base: a row of size 0 is no event
+    ends = np.cumsum([np.count_nonzero(table[:, 2]) for table in tables])
     chunks, pos = [], 0
-    for start, stop, rows in _additive_edits(base, net, cm_model, rng):
+    for start, stop, rows in _additive_edits(base, ends, net, cm_model, rng):
         chunks += [base[pos:start], rows]
         pos = stop
     chunks.append(base[pos:])
     return Trace(np.concatenate(chunks))
 
 
-def _additive_edits(arr: np.ndarray, net: NetworkSpec, cm_model: str, rng):
+def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng):
     """Per layer, one (start, stop, rows) edit: rows replace arr[start:stop].
 
-    Inserted rows are copies of the event they follow, edited, so they are
-    issued at its time.
+    Layer i's events are arr[ends[i - 1]:ends[i]]; its reads of fmap i
+    there are its own, where a later layer's skip re-read of fmap i lies
+    past ends[i].  Inserted rows are copies of the event they follow,
+    edited, so they are issued at its time.
     """
     fmap = fmap_index(arr["addr"])
     for i, layer in enumerate(net.layers):
-        writes = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))
-        reads = np.flatnonzero((arr["op"] == OP_READ) & (fmap == i))
-        if writes.size:
-            # the layer's own reads: a later layer's skip re-read of fmap i
-            # comes after this layer's last output write
-            reads = reads[reads < writes[-1]]
+        lo = ends[i - 1] if i else 0
+        own = arr[lo : ends[i]]
+        writes = lo + np.flatnonzero(own["op"] == OP_WRITE)  # of fmap i + 1
+        reads = lo + np.flatnonzero((own["op"] == OP_READ) & (fmap[lo : ends[i]] == i))
         if cm_model == "dummy-writes" and writes.size:
             # unread dummy writes appended to the layer's output flush
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)

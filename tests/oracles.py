@@ -416,6 +416,7 @@ class _Emitter:
     def __init__(self):
         self.rows = []
         self.clock = 0
+        self.layer_ends = []  # events emitted by the end of each layer
 
     def emit(self, op, addr, size, digest=0):
         self.rows.append((op, addr, size, self.clock, digest))
@@ -425,7 +426,9 @@ class _Emitter:
         self.clock += cycles
 
     def build(self):
-        return Trace(np.array(self.rows, dtype=EVENT_DTYPE))
+        trace = Trace(np.array(self.rows, dtype=EVENT_DTYPE))
+        trace.layer_ends = self.layer_ends
+        return trace
 
 
 def _digest64(data):
@@ -446,7 +449,8 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
     """One event at a time, in loop-nest order: per layer the skip re-reads,
     then per output-map block each channel group's weight block and input
     tiles (each tile advancing the clock by T_TILE), then the block's
-    output tiles; size-0 events are not emitted."""
+    output tiles; size-0 events are not emitted.  The trace's layer_ends
+    lists how many events the layers up to each one emitted."""
     need_values = sparse or observe_values
     if need_values and data is None:
         data = compute_net_data(net, input_tensor, seed)
@@ -497,11 +501,14 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
                 size, dig = _tile_size_digest(out_tensor, sl, actual, sparse, observe_values)
                 if size > 0:
                     em.emit(OP_WRITE, fmap_base(i + 1) + off, size, dig)
+        em.layer_ends.append(len(em.rows))
     return em.build()
 
 
 def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
-    """Each additive model as its own per-layer cut-and-insert over a baseline."""
+    """Each additive model as its own per-layer cut-and-insert over a
+    baseline from baseline_trace_loop, whose layer_ends bound each layer's
+    own events."""
     rng = np.random.default_rng([seed, run_index, 0xC3])
     chunks = []
     pos = 0
@@ -527,9 +534,9 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
         elif cm_model == "const-mean":
             in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_READ) & (region == FMAP_REGION + i))
-            out = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
-            if out.size:
-                idx = idx[idx < out[-1]]  # not a later layer's skip re-read
+            start = base.layer_ends[i - 1] if i else 0
+            # the layer's own reads, not a later layer's skip re-read
+            idx = idx[(idx >= start) & (idx < base.layer_ends[i])]
             if idx.size == 0:
                 continue
             cut = idx[-1] + 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuroplug import _kernels, binpack
+from neuroplug import _kernels, binpack, model, sfc, tracegen
 from neuroplug.errors import IntegrityError, NeuroPlugError
 
 from oracles import (
@@ -24,8 +24,8 @@ from oracles import (
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def oracle_container(raw):
-    """compress_tile's container, built from the oracle loops."""
+def oracle_rle_huffman(raw):
+    """The RLE+Huffman container of raw, built from the oracle loops."""
     tokens = rle_encode_loop(raw)
     lens = huffman_lengths_heapq(np.bincount(tokens, minlength=256))
     codes = canonical_tables_sequential(lens)[0]
@@ -34,7 +34,12 @@ def oracle_container(raw):
     header.append(present.size - 1)
     for s in present:
         header += bytes([int(s), int(lens[s])])
-    packed = bytes(header) + huff_encode_loop(tokens, codes, lens).tobytes()
+    return bytes(header) + huff_encode_loop(tokens, codes, lens).tobytes()
+
+
+def oracle_container(raw):
+    """compress_tile's container, built from the oracle loops."""
+    packed = oracle_rle_huffman(raw)
     if len(packed) >= raw.size + 1:
         packed = bytes([binpack.MODE_STORED]) + raw.tobytes()
     return packed
@@ -108,6 +113,86 @@ class TestAgainstOracles:
     @given(st.binary(min_size=1, max_size=3000))
     def test_arbitrary_bytes(self, raw):
         assert_matches_oracles(np.frombuffer(raw, dtype=np.uint8))
+
+
+def alphabet_tile(rng, size, n_values, zero_share, mean_run):
+    """size bytes drawn from n_values distinct byte values, then zero runs of
+    geometric length (mean mean_run) over about zero_share of them."""
+    values = rng.permutation(256)[:n_values].astype(np.uint8)
+    raw = values[rng.integers(0, n_values, size)]
+    for start in rng.integers(0, size, rng.binomial(size, zero_share / mean_run)):
+        raw[start : start + rng.geometric(1 / mean_run)] = 0
+    return raw
+
+
+def assert_stored_decision(raw):
+    """compress_tile matches the oracle container, and its size floor stays
+    at or below the RLE+Huffman container; returns that container's size
+    less raw.size + 1, the margin of the stored-mode decision."""
+    tokens = rle_encode_loop(raw)
+    counts = np.bincount(tokens)
+    floor = binpack._size_floor(tokens.size, counts[counts > 0])
+    huffman = len(oracle_rle_huffman(raw))
+    assert floor <= huffman
+    assert binpack.compress_tile(raw).payload.tobytes() == oracle_container(raw)
+    return huffman - (raw.size + 1)
+
+
+class TestStoredDecision:
+    """Stored mode is decided from a size floor before Huffman where it can
+    be, and the container must not change for it."""
+
+    @PROPERTY
+    @given(st.integers(1, 600), st.integers(1, 256), st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+           st.sampled_from([1, 4, 40, 300]), st.integers(0, 2**32 - 1))
+    def test_alphabet_tiles(self, size, n_values, zero_share, mean_run, seed):
+        raw = alphabet_tile(np.random.default_rng(seed), size, n_values, zero_share, mean_run)
+        assert_stored_decision(raw)
+
+    # (size, seed, alphabet size) of tiles whose Huffman container lands
+    # within 2 B of raw.size + 1, from a sweep of alphabet sizes
+    @pytest.mark.parametrize("size, seed, n_values, margin", [
+        (6, 0, 1, -1), (20, 1, 77, -1), (64, 2, 14, -1),
+        (20, 0, 5, -2), (64, 1, 14, -2), (200, 2, 32, -2),
+        (20, 1, 13, 0), (20, 2, 4, 0), (600, 0, 85, 0),
+        (6, 1, 2, 1), (6, 0, 134, 1),
+        (20, 1, 5, 2), (64, 0, 13, 2),
+    ])
+    def test_near_threshold(self, size, seed, n_values, margin):
+        raw = alphabet_tile(np.random.default_rng([seed, size, n_values]), size, n_values, 0.2, 4)
+        assert assert_stored_decision(raw) == margin
+
+    @pytest.mark.parametrize("name, every, undecided", [("toy-sparse", 1, 0), ("vgg16-32", 64, 1)])
+    def test_bundled_tiles(self, name, every, undecided):
+        # every weight row and fmap chunk of seed 1: the mode and size
+        # against the oracle's RLE+Huffman size (heapq code lengths on the
+        # RLE kernel's tokens, which the tests above pin to the loop), and
+        # stored tiles, fmap chunks and every `every`-th weight row byte for
+        # byte against oracle_container.  On all of vgg16-32's 4,224 weight
+        # rows (14.7 MB, 42 stored) the byte loops would take about 17 s.
+        # The size floor decides all stored tiles but `undecided` of them
+        net = model.load_network(name)
+        data = tracegen.compute_net_data(net, model.generate_input(net.layers[0].shape, 1), 1)
+        tiles = [row for w in data.weights for row in w.view(np.uint8).reshape(len(w), -1)]
+        n_rows = len(tiles)
+        for fmap, layer in zip(data.fmaps[1:], net.layers):
+            tiles += tracegen._chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])
+        missed = 0
+        for i, raw in enumerate(tiles):
+            raw = np.ascontiguousarray(raw)
+            payload = binpack.compress_tile(raw).payload.tobytes()
+            freq = np.bincount(_kernels.rle_encode(raw), minlength=256)
+            lens = huffman_lengths_heapq(freq)
+            huffman = 2 + len(binpack._varint_encode(int(freq.sum()))) + 2 * np.count_nonzero(lens) \
+                + (int((freq * lens).sum()) + 7) // 8
+            stored = huffman >= raw.size + 1
+            assert payload[0] == (binpack.MODE_STORED if stored else binpack.MODE_RLE_HUF)
+            assert len(payload) == (raw.size + 1 if stored else huffman)
+            if stored or i >= n_rows or i % every == 0:
+                assert payload == oracle_container(raw)
+            if stored:
+                missed += binpack._size_floor(int(freq.sum()), freq[freq > 0]) < raw.size + 1
+        assert missed == undecided
 
 
 class TestHuffmanLengths:

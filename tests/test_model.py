@@ -72,8 +72,24 @@ class TestConvForward:
         rng = np.random.default_rng(8)
         for stride, pad in [(1, 1), (2, 0)]:
             layer = small_layer(k=3, c=2, h=9, w=9, stride=stride, pad=pad)
+            # a band holds at least the weight matrix's K*C*R*S elements;
+            # fewer filters than output columns keep that below one row
+            assert layer.k < layer.q
             ifmap = rng.integers(-128, 128, size=(2, 9, 9), dtype=np.int8)
             w = rng.integers(-128, 128, size=(3, 2, 3, 3), dtype=np.int8)
+            got = model.conv_accumulate(layer, ifmap, w)
+            np.testing.assert_array_equal(got.astype(np.int64), conv_brute(ifmap, w, stride, pad))
+
+    def test_weight_matrix_wider_than_im2col(self, monkeypatch):
+        # more filters than output positions: the band sized by the weight
+        # matrix covers every output row, and more, in one GEMM
+        monkeypatch.setattr(_kernels, "_IM2COL_ELEMS", 1)
+        rng = np.random.default_rng(9)
+        for h, stride, pad in [(5, 1, 1), (7, 2, 0)]:
+            layer = small_layer(k=40, c=2, h=h, w=h, stride=stride, pad=pad)
+            assert layer.k > layer.p * layer.q
+            ifmap = rng.integers(-128, 128, size=(2, h, h), dtype=np.int8)
+            w = rng.integers(-128, 128, size=(40, 2, 3, 3), dtype=np.int8)
             got = model.conv_accumulate(layer, ifmap, w)
             np.testing.assert_array_equal(got.astype(np.int64), conv_brute(ifmap, w, stride, pad))
 

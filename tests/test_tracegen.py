@@ -175,6 +175,33 @@ class TestAdditiveModels:
             last_write = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))[-1]
             assert 0 < layer_pad.size and layer_pad[-1] < last_write
 
+    def test_const_mean_pads_a_silent_layer_inside_it(self):
+        # layer 1's weights are all zero, so a sparse trace holds no weight
+        # read and no output write of it, and layer 2's skip re-reads its
+        # input map.  Layer 1's padding must still follow its own reads,
+        # which end where the trace of the two-layer prefix net ends
+        layers = [Layer(shape=LayerShape(k=4, c=c, h=8, w=8, r=3, s=3, pad=1),
+                        tiling=TilingSpec(tk=2, tc=2, th=4, tw=4), sparsity=sparsity)
+                  for c, sparsity in [(2, 0.0), (4, 0.999), (4, 0.0)]]
+        net = NetworkSpec(layers=layers, skips=[(0, 2)])
+        inp = toy_input(net, 1)
+        data = tracegen.compute_net_data(net, inp, 1)
+        assert data.fmaps[1].any() and not data.weights[1].any() and not data.fmaps[2].any()
+        prefix = baseline_trace(NetworkSpec(layers=layers[:2]), inp, 1, sparse=True,
+                                data=tracegen.NetData(fmaps=data.fmaps[:3], weights=data.weights[:2]))
+        base = baseline_trace(net, inp, 1, sparse=True, data=data).arr
+        arr = additive_cm_trace(net, inp, "const-mean", seed=1, sparse=True, data=data).arr
+        fmap = fmap_index(arr["addr"])
+        pad = np.zeros(len(arr), dtype=bool)
+        for i, layer in enumerate(layers):
+            pad |= (fmap == i) & (arr["addr"] >= fmap_base(i) + sfc.ifmap_bytes(layer.shape))
+        assert arr[~pad].tobytes() == base.tobytes()
+        rereads = (base["op"] == OP_READ) & (fmap_index(base["addr"]) == 1)
+        assert np.any(rereads[len(prefix):])  # the skip re-read
+        at = np.flatnonzero(pad & (fmap == 1))
+        assert at.size and np.array_equal(at, at[0] + np.arange(at.size))
+        assert np.count_nonzero(~pad[: at[0]]) == len(prefix)
+
     def test_layer_divider_repeats_digests(self):
         net = model.load_network("toy-sparse")
         arr = additive_cm_trace(net, toy_input(net, 1), "layer-divider", seed=1).arr

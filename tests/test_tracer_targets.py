@@ -58,6 +58,26 @@ def test_tracer_counts_only_what_runs(monkeypatch):
     assert t["model.conv_forward.calls"] == 2 * len(net.layers)
 
 
+def test_tracer_compression_counts_mean_tiles(monkeypatch):
+    # one compress_tile call per cached tile, and its counts sum the
+    # containers; stored-mode tiles skip huff_encode, so it runs once per
+    # RLE+Huffman container
+    tracer = load(TRACER).Tracer()
+    net = model.load_network("toy-sparse")
+    monkeypatch.setattr(tracegen, "_held", None)
+    with tracer.installed():
+        cache = tracegen.prepare_neuroplug(net, model.generate_input(net.layers[0].shape, 1), 1)
+    tiles = [tile for group in cache.fmap_tiles + cache.weight_tiles for tile in group]
+    stored = sum(int(tile.payload[0] == binpack.MODE_STORED) for tile in tiles)
+    t = tracer.totals
+    assert t["binpack.compress_tile.calls"] == len(tiles)
+    assert t["binpack.compress_tile.stored"] == stored
+    assert t["binpack.compress_tile.raw_bytes"] == sum(tile.raw_size for tile in tiles)
+    assert t["binpack.compress_tile.comp_bytes"] == sum(tile.comp_size for tile in tiles)
+    assert t["kernels.rle_encode.calls"] == len(tiles)
+    assert 0 < stored and t["kernels.huff_encode.calls"] == len(tiles) - stored
+
+
 def test_benchmark_leaks_match_constants():
     # the Kerckhoff attacker of the benchmark is fed these tables; a changed
     # constant in `neuroplug` must not leave it subtracting stale figures
