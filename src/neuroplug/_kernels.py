@@ -127,32 +127,34 @@ def huff_encode(tokens, codes, lens):
     return np.packbits(rows[at])
 
 
-def huff_decode(bits, n_tokens, first, count, offset, symtab, maxlen):
-    """Decode n_tokens symbols, or return None if the bits run out or a code
-    grows past maxlen."""
-    out = np.empty(n_tokens, dtype=np.uint8)
-    code = 0
-    l = 0
-    bi = 0
-    oi = 0
-    nbits = bits.size * 8
-    while oi < n_tokens:
-        if bi >= nbits:
+def huff_decode(bits, n_tokens, count, symtab):
+    """Decode n_tokens canonical codes, MSB first, from count[l], the number
+    of codes of length l, and symtab, the symbols in (length, symbol) order
+    (RFC 1951 section 3.2.2).  The loop of zlib's contrib/puff: first is the
+    first code of the current length and index its symbol's place in
+    symtab.  None if the bits run out or a code matches no length."""
+    stream = np.unpackbits(np.asarray(bits, dtype=np.uint8)).tolist()
+    nbits = len(stream)
+    counts = np.asarray(count).tolist()[1:]  # from length 1 up
+    symtab = np.asarray(symtab).tolist()
+    out = []
+    pos = 0
+    for _ in range(n_tokens):
+        code = first = index = 0
+        for n in counts:
+            if pos == nbits:
+                return None
+            code |= stream[pos]
+            pos += 1
+            if code < first + n:
+                out.append(symtab[index + code - first])
+                break
+            index += n
+            first = (first + n) << 1
+            code <<= 1
+        else:
             return None
-        bit = (int(bits[bi >> 3]) >> (7 - (bi & 7))) & 1
-        bi += 1
-        code = (code << 1) | bit
-        l += 1
-        if l > maxlen:
-            return None
-        if count[l] > 0:
-            idx = code - int(first[l])
-            if 0 <= idx < count[l]:
-                out[oi] = symtab[int(offset[l]) + idx]
-                oi += 1
-                code = 0
-                l = 0
-    return out
+    return np.array(out, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

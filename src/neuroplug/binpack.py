@@ -6,6 +6,9 @@ not be shorter.  The stored decision comes before any Huffman work when a
 floor on the Huffman container from the token counts alone (header and
 code table, plus Shannon's n * H bits and at least a bit per token)
 already reaches the stored size; the container is the same either way.
+The Huffman container lists (symbol, code length) pairs; canonical codes
+follow from them (RFC 1951 section 3.2.2), so the decoder takes only the
+number of codes of each length and the symbols in (length, symbol) order.
 Tiles are then packed first-fit in curve order into bins of exactly
 ``bin_size`` bytes.  Every bin reserves a noise-drawn slice of empty space,
 so the observable bin count is an affine function of the true data volume:
@@ -99,6 +102,10 @@ class CompressedTile:
     payload: np.ndarray
     dummy_spans: tuple = ()  # (offset, length) of dummy bytes in the raw tile
 
+    def __post_init__(self):
+        if self.payload.size == 0:
+            raise DomainError("a compressed tile needs at least one payload byte")
+
     @property
     def comp_size(self) -> int:
         return self.payload.size
@@ -180,25 +187,6 @@ def _canonical_codes(lens: np.ndarray) -> np.ndarray:
     out = np.zeros(256, dtype=np.uint64)
     out[present] = codes
     return out
-
-
-def _canonical_tables(lens: np.ndarray):
-    """Canonical codes plus decode tables (first/count/offset/symtab) per length.
-
-    symtab lists the symbols in code order; the codes of length l are the
-    count[l] consecutive values from first[l], and they decode to
-    symtab[offset[l]:offset[l] + count[l]].  first and offset are
-    meaningful where count > 0.
-    """
-    codes = _canonical_codes(lens)
-    maxlen = int(lens.max())
-    present = np.flatnonzero(lens)
-    symtab = present[np.argsort(lens[present], kind="stable")]
-    count = np.bincount(lens[symtab], minlength=maxlen + 1)
-    offset = np.cumsum(count) - count
-    # the code of each length's first symbol (clamped where no code has it)
-    first = codes[symtab[np.minimum(offset, symtab.size - 1)]].astype(np.int64)
-    return codes, first, count, offset, symtab.astype(np.uint8), maxlen
 
 
 def _varint_encode(n: int) -> bytes:
@@ -305,14 +293,13 @@ def decompress_tile(payload: np.ndarray) -> np.ndarray:
         raise IntegrityError(f"code length outside 1..{_MAX_CODE_LEN}")
     if np.unique(syms).size != n_sym:
         raise IntegrityError("symbol listed twice in the code table")
-    if sum(1 << (_MAX_CODE_LEN - l) for l in sym_lens.tolist()) > 1 << _MAX_CODE_LEN:
+    count = np.bincount(sym_lens).tolist()
+    if sum(n << (_MAX_CODE_LEN - l) for l, n in enumerate(count)) > 1 << _MAX_CODE_LEN:
         raise IntegrityError("code lengths oversubscribe the code space")
     if n_tokens > 8 * (payload.size - pos):
         raise IntegrityError(f"token count {n_tokens} exceeds the payload bits")
-    lens = np.zeros(256, dtype=np.uint8)
-    lens[syms] = sym_lens
-    _, first, count, offset, symtab, maxlen = _canonical_tables(lens)
-    tokens = _kernels.huff_decode(payload[pos:], n_tokens, first, count, offset, symtab, maxlen)
+    symtab = syms[np.lexsort((syms, sym_lens))]
+    tokens = _kernels.huff_decode(payload[pos:], n_tokens, count, symtab)
     if tokens is None:
         raise IntegrityError("corrupt bitstream")
     raw = _kernels.rle_decode(tokens)
@@ -474,10 +461,7 @@ def pack_bins(
             entries.append((tile.tile_id | (_CONT_BIT if start else 0), used, take))
             used += take
             start += take
-    if len(entries) > opened[-1][1]:
-        draw_noise()  # the last bin closes too
-    else:
-        opened.pop()  # no tile holds a byte
+    draw_noise()  # the last bin closes too
 
     table = np.array(entries, dtype=_TABLE_ENTRY)
     image = np.concatenate([t.payload for t in tiles]) if assemble else None

@@ -385,8 +385,10 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
 
     Layer i's events are arr[ends[i - 1]:ends[i]]; its reads of fmap i
     there are its own, where a later layer's skip re-read of fmap i lies
-    past ends[i].  Inserted rows are copies of the event they follow,
-    edited, so they are issued at its time.
+    past ends[i].  Dummy writes follow the layer's last write and
+    const-mean padding its last own read.  A layer without one (a sparse
+    layer whose map is all zero) gets them all the same, after the last
+    event of its span, so that their absence does not show the zero map.
     """
     fmap = fmap_index(arr["addr"])
     for i, layer in enumerate(net.layers):
@@ -394,27 +396,23 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
         own = arr[lo : ends[i]]
         writes = lo + np.flatnonzero(own["op"] == OP_WRITE)  # of fmap i + 1
         reads = lo + np.flatnonzero((own["op"] == OP_READ) & (fmap[lo : ends[i]] == i))
-        if cm_model == "dummy-writes" and writes.size:
+        if cm_model == "dummy-writes":
             # unread dummy writes appended to the layer's output flush
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
-            n = round(DUMMY_RATIO * len(out_tiles))
-            rows = np.repeat(arr[writes[-1:]], n)
-            rows["addr"] = dummy_base(i) + np.arange(n) * out_cap
-            rows["size"] = out_cap
-            rows["digest"] = rng.integers(1, 1 << 63, size=n)
-            yield writes[-1] + 1, writes[-1] + 1, rows
-        elif cm_model == "const-mean" and reads.size:
+            n = max(1, round(DUMMY_RATIO * len(out_tiles)))
+            at = writes[-1] + 1 if writes.size else ends[i]
+            yield at, at, _inserted(arr, at, OP_WRITE, dummy_base(i) + np.arange(n) * out_cap,
+                                    out_cap, rng.integers(1, 1 << 63, size=n))
+        elif cm_model == "const-mean":
             # a hardwired constant plus small zero-mean jitter of extra reads
             # that extend the layer's input region, so that their addresses
             # look like real input traffic
             cap = sfc.deep_tile_bytes(layer.tiling)
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             offs = np.arange(0, total, cap)
-            rows = np.repeat(arr[reads[-1:]], offs.size)
-            rows["addr"] = fmap_base(i) + sfc.ifmap_bytes(layer.shape) + offs
-            rows["size"] = np.minimum(cap, total - offs)
-            rows["digest"] = 0
-            yield reads[-1] + 1, reads[-1] + 1, rows
+            at = reads[-1] + 1 if reads.size else ends[i]
+            yield at, at, _inserted(arr, at, OP_READ, fmap_base(i) + sfc.ifmap_bytes(layer.shape) + offs,
+                                    np.minimum(cap, total - offs), 0)
         elif cm_model == "layer-divider" and writes.size >= 2:
             # two sub-layers with a fake dependence: the first half of the
             # flush is written, read back by the second sub-layer and written
@@ -428,6 +426,14 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
             read_back = w[:h].copy()
             read_back["op"] = OP_READ
             yield writes[0], writes[-1] + 1, np.concatenate([w[:h], read_back, w[:h], w[h:]])
+
+
+def _inserted(arr: np.ndarray, at: int, op: int, addr, size, digest) -> np.ndarray:
+    """Events to insert before arr[at], at the time of the event before it (0 if none)."""
+    rows = np.zeros(len(addr), dtype=EVENT_DTYPE)
+    rows["op"], rows["addr"], rows["size"], rows["digest"] = op, addr, size, digest
+    rows["t"] = arr["t"][at - 1] if at else 0
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from neuroplug import tracegen
+
+# every property test is reproducible and unhurried; each sets only its
+# own max_examples
+settings.register_profile("neuroplug", deadline=None, derandomize=True, database=None)
+settings.load_profile("neuroplug")
 
 
 @pytest.fixture

@@ -198,10 +198,6 @@ def runs_test_reference(bits):
     return math.erfc(num / den)
 
 
-def trapz_mass(x, f):
-    return float(np.trapezoid(f, x))
-
-
 # ---------------------------------------------------------------------------
 # tile compression: the byte-at-a-time and heapq versions of the kernels in
 # neuroplug._kernels and neuroplug.binpack, which must match them bit for bit
@@ -361,6 +357,36 @@ def canonical_tables_sequential(lens):
     return codes, first, count, offset, symtab, maxlen
 
 
+def huff_decode_tables(bits, n_tokens, first, count, offset, symtab, maxlen):
+    """Decode n_tokens symbols one bit at a time with canonical_tables_sequential's
+    tables: the codes of length l are count[l] consecutive values from
+    first[l], decoding to symtab[offset[l]:].  None if the bits run out or a
+    code grows past maxlen."""
+    out = np.empty(n_tokens, dtype=np.uint8)
+    code = 0
+    l = 0
+    bi = 0
+    oi = 0
+    nbits = bits.size * 8
+    while oi < n_tokens:
+        if bi >= nbits:
+            return None
+        bit = (int(bits[bi >> 3]) >> (7 - (bi & 7))) & 1
+        bi += 1
+        code = (code << 1) | bit
+        l += 1
+        if l > maxlen:
+            return None
+        if count[l] > 0:
+            idx = code - int(first[l])
+            if 0 <= idx < count[l]:
+                out[oi] = symtab[int(offset[l]) + idx]
+                oi += 1
+                code = 0
+                l = 0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # trace reading: the interval-merge loop and the per-event digest walk that
 # neuroplug.attacks replaced with sorts, searchsorted and adjacent compares
@@ -508,7 +534,8 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
 def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
     """Each additive model as its own per-layer cut-and-insert over a
     baseline from baseline_trace_loop, whose layer_ends bound each layer's
-    own events."""
+    own events.  A layer with no write (dummy writes) or no read of its
+    input map (const-mean) is cut after the last event of its span."""
     rng = np.random.default_rng([seed, run_index, 0xC3])
     chunks = []
     pos = 0
@@ -518,16 +545,14 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
         if cm_model == "dummy-writes":
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
-            if idx.size == 0:
-                continue
-            cut = idx[-1] + 1
+            cut = idx[-1] + 1 if idx.size else base.layer_ends[i]
             chunks.append(arr[pos:cut])
-            n_dummy = round(DUMMY_RATIO * len(out_tiles))
+            n_dummy = max(1, round(DUMMY_RATIO * len(out_tiles)))
             extra = np.zeros(n_dummy, dtype=EVENT_DTYPE)
             extra["op"] = OP_WRITE
             extra["addr"] = dummy_base(i) + np.arange(n_dummy) * out_cap
             extra["size"] = out_cap
-            extra["t"] = arr["t"][cut - 1]
+            extra["t"] = arr["t"][cut - 1] if cut else 0
             extra["digest"] = rng.integers(1, 1 << 63, size=n_dummy)
             chunks.append(extra)
             pos = cut
@@ -537,9 +562,7 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
             start = base.layer_ends[i - 1] if i else 0
             # the layer's own reads, not a later layer's skip re-read
             idx = idx[(idx >= start) & (idx < base.layer_ends[i])]
-            if idx.size == 0:
-                continue
-            cut = idx[-1] + 1
+            cut = idx[-1] + 1 if idx.size else base.layer_ends[i]
             chunks.append(arr[pos:cut])
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             sizes = []
@@ -552,7 +575,7 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
             ext_base = fmap_base(i) + sum(a for _, _, a in in_tiles)
             extra["addr"] = ext_base + np.cumsum([0] + sizes[:-1])
             extra["size"] = sizes
-            extra["t"] = arr["t"][cut - 1]
+            extra["t"] = arr["t"][cut - 1] if cut else 0
             chunks.append(extra)
             pos = cut
         else:

@@ -132,7 +132,7 @@ DIVIDED = events(
 
 
 class TestTraceReading:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(RANGES, RANGES)
     def test_overlap_matches_merge_loop(self, rows, against):
         rows, against = ranges(rows), ranges(against)
@@ -158,14 +158,14 @@ class TestTraceReading:
         evidence = attacks.reverse_engg_attack(trace).layers[1].evidence
         assert (evidence["vol_in"], evidence["vol_weights"]) == (10, 0)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(st.sampled_from([OP_READ, OP_WRITE]), st.integers(0, 3),
                               st.integers(0, 2)), max_size=30))
     def test_fake_rewrites_match_loop(self, rows):
         arr = events(*[(op, addr, 1, digest) for op, addr, digest in rows]).arr
         np.testing.assert_array_equal(attacks._fake_rewrites(arr), oracles.fake_rewrites_loop(arr))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(SEGMENT_EVENTS)
     def test_segments_match_loop(self, rows):
         arr = events(*[(op, base + off, size, 0) for op, base, off, size in rows]).arr

@@ -1,8 +1,9 @@
 """The tile-compression kernels against the loop versions in oracles.py.
 
 Every tile is run through both and the RLE tokens, the code lengths, the
-canonical tables, the Huffman bitstream and the finished container must be
-equal byte for byte.
+canonical codes, the Huffman bitstream and the finished container must be
+equal byte for byte, and the decoder must agree with the first/offset-table
+decoder token for token.
 """
 
 import numpy as np
@@ -15,13 +16,14 @@ from neuroplug.errors import IntegrityError, NeuroPlugError
 
 from oracles import (
     canonical_tables_sequential,
+    huff_decode_tables,
     huff_encode_loop,
     huffman_lengths_heapq,
     rle_decode_loop,
     rle_encode_loop,
 )
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def oracle_rle_huffman(raw):
@@ -52,8 +54,8 @@ def assert_matches_oracles(raw):
     assert tokens.dtype == np.uint8
     lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
     np.testing.assert_array_equal(lens, huffman_lengths_heapq(np.bincount(tokens, minlength=256)))
-    assert_tables_match(lens)
-    codes = binpack._canonical_tables(lens)[0]
+    assert_codes_match(lens)
+    codes = binpack._canonical_codes(lens)
     np.testing.assert_array_equal(_kernels.huff_encode(tokens, codes, lens),
                                   huff_encode_loop(tokens, codes, lens))
     tile = binpack.compress_tile(raw)
@@ -61,18 +63,10 @@ def assert_matches_oracles(raw):
     np.testing.assert_array_equal(binpack.decompress_tile(tile.payload), raw)
 
 
-def assert_tables_match(lens):
-    codes, first, count, offset, symtab, maxlen = binpack._canonical_tables(lens)
-    o_codes, o_first, o_count, o_offset, o_symtab, o_maxlen = canonical_tables_sequential(lens)
-    np.testing.assert_array_equal(codes, o_codes)
+def assert_codes_match(lens):
+    codes = binpack._canonical_codes(lens)
+    np.testing.assert_array_equal(codes, canonical_tables_sequential(lens)[0])
     assert codes.dtype == np.uint64
-    np.testing.assert_array_equal(count, o_count)
-    np.testing.assert_array_equal(symtab, o_symtab)
-    assert symtab.dtype == np.uint8
-    assert maxlen == o_maxlen
-    used = count > 0  # first and offset mean nothing at unused lengths
-    np.testing.assert_array_equal(first[used], o_first[used])
-    np.testing.assert_array_equal(offset[used], o_offset[used])
 
 
 @st.composite
@@ -204,7 +198,7 @@ class TestHuffmanLengths:
         lens = binpack._huffman_lengths(freq)
         assert lens.max() == binpack._MAX_CODE_LEN
         np.testing.assert_array_equal(lens, huffman_lengths_heapq(freq))
-        assert_tables_match(lens)
+        assert_codes_match(lens)
 
     @PROPERTY
     @given(st.dictionaries(st.integers(0, 255), st.integers(1, 2**40), min_size=2))
@@ -213,7 +207,7 @@ class TestHuffmanLengths:
         freq[list(weights)] = list(weights.values())
         lens = binpack._huffman_lengths(freq)
         np.testing.assert_array_equal(lens, huffman_lengths_heapq(freq))
-        assert_tables_match(lens)
+        assert_codes_match(lens)
 
     @PROPERTY
     @given(st.lists(st.integers(1, 3), min_size=2, max_size=40))
@@ -222,6 +216,58 @@ class TestHuffmanLengths:
         freq = np.zeros(256, np.int64)
         freq[: len(small)] = small
         np.testing.assert_array_equal(binpack._huffman_lengths(freq), huffman_lengths_heapq(freq))
+
+
+def code_lengths(rng, maxlen, complete):
+    """Code lengths (0 for absent symbols) of random symbols, the longest
+    maxlen: the leaves of a chain maxlen deep, grown by splitting random
+    leaves shallower than maxlen.  All of them make a complete code; a subset
+    that keeps a deepest leaf and drops another makes an incomplete one."""
+    depths = list(range(1, maxlen + 1)) + [maxlen]
+    for _ in range(int(rng.integers(0, 257 - len(depths)))):
+        shallow = [j for j, d in enumerate(depths) if d < maxlen]
+        if not shallow:
+            break
+        d = depths.pop(shallow[rng.integers(len(shallow))])
+        depths += [d + 1, d + 1]
+    depths = np.array(depths)
+    if not complete:
+        keep = rng.random(depths.size) < rng.random()
+        deepest = int(np.argmax(depths))
+        keep[deepest] = True
+        keep[rng.choice(np.delete(np.arange(depths.size), deepest))] = False
+        depths = depths[keep]
+    lens = np.zeros(256, dtype=np.uint8)
+    lens[rng.permutation(256)[: depths.size]] = depths
+    return lens
+
+
+class TestHuffDecode:
+    """The decoder reads only the code counts per length and the symbols in
+    code order; it must decode what the first/offset-table decoder decodes
+    and fail where it fails."""
+
+    @settings(max_examples=400)
+    @given(st.integers(1, 56), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_table_decoder(self, maxlen, complete, encoded, seed):
+        rng = np.random.default_rng(seed)
+        lens = code_lengths(rng, maxlen, complete)
+        codes, first, count, offset, symtab, _ = canonical_tables_sequential(lens)
+        kraft = sum(int(n) << (56 - l) for l, n in enumerate(count))
+        assert kraft == 1 << 56 if complete else kraft < 1 << 56
+        if encoded:  # the codes of random symbols, token count near theirs
+            tokens = rng.choice(symtab, size=int(rng.integers(0, 60)))
+            bits = huff_encode_loop(tokens, codes, lens)
+            n_tokens = max(0, tokens.size + int(rng.integers(-2, 3)))
+        else:
+            bits = rng.integers(0, 256, size=int(rng.integers(0, 40)), dtype=np.uint8)
+            n_tokens = int(rng.integers(0, 80))
+        want = huff_decode_tables(bits, n_tokens, first, count, offset, symtab, maxlen)
+        got = _kernels.huff_decode(bits, n_tokens, count, symtab)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
 
 
 def container(n_tokens, table, bits=b"\x00"):
@@ -235,7 +281,7 @@ def encoded_tokens(tokens):
     """A container whose Huffman layer decodes to exactly these RLE tokens."""
     tokens = np.asarray(tokens, dtype=np.uint8)
     lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
-    codes = binpack._canonical_tables(lens)[0]
+    codes = binpack._canonical_codes(lens)
     table = [(int(s), int(lens[s])) for s in np.flatnonzero(lens)]
     return container(tokens.size, table, _kernels.huff_encode(tokens, codes, lens).tobytes())
 
@@ -250,6 +296,18 @@ class TestMalformedContainer:
     def test_bad_code_table(self, table):
         with pytest.raises(IntegrityError):
             binpack.decompress_tile(container(1, table))
+
+    def test_code_table_in_any_order(self):
+        # the codes follow from (length, symbol) order, not from the order
+        # in which the table lists the symbols
+        tokens = np.array([5, 5, 5, 9, 7, 9, 5, 2, 5, 5, 7, 3], np.uint8)
+        lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
+        bits = _kernels.huff_encode(tokens, binpack._canonical_codes(lens), lens).tobytes()
+        table = [(int(s), int(lens[s])) for s in np.flatnonzero(lens)]
+        assert len(set(lens[lens > 0])) > 1
+        for order in (table, table[::-1], table[1::2] + table[::2]):
+            np.testing.assert_array_equal(binpack.decompress_tile(container(tokens.size, order, bits)),
+                                          tokens)
 
     def test_token_count_beyond_payload_bits(self):
         # 2**35 tokens asked of 8 payload bits: was a 32 GiB MemoryError

@@ -216,7 +216,7 @@ class TestSmartSearchSpace:
         sm = self.assert_matches_oracle(h, 5, 11)
         assert as_dict(sm) == pytest.approx({8: 4 / 7, 9: 3 / 7})
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(lo=st.integers(2, 5_000), width=st.integers(4, 5_000), seed=st.integers(0, 2**16))
     def test_matches_oracle_fold(self, lo, width, seed):
         hi = lo + width

@@ -199,7 +199,7 @@ class TestGenerateWeights:
         assert at_v[:n_tied].all() and not at_v[n_tied:].any()
         assert np.count_nonzero(zero) == n_zero
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         st.lists(
             st.tuples(
@@ -308,7 +308,7 @@ class TestNsqf:
         sieve = nsqf_sieve(100)
         assert len(nsqf_values(1, 100)) == int(sieve[1:].sum())
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(lo=st.integers(1, 5_000), width=st.integers(0, 20_000))
     def test_matches_oracles(self, lo, width):
         hi = lo + width

@@ -187,7 +187,7 @@ class TestPlanAgainstCaseOracle:
         assert got[0]["case"] == case
         assert got == planned(plan_execution_cases, CASE_EXAMPLES[case])
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(args=plan_inputs())
     @example(args=CASE_EXAMPLES[sfc.CASE_ALL_FIT])
     @example(args=CASE_EXAMPLES[sfc.CASE_I])
