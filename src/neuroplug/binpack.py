@@ -270,16 +270,25 @@ def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedT
 
 
 def decompress_tile(payload: np.ndarray) -> np.ndarray:
-    """Inverse of compress_tile (bit-exact)."""
+    """Inverse of compress_tile (bit-exact).
+
+    Only what compress_tile writes is accepted: a nonempty tile, and an
+    RLE+Huffman bitstream that ends in the container's last byte with zero
+    padding bits after it.
+    """
     payload = np.ascontiguousarray(payload, dtype=np.uint8)
     if payload.size == 0:
         raise IntegrityError("empty container")
     mode = int(payload[0])
     if mode == MODE_STORED:
+        if payload.size == 1:
+            raise IntegrityError("stored container without a data byte")
         return payload[1:].copy()
     if mode != MODE_RLE_HUF:
         raise IntegrityError(f"unknown container mode {mode}")
     n_tokens, pos = _varint_decode(payload, 1)
+    if n_tokens == 0:
+        raise IntegrityError("RLE+Huffman container without a token")
     if pos >= payload.size:
         raise IntegrityError("truncated header")
     n_sym = int(payload[pos]) + 1
@@ -302,6 +311,13 @@ def decompress_tile(payload: np.ndarray) -> np.ndarray:
     tokens = _kernels.huff_decode(payload[pos:], n_tokens, count, symtab)
     if tokens is None:
         raise IntegrityError("corrupt bitstream")
+    code_len = np.zeros(256, dtype=np.intp)
+    code_len[syms] = sym_lens
+    pad = 8 * (payload.size - pos) - int(code_len[tokens].sum())
+    if pad > 7:
+        raise IntegrityError("bytes after the bitstream")
+    if payload[-1] & ((1 << pad) - 1):
+        raise IntegrityError("nonzero padding bits after the bitstream")
     raw = _kernels.rle_decode(tokens)
     if raw is None:
         raise IntegrityError("zero token without a run length in 1..255")

@@ -9,7 +9,10 @@ transform along the vertical line Re(s) = c.  The quadratic-cost Riemann
 sum and the Monte-Carlo product that check this path are test oracles
 (tests/oracles.py).  The predicted density is then restricted to NSQF
 integers (the smart search space) and the true value's rank measures the
-per-layer guessing effort.
+per-layer guessing effort.  That restriction folds the candidate range
+block by block, each block ending on the boundary between two NSQF
+integers' catchments, so its memory is the result plus one bounded block
+however wide the range.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .model import nsqf_mask
 
 DEFAULT_C = 1.5
 DEFAULT_N = 1 << 14
+_FOLD_BLOCK = 1 << 14  # NSQF targets per block of smart_search_space's fold
 
 
 @dataclass(frozen=True)
@@ -168,29 +172,42 @@ class SmartPmf:
     pmf: np.ndarray
 
 
-
 def smart_search_space(h: GridPdf, lo: int, hi: int) -> SmartPmf:
     """Interpolate h onto the integers of [lo, hi] and fold every
-    non-NSQF integer's mass into its nearest NSQF integer (ties go low)."""
-    mask = nsqf_mask(lo, hi)
-    pos = np.flatnonzero(mask)  # offsets of the NSQF integers from lo
+    non-NSQF integer's mass into its nearest NSQF integer (ties go low).
+
+    The fold walks the NSQF integers _FOLD_BLOCK at a time.  A block's
+    integers run from just past the midpoint with the previous NSQF integer
+    to the midpoint with the next, so every block ends on a catchment
+    boundary and each integer's mass is added to its target in range
+    order, as one pass over the whole range would add it.  Beyond the
+    result, the fold holds one block's integers at a time.
+    """
+    pos = np.flatnonzero(nsqf_mask(lo, hi))  # offsets of the NSQF integers from lo
     if pos.size == 0:
         raise DomainError(f"no NSQF integers in [{lo}, {hi}]")
     interp = PchipInterpolator(h.x, h.f, extrapolate=False)
-    masses = np.maximum(np.nan_to_num(interp(np.arange(lo, hi + 1, dtype=float)), nan=0.0), 0.0)
-
-    # The nearest NSQF passes from pos[j-1] to pos[j] at the first integer
-    # past their midpoint.  Marking those integers in the spent mask, its
-    # running count is each integer's target index.
-    mask[:] = 0
-    mask[(pos[:-1] + pos[1:]) // 2 + 1] = 1
-    target = np.cumsum(mask, dtype=np.intp)
-    pmf = np.bincount(target, weights=masses, minlength=pos.size)
+    pmf = np.empty(pos.size)
+    start = 0
+    for j in range(0, pos.size, _FOLD_BLOCK):
+        p = pos[j : j + _FOLD_BLOCK + 1]  # the block's targets and the next one
+        k = min(p.size, _FOLD_BLOCK)
+        # nearest NSQF passes from p[i] to p[i+1] at the first integer past
+        # their midpoint; the last catchment runs to hi
+        ends = (p[:-1] + p[1:]) // 2 + 1
+        if ends.size < k:
+            ends = np.append(ends, hi - lo + 1)
+        m = interp(np.arange(lo + start, lo + ends[-1], dtype=float))
+        np.fmax(m, 0.0, out=m)  # outside h's support is NaN: no mass
+        target = np.repeat(np.arange(k), np.diff(ends, prepend=start))
+        pmf[j : j + k] = np.bincount(target, weights=m, minlength=k)
+        start = int(ends[-1])
     total = pmf.sum()
     if total <= 0:
         raise DomainError("predicted density carries no mass on the candidate range")
+    pmf /= total
     pos += lo
-    return SmartPmf(values=pos.astype(np.int64, copy=False), pmf=pmf / total)
+    return SmartPmf(values=pos.astype(np.int64, copy=False), pmf=pmf)
 
 
 def rank(h_smart: SmartPmf, x_r: int) -> int:
@@ -198,12 +215,12 @@ def rank(h_smart: SmartPmf, x_r: int) -> int:
 
     Ties resolve toward smaller values, so the rank is deterministic.
     """
-    hits = np.flatnonzero(h_smart.values == x_r)
-    if hits.size == 0:
+    i = int(np.searchsorted(h_smart.values, x_r))
+    if i == h_smart.values.size or h_smart.values[i] != x_r:
         raise SupportError(f"{x_r} is not in the candidate support")
-    p_r = h_smart.pmf[hits[0]]
+    p_r = h_smart.pmf[i]
     higher = int(np.count_nonzero(h_smart.pmf > p_r))
-    tied_smaller = int(np.count_nonzero((h_smart.pmf == p_r) & (h_smart.values < x_r)))
+    tied_smaller = int(np.count_nonzero(h_smart.pmf[:i] == p_r))  # values ascend
     return 1 + higher + tied_smaller
 
 

@@ -365,6 +365,15 @@ class TestUnpackBins:
             for a, b in zip(got, raws):
                 np.testing.assert_array_equal(a, b)
 
+    def test_stored_segment_without_data_rejected(self):
+        # a one-byte stored container packs and parses, but holds no tile
+        cfg = BinConfig(bin_size=4096)
+        tile = binpack.CompressedTile(0, 0, np.array([binpack.MODE_STORED], np.uint8))
+        bins, _ = binpack.pack_bins([tile], cfg, no_noise(), np.random.default_rng(0))
+        parsed = binpack.bin_from_bytes(bins[0].to_bytes(cfg), cfg)
+        with pytest.raises(IntegrityError, match="data byte"):
+            binpack.unpack_bins([parsed])
+
     def test_corrupt_table_detected(self):
         rng = np.random.default_rng(9)
         raw = rng.integers(0, 256, size=3000, dtype=np.uint8).astype(np.uint8)

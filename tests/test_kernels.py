@@ -315,6 +315,37 @@ class TestMalformedContainer:
             binpack.decompress_tile(container(2**35, [(1, 1), (2, 1)]))
         assert binpack.decompress_tile(container(8, [(1, 1), (2, 1)])).size == 8
 
+    def test_stored_container_without_data_byte(self):
+        # compress_tile rejects an empty tile, so no container decodes to one
+        with pytest.raises(IntegrityError, match="data byte"):
+            binpack.decompress_tile(np.array([binpack.MODE_STORED], np.uint8))
+
+    def test_container_without_a_token(self):
+        with pytest.raises(IntegrityError, match="without a token"):
+            binpack.decompress_tile(container(0, [(1, 1), (2, 1)], b""))
+
+    def zero_run_container(self):
+        """The 8 B container of 100 zero bytes: one (0, 100) token pair, 2
+        bits and 6 padding bits."""
+        payload = binpack.compress_tile(np.zeros(100, np.uint8)).payload
+        assert payload.size == 8
+        np.testing.assert_array_equal(binpack.decompress_tile(payload), np.zeros(100, np.uint8))
+        return payload
+
+    def test_bytes_after_the_bitstream(self):
+        padded = np.concatenate([self.zero_run_container(), np.full(7, 0xAB, np.uint8)])
+        with pytest.raises(IntegrityError, match="bytes after the bitstream"):
+            binpack.decompress_tile(padded)
+        with pytest.raises(IntegrityError, match="bytes after the bitstream"):
+            binpack.decompress_tile(np.append(self.zero_run_container(), np.uint8(0)))
+
+    @pytest.mark.parametrize("bit", range(6))
+    def test_nonzero_padding_bit(self, bit):
+        payload = self.zero_run_container().copy()
+        payload[-1] |= 1 << bit
+        with pytest.raises(IntegrityError, match="padding bits"):
+            binpack.decompress_tile(payload)
+
     @PROPERTY
     @given(st.lists(st.sampled_from([0, 0, 1, 255]) | st.integers(0, 255), max_size=40))
     def test_rle_decode_matches_loop(self, tokens):

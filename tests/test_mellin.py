@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuroplug import mellin
+from neuroplug import _kernels, mellin, model
 from neuroplug.errors import DomainError, EvidenceError, SupportError
 from neuroplug.mellin import GridPdf
 
@@ -38,6 +39,15 @@ def mellin_fft(pdf, c, n=mellin.DEFAULT_N):
 
 def as_dict(sm):
     return dict(zip(sm.values.tolist(), sm.pmf.tolist()))
+
+
+def one_bin_prediction():
+    """The prediction smart_rank_for_layer prices for a one-bin observation,
+    and its candidate range."""
+    y = 61440.0
+    h = mellin.predict_X(y, GridPdf.uniform(1.0, 0.875 * y, 1024),
+                         GridPdf.uniform(1 / 40, 1 / 1.5, 1024))
+    return h, 11_520, 2_457_600
 
 
 class TestRiemann:
@@ -175,6 +185,15 @@ class TestPredict:
             mellin.predict_X(4000, a, b)
 
 
+def assert_matches_oracle(h, lo, hi):
+    sm = mellin.smart_search_space(h, lo, hi)
+    values, pmf = fold_nearest_searchsorted(h, lo, hi)
+    assert sm.values.dtype == np.int64
+    assert np.array_equal(sm.values, values)
+    assert np.array_equal(sm.pmf, pmf)
+    return sm
+
+
 class TestSmartSearchSpace:
     def test_hand_fixture(self):
         h = GridPdf(np.arange(8, 13, dtype=float), np.full(5, 0.25))
@@ -195,25 +214,17 @@ class TestSmartSearchSpace:
         sm = mellin.smart_search_space(GridPdf(x, f / np.trapezoid(f, x)), 60, 140)
         assert abs(sm.pmf.sum() - 1.0) < 1e-9
 
-    def assert_matches_oracle(self, h, lo, hi):
-        sm = mellin.smart_search_space(h, lo, hi)
-        values, pmf = fold_nearest_searchsorted(h, lo, hi)
-        assert sm.values.dtype == np.int64
-        assert np.array_equal(sm.values, values)
-        assert np.array_equal(sm.pmf, pmf)
-        return sm
-
     def test_equidistant_integer_goes_low(self):
         # 14 lies halfway between the NSQF integers 12 and 16
         h = GridPdf(np.arange(12, 17, dtype=float), np.full(5, 0.25))
-        sm = self.assert_matches_oracle(h, 12, 16)
+        sm = assert_matches_oracle(h, 12, 16)
         assert as_dict(sm) == pytest.approx({12: 0.6, 16: 0.4})
 
     def test_integers_outside_the_nsqf_span(self):
         # 5, 6, 7 lie below the first NSQF integer (8), 10 and 11 above the
         # last one (9) in the range
         h = GridPdf(np.arange(5, 12, dtype=float), np.full(7, 1 / 6))
-        sm = self.assert_matches_oracle(h, 5, 11)
+        sm = assert_matches_oracle(h, 5, 11)
         assert as_dict(sm) == pytest.approx({8: 4 / 7, 9: 3 / 7})
 
     @settings(max_examples=100)
@@ -222,19 +233,77 @@ class TestSmartSearchSpace:
         hi = lo + width
         x = np.linspace(lo - 0.5, hi + 0.5, 64)
         h = GridPdf(x, np.random.default_rng(seed).uniform(0.0, 1.0, size=64))
-        self.assert_matches_oracle(h, lo, hi)
+        assert_matches_oracle(h, lo, hi)
 
     def test_benchmark_range_matches_oracle_fold(self):
-        # the prediction smart_rank_for_layer prices for a one-bin observation
-        y = 61440.0
-        h = mellin.predict_X(y, GridPdf.uniform(1.0, 0.875 * y, 1024),
-                             GridPdf.uniform(1 / 40, 1 / 1.5, 1024))
-        self.assert_matches_oracle(h, 11_520, 2_457_600)
+        assert_matches_oracle(*one_bin_prediction())
+
+    def test_benchmark_range_memory(self):
+        # the fold holds one block of integers at a time: the peak is the
+        # result (16 B per NSQF integer, about 6.3 B per integer of the
+        # range) plus that block, where full-range temporaries took 28 B
+        h, lo, hi = one_bin_prediction()
+        tracemalloc.start()
+        try:
+            mellin.smart_search_space(h, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * (hi - lo + 1)
 
     def test_no_nsqf_in_range(self):
         h = GridPdf(np.arange(1, 8, dtype=float), np.full(7, 1 / 6))
         with pytest.raises(DomainError):
             mellin.smart_search_space(h, 5, 7)  # 5, 6, 7 squarefree
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+class TestFoldBlockEdges:
+    """The fold's blocks end on catchment boundaries, so any block size
+    gives the pmf of one pass over the whole range, bit for bit.  The
+    ranges above are narrower than one real block; these shrink it."""
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, block, monkeypatch):
+        monkeypatch.setattr(mellin, "_FOLD_BLOCK", block)
+
+    def test_random_ranges(self, block):
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            lo = int(rng.integers(2, 3_000))
+            hi = lo + int(rng.integers(3, 400))  # four integers hold a multiple of 4
+            x = np.linspace(lo - 0.5, hi + 0.5, 64)
+            assert_matches_oracle(GridPdf(x, rng.uniform(0.0, 1.0, size=64)), lo, hi)
+
+    def test_tie_on_a_block_edge(self, block):
+        # NSQF integers of [8, 20]: 8, 9, 12, 16, 18, 20, with ties at 14,
+        # 17 and 19.  Every block size here puts one on a block edge: 14
+        # with one or three targets per block, 17 with two, 19 with five
+        h = GridPdf(np.arange(7, 22, dtype=float), np.linspace(1.0, 2.0, 15))
+        sm = assert_matches_oracle(h, 8, 20)
+        assert sm.values.tolist() == [8, 9, 12, 16, 18, 20]
+
+    def test_one_nsqf_mask_per_call(self, block, monkeypatch):
+        calls = []
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return mask(lo, hi)
+
+        mask = _kernels.nsqf_mask
+        monkeypatch.setattr(_kernels, "nsqf_mask", counted)
+        h = GridPdf(np.linspace(99.5, 300.5, 64), np.ones(64))
+        assert mellin.smart_search_space(h, 100, 300).values.size > 3 * block
+        assert calls == [(100, 300)]
+
+    def test_nsqf_count_a_multiple_of_the_block(self, block):
+        lo = 100
+        offsets = np.flatnonzero(model.nsqf_mask(lo, lo + 200))
+        end = lo + int(offsets[3 * block])  # the first target of a fourth block
+        for hi, n_targets in ((end - 1, 3 * block), (end, 3 * block + 1)):
+            x = np.linspace(lo - 0.5, hi + 0.5, 64)
+            h = GridPdf(x, np.random.default_rng(hi).uniform(0.5, 1.0, size=64))
+            assert assert_matches_oracle(h, lo, hi).values.size == n_targets
 
 
 class TestRank:
@@ -258,6 +327,11 @@ class TestRank:
     def test_outside_support(self):
         with pytest.raises(SupportError):
             mellin.rank(self.fixture(), 10)
+
+    @pytest.mark.parametrize("x_r", [7, 13])
+    def test_outside_support_at_either_end(self, x_r):
+        with pytest.raises(SupportError):
+            mellin.rank(self.fixture(), x_r)
 
     def test_invariant_under_rescaling(self):
         sm = self.fixture()
