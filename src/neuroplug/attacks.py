@@ -271,6 +271,8 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
             est.volume_mean = float(np.mean(corrected_vols[i - 1]))
             est.evidence["si_volume"] = "input volume from cleaned upstream writes"
         layers.append(est)
+    if runs == 0:
+        raise DomainError("si attack needs at least one trace")
     return AttackReport(
         kind="si",
         layers=layers,
@@ -545,7 +547,8 @@ def verdict_volumes(report: AttackReport, truth: dict) -> dict:
     """Compare point estimates against out-of-band ground truth.
 
     The last layer is left out: its output is never read back, so the
-    read-back filter of the attacks drops all of its writes.
+    read-back filter of the attacks drops all of its writes.  A break needs
+    at least one comparison, and every comparison must hold.
     """
     per_layer = []
     n = len(truth["layers"])
@@ -564,7 +567,5 @@ def verdict_volumes(report: AttackReport, truth: dict) -> dict:
         if est.write_count is not None:
             entry["write_count_exact"] = est.write_count == row["ofmap_write_tiles"]
         per_layer.append(entry)
-    broken = all(
-        e.get("volume_exact", True) and e.get("write_count_exact", True) for e in per_layer
-    )
-    return {"per_layer": per_layer, "broken": broken}
+    held = [e[key] for e in per_layer for key in ("volume_exact", "write_count_exact") if key in e]
+    return {"per_layer": per_layer, "broken": bool(held) and all(held)}

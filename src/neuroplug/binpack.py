@@ -22,8 +22,9 @@ Wire image of a bin (little-endian):
     entry: [u32 id | bit31 = continuation][u16 offset][u16 length]
 each entry is TABLE_ENTRY_BYTES = 8 bytes; offsets are relative to the
 payload area, which starts right after the table, and the segments lie
-back to back from offset 0 in table order.  A `Bin` holds its table in
-this wire dtype, so the table has one form in memory and on the wire.
+back to back from offset 0 in table order.  An entry's id is its tile's
+place in the stream (0, 1, ...).  A `Bin` holds its table in this wire
+dtype, so the table has one form in memory and on the wire.
 Dummy-byte spans are keyed metadata that stay on the `CompressedTile`;
 a bin carries only the stored bytes, and unpacking returns them.
 """
@@ -97,7 +98,6 @@ class NoiseSpec:
 
 @dataclass
 class CompressedTile:
-    tile_id: int
     raw_size: int
     payload: np.ndarray
     dummy_spans: tuple = ()  # (offset, length) of dummy bytes in the raw tile
@@ -249,7 +249,7 @@ def _rle_huffman(raw: np.ndarray) -> np.ndarray | None:
     return np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
 
 
-def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedTile:
+def compress_tile(raw, dummy_spans: tuple = ()) -> CompressedTile:
     """Compress one tile's bytes into a self-describing container.
 
     The container is RLE+Huffman unless that takes at least raw.size + 1
@@ -265,8 +265,7 @@ def compress_tile(raw, tile_id: int = 0, dummy_spans: tuple = ()) -> CompressedT
     packed = _rle_huffman(raw)
     if packed is None:
         packed = np.concatenate([np.array([MODE_STORED], dtype=np.uint8), raw])
-    return CompressedTile(tile_id=tile_id, raw_size=raw.size, payload=packed,
-                          dummy_spans=tuple(dummy_spans))
+    return CompressedTile(raw_size=raw.size, payload=packed, dummy_spans=tuple(dummy_spans))
 
 
 def decompress_tile(payload: np.ndarray) -> np.ndarray:
@@ -395,11 +394,10 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     # layout (a gap, an overlap, an empty segment) is corruption
     if np.any(lengths < 1) or np.any(table["offset"] != np.cumsum(lengths) - lengths):
         raise IntegrityError("table entries are not nonempty segments back to back from offset 0")
-    # a tile has one segment per bin, and only the bin's first may continue one
-    if np.unique(table["id"] & (_CONT_BIT - 1)).size != n:
-        raise IntegrityError("a tile id is listed twice in one table")
-    if np.any(table["id"][1:] & _CONT_BIT):
-        raise IntegrityError("a continuation entry is not the table's first entry")
+    # a bin closes when a tile does not fit, so each entry after its first starts the next tile
+    ids = table["id"]
+    if np.any(ids[1:] != (ids[:-1] & (_CONT_BIT - 1)) + 1) or np.any(ids[1:] & _CONT_BIT):
+        raise IntegrityError("an entry after the first is a continuation or not the next tile")
     used = int(lengths.sum())
     if used > cfg.bin_size - payload_base:
         raise IntegrityError("segment runs past the bin payload area")
@@ -435,12 +433,12 @@ def pack_bins(
     noise and its first segment, and per segment its table entry.  Each bin
     reserves a fresh noise draw of empty space before data is admitted; a
     tile that does not fit continues in the next bin; at most kappa entries
-    start per bin.  The stream's entries then become one table array, and
-    each bin's table is a slice of it.  The segments lie back to back across
-    the bins as well, so with assemble each bin's payload is a slice of the
-    tile payloads' concatenation.  The noise floor alpha must leave room for
-    one entry and one payload byte; only the half-normal tail above it is
-    clamped to fit.
+    start per bin.  An entry's id is its tile's index in tiles.  The
+    stream's entries then become one table array, and each bin's table is a
+    slice of it.  The segments lie back to back across the bins as well, so
+    with assemble each bin's payload is a slice of the tile payloads'
+    concatenation.  The noise floor alpha must leave room for one entry and
+    one payload byte; only the half-normal tail above it is clamped to fit.
 
     Draw order, a contract for callers that share one generator: the
     variance, once per call (so consecutive layers carry different
@@ -463,7 +461,7 @@ def pack_bins(
     entries = []  # per segment: id (with the continuation bit), offset, length
     opened = [(draw_noise(), 0)]  # per bin: reserved noise, its first entry
     used = 0  # segment bytes in the last bin
-    for tile in tiles:
+    for j, tile in enumerate(tiles):
         size, start = tile.comp_size, 0
         while start < size:
             reserved, first = opened[-1]
@@ -474,7 +472,7 @@ def pack_bins(
                 used = 0
                 continue
             take = min(size - start, free)
-            entries.append((tile.tile_id | (_CONT_BIT if start else 0), used, take))
+            entries.append((j | (_CONT_BIT if start else 0), used, take))
             used += take
             start += take
     draw_noise()  # the last bin closes too
@@ -498,25 +496,26 @@ def pack_bins(
 
 
 def unpack_bins(bins: list[Bin]) -> list[np.ndarray]:
-    """Reassemble and decompress every tile, in the order the tiles start.
+    """Reassemble and decompress one stream's tiles, numbered as `pack_bins` does.
 
-    Each tile comes back as the bytes it was compressed from, dummy bytes
-    included: their spans are keyed metadata on the `CompressedTile`, not
-    part of a bin, so a bin and its parsed wire image unpack the same.
+    A start must be the next tile (the first is tile 0), and a continuation
+    must continue the last tile started.  Each tile comes back as the bytes
+    it was compressed from, dummy bytes included: their spans are keyed
+    metadata on the `CompressedTile`, not part of a bin, so a bin and its
+    parsed wire image unpack the same.
     """
-    chunks: dict[int, list[np.ndarray]] = {}  # per tile, in start order
+    tiles: list[list[np.ndarray]] = []  # per tile in stream order, its segments
     for b in bins:
         if b.payload is None:
             raise IntegrityError("cannot unpack size-only bins")
         for ident, off, n in b.table.tolist():
-            tile_id = ident & (_CONT_BIT - 1)
             seg = b.payload[off : off + n]
             if seg.size != n:
                 raise IntegrityError("table entry runs past payload")
-            if ident & _CONT_BIT:
-                if tile_id not in chunks:
-                    raise IntegrityError(f"continuation without a start for tile {tile_id}")
-            elif tile_id in chunks:
-                raise IntegrityError(f"duplicate start entry for tile {tile_id}")
-            chunks.setdefault(tile_id, []).append(seg)
-    return [decompress_tile(np.concatenate(segs)) for segs in chunks.values()]
+            if ident == len(tiles):
+                tiles.append([seg])
+            elif tiles and ident == (len(tiles) - 1) | _CONT_BIT:
+                tiles[-1].append(seg)
+            else:
+                raise IntegrityError(f"table id {ident:#x} out of stream order at tile {len(tiles)}")
+    return [decompress_tile(np.concatenate(segs)) for segs in tiles]

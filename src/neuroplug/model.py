@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, DomainError, ShapeError
 
-INT8_MIN, INT8_MAX = -128, 127
+INT8_MAX = 127
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Every trace is built one way: a generator lists event rows (op, addr,
 size, digest) in issue order, each with dt, the cycles it advances the
 clock, and `_build` turns them into a `Trace`.  An event's t is the sum of
-the dt of the rows before it; `_build` is the only place t is computed.
+the dt of the rows before it: `_build` alone sums dt, and `_inserted` and
+the layer divider copy the times of events already built.
 A row of size 0 (a sparse block with no nonzero byte) still advances the
 clock but is not an event.
 
@@ -328,15 +329,12 @@ def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
     dt[in_row:out_row] += T_TILE
     table = np.column_stack((table, dt))
 
-    # the loop nest as one index order over the table
-    in_group = np.array([sl[0] for _, sl, _ in in_walk]) // til.tc
-    out_group = np.array([sl[0] for _, sl, _ in out_walk]) // til.tk
-    group_tiles = [in_row + np.flatnonzero(in_group == co) for co in range(n_c)]
+    # the loop nest as one index order over the table: walk tile j is in channel group j mod n
     order = [np.arange(w_row)]
     for ko in range(n_k):
         for co in range(n_c):
-            order += [[w_row + ko * n_c + co], group_tiles[co]]
-        order.append(out_row + np.flatnonzero(out_group == ko))
+            order += [[w_row + ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
+        order.append(np.arange(out_row + ko, len(rows), n_k))
     table = table[np.concatenate(order)]
     table.flags.writeable = False
     return table
@@ -516,7 +514,7 @@ def _compress_stream(chunks, dummy_bytes: int = 0, rng=None) -> list[CompressedT
     tiles = []
     for j, raw in enumerate(chunks):
         inflated, spans = binpack.inject_dummy(raw, share + (j < extra), rng)
-        tiles.append(binpack.compress_tile(inflated, tile_id=j, dummy_spans=spans))
+        tiles.append(binpack.compress_tile(inflated, dummy_spans=spans))
     return tiles
 
 
@@ -566,7 +564,8 @@ def neuroplug_trace(
     Every stream (the input, each weight partition part of each stored copy,
     each output) is packed one way, with a generator seeded by the key, the
     run and the stream's tag.  A feature map's bin count is kept when it is
-    written and read back by the layers that consume it.
+    written and read back by the layers that consume it.  A weight part's
+    tiles number from 0, so a stored copy unpacks part by part.
     """
     if cache is None:
         cache = prepare_neuroplug(net, input_tensor, model_seed)

@@ -722,7 +722,7 @@ def pack_bins_loop(
         cur_payload_off = 0
         cur_noise = draw_noise()
 
-    for tile in tiles:
+    for tile_id, tile in enumerate(tiles):
         remaining = tile.payload.size
         taken = 0
         first_entry = True
@@ -734,7 +734,7 @@ def pack_bins_loop(
             take = min(remaining, free)
             cur_entries.append(
                 LoopEntry(
-                    tile_id=tile.tile_id,
+                    tile_id=tile_id,
                     offset=cur_payload_off,
                     length=take,
                     continuation=not first_entry,

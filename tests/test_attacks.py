@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from neuroplug import attacks, binpack, model, sfc, tracegen
 from neuroplug.attacks import huffduff_attack
-from neuroplug.errors import SupportError
+from neuroplug.errors import DomainError, SupportError
 from neuroplug.model import NetworkSpec
 from neuroplug.tracegen import (EVENT_DTYPE, OP_READ, OP_WRITE, NeuroPlugKey, Trace, fmap_base,
                                 weight_base)
@@ -193,6 +193,10 @@ class TestTraceReading:
         assert before.extra["fake_writes_removed"] == 0
         assert after.to_json() == before.to_json()
 
+    def test_si_needs_a_trace(self):
+        with pytest.raises(DomainError):
+            attacks.si_attack([])
+
     def test_si_copies_base_report(self):
         def figures(report):
             return [{k: v for k, v in est.to_json().items() if k != "evidence"}
@@ -240,6 +244,33 @@ class TestReverseEngg:
         report, truth = vgg_reverse
         assert (truth[1]["k"], truth[1]["r"] * truth[1]["s"]) == (64, 9)
         assert report.layers[1].evidence["tuples"] == [(64, 28, 16, 72)]
+
+
+class TestVerdictVolumes:
+    """A break needs evidence: at least one comparison, and every one held."""
+
+    TRUTH = {"layers": [{"layer": 0, "ifmap_volume": 100, "ofmap_write_tiles": 4},
+                        {"layer": 1, "ifmap_volume": 50, "ofmap_write_tiles": 2}]}
+
+    @staticmethod
+    def verdict(truth, *layers):
+        return attacks.verdict_volumes(attacks.AttackReport(kind="ss", layers=list(layers)), truth)
+
+    def test_exact_estimates_break(self):
+        exact = attacks.LayerEstimate(layer=0, volume_min=100.0, write_count=4)
+        assert self.verdict(self.TRUTH, exact)["broken"]
+        wrong = attacks.LayerEstimate(layer=0, volume_min=100.0, write_count=5)
+        assert not self.verdict(self.TRUTH, wrong)["broken"]
+
+    def test_one_layer_net_is_not_broken(self):
+        # its only layer is the last, whose writes are never read back
+        truth = {"layers": self.TRUTH["layers"][:1]}
+        got = self.verdict(truth, attacks.LayerEstimate(layer=0, volume_min=100.0, write_count=4))
+        assert got == {"per_layer": [], "broken": False}
+
+    def test_estimate_without_figures_is_not_broken(self):
+        got = self.verdict(self.TRUTH, attacks.LayerEstimate(layer=0))
+        assert got == {"per_layer": [{"layer": 0}], "broken": False}
 
 
 @pytest.fixture(scope="module")

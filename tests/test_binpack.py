@@ -87,8 +87,8 @@ class TestInjectDummy:
 
 def bin_noise(spec, rng, n_bins=100):
     """noise_reserved of n_bins one-entry bins packed by one pack_bins call."""
-    tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, payload=np.zeros(1, np.uint8))
-             for i in range(n_bins)]
+    tiles = [binpack.CompressedTile(raw_size=1, payload=np.zeros(1, np.uint8))
+             for _ in range(n_bins)]
     bins, _ = binpack.pack_bins(tiles, BinConfig(kappa=1), spec, rng, assemble=False)
     assert len(bins) == n_bins
     return [b.noise_reserved for b in bins]
@@ -125,8 +125,8 @@ class TestPackBins:
     def test_spill_by_table_overhead(self):
         cfg = BinConfig(bin_size=60000, kappa=8)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=20000, payload=np.zeros(20000, np.uint8))
-            for i in range(3)
+            binpack.CompressedTile(raw_size=20000, payload=np.zeros(20000, np.uint8))
+            for _ in range(3)
         ]
         bins, report = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
         assert report.bins_out == 2
@@ -139,14 +139,14 @@ class TestPackBins:
         # no bin could hold a segment of it: pack_bins would count it in
         # tiles_in and unpack_bins would lose it
         with pytest.raises(DomainError):
-            binpack.CompressedTile(tile_id=1, raw_size=4, payload=np.zeros(0, np.uint8))
+            binpack.CompressedTile(raw_size=4, payload=np.zeros(0, np.uint8))
 
     def test_bin_count_grows_with_alpha(self):
         rng_tiles = np.random.default_rng(1)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=3000,
+            binpack.CompressedTile(raw_size=3000,
                                    payload=rng_tiles.integers(0, 256, 3000).astype(np.uint8))
-            for i in range(12)
+            for _ in range(12)
         ]
         counts = []
         for alpha in (0, 512, 1024, 1536, 2048):
@@ -160,7 +160,7 @@ class TestPackBins:
     def test_kappa_opens_new_bin(self):
         cfg = BinConfig(bin_size=4096, kappa=2)
         tiles = [
-            binpack.CompressedTile(tile_id=i, raw_size=10, payload=np.full(10, i, np.uint8))
+            binpack.CompressedTile(raw_size=10, payload=np.full(10, i, np.uint8))
             for i in range(5)
         ]
         bins, report = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
@@ -171,10 +171,10 @@ class TestPackBins:
         cfg = BinConfig(bin_size=4096)
         rng = np.random.default_rng(3)
         tiles = []
-        for i in range(6):
+        for _ in range(6):
             raw = rng.integers(0, 256, size=int(rng.integers(500, 3000)), dtype=np.uint8).astype(np.uint8)
             raw[rng.random(raw.size) < 0.5] = 0
-            tiles.append(binpack.compress_tile(raw, tile_id=i))
+            tiles.append(binpack.compress_tile(raw))
         bins, _ = binpack.pack_bins(tiles, cfg, no_noise(), np.random.default_rng(0))
         for b in bins:
             img = b.to_bytes(cfg)
@@ -186,14 +186,14 @@ class TestPackBins:
     def test_wire_table_layout(self):
         # [u16 count][u32 id | bit31 continuation][u16 offset][u16 length] ... payload
         cfg = BinConfig(bin_size=64, kappa=2)
-        table = np.array([(7 | binpack._CONT_BIT, 0, 2), (0x0102, 2, 3)], dtype=binpack._TABLE_ENTRY)
+        table = np.array([(7 | binpack._CONT_BIT, 0, 2), (8, 2, 3)], dtype=binpack._TABLE_ENTRY)
         b = binpack.Bin(index=0, payload=np.arange(1, 6, dtype=np.uint8), empty_pad=0,
                         noise_reserved=0, table=table)
         img = b.to_bytes(cfg)
-        assert img == (bytes([2, 0, 7, 0, 0, 0x80, 0, 0, 2, 0, 2, 1, 0, 0, 2, 0, 3, 0])
+        assert img == (bytes([2, 0, 7, 0, 0, 0x80, 0, 0, 2, 0, 8, 0, 0, 0, 2, 0, 3, 0])
                        + bytes(range(1, 6)) + bytes(64 - 23))
         back = binpack.bin_from_bytes(img, cfg)
-        assert back.table.tolist() == [(7 | binpack._CONT_BIT, 0, 2), (0x0102, 2, 3)]
+        assert back.table.tolist() == [(7 | binpack._CONT_BIT, 0, 2), (8, 2, 3)]
         assert back.empty_pad == 64 - 18 - 5
         past = bytearray(img)
         past[16] = 64 - 18 - 2 + 1  # entry 1 now ends one byte past the payload area
@@ -204,8 +204,8 @@ class TestPackBins:
         cfg = BinConfig(bin_size=4096)
         rng = np.random.default_rng(4)
         tiles = [
-            binpack.compress_tile(rng.integers(0, 50, size=2048, dtype=np.uint8).astype(np.uint8), tile_id=i)
-            for i in range(8)
+            binpack.compress_tile(rng.integers(0, 50, size=2048, dtype=np.uint8).astype(np.uint8))
+            for _ in range(8)
         ]
         spec = NoiseSpec(alpha=100, support_r=200, sigma2_max=10000)
         bins, report = binpack.pack_bins(tiles, cfg, spec, np.random.default_rng(1))
@@ -220,7 +220,7 @@ class TestPackBins:
 
     def test_noise_floor_must_fit_bin(self):
         # the default floor (alpha = 8000) does not fit a 2048 B bin
-        tiles = [binpack.CompressedTile(0, 10, np.zeros(10, np.uint8))]
+        tiles = [binpack.CompressedTile(10, np.zeros(10, np.uint8))]
         with pytest.raises(ConfigError):
             binpack.pack_bins(tiles, BinConfig(bin_size=2048), NoiseSpec(), np.random.default_rng(0))
         # the largest floor that leaves one entry and one payload byte is accepted
@@ -232,7 +232,7 @@ class TestPackBins:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             binpack.pack_bins(
-                [binpack.CompressedTile(0, 10, np.zeros(10, np.uint8))],
+                [binpack.CompressedTile(10, np.zeros(10, np.uint8))],
                 BinConfig(bin_size=60, kappa=8), no_noise(), np.random.default_rng(0),
             )
 
@@ -248,11 +248,11 @@ def pack_inputs(draw):
                       sigma2_max=draw(st.floats(0, float(bin_size) ** 2)))
     data = np.random.default_rng(draw(st.integers(0, 2**16)))
     tiles = []
-    for i in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, 10))):
         comp = draw(st.integers(1, 3 * bin_size))
         spans = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9)), max_size=2))
         tiles.append(binpack.CompressedTile(
-            tile_id=i, raw_size=draw(st.integers(1, 4 * bin_size)),
+            raw_size=draw(st.integers(1, 4 * bin_size)),
             payload=data.integers(0, 256, comp, dtype=np.uint8), dummy_spans=tuple(spans)))
     return tiles, BinConfig(bin_size=bin_size, kappa=kappa), noise
 
@@ -289,9 +289,9 @@ class TestUnpackBins:
     def _tiles(raws, dummies=0, seed=0):
         rng = np.random.default_rng([seed, 1])
         tiles = []
-        for i, raw in enumerate(raws):
+        for raw in raws:
             data, spans = binpack.inject_dummy(raw, dummies, rng)
-            tiles.append(binpack.compress_tile(data, tile_id=i, dummy_spans=spans))
+            tiles.append(binpack.compress_tile(data, dummy_spans=spans))
         return tiles
 
     def _pipeline(self, raws, cfg=None, seed=0, dummies=0):
@@ -368,11 +368,59 @@ class TestUnpackBins:
     def test_stored_segment_without_data_rejected(self):
         # a one-byte stored container packs and parses, but holds no tile
         cfg = BinConfig(bin_size=4096)
-        tile = binpack.CompressedTile(0, 0, np.array([binpack.MODE_STORED], np.uint8))
+        tile = binpack.CompressedTile(0, np.array([binpack.MODE_STORED], np.uint8))
         bins, _ = binpack.pack_bins([tile], cfg, no_noise(), np.random.default_rng(0))
         parsed = binpack.bin_from_bytes(bins[0].to_bytes(cfg), cfg)
         with pytest.raises(IntegrityError, match="data byte"):
             binpack.unpack_bins([parsed])
+
+    def test_tiles_need_no_id(self):
+        # two tiles compressed alone pack as the stream's tiles 0 and 1
+        rng = np.random.default_rng(12)
+        raws = [rng.integers(0, 8, size=400, dtype=np.uint8) for _ in range(2)]
+        cfg = BinConfig(bin_size=4096)
+        bins, _ = binpack.pack_bins([binpack.compress_tile(raw) for raw in raws], cfg,
+                                    no_noise(), np.random.default_rng(0))
+        assert bins[0].table["id"].tolist() == [0, 1]
+        for got in (binpack.unpack_bins(bins),
+                    binpack.unpack_bins([binpack.bin_from_bytes(b.to_bytes(cfg), cfg) for b in bins])):
+            assert [a.tobytes() for a in got] == [raw.tobytes() for raw in raws]
+
+    @staticmethod
+    def parsed_bin(cfg, ids, segments):
+        """The parsed wire image of a bin whose entries carry ids and hold segments."""
+        lengths = [seg.size for seg in segments]
+        table = np.array(list(zip(ids, np.cumsum(lengths) - lengths, lengths)),
+                         dtype=binpack._TABLE_ENTRY)
+        b = binpack.Bin(0, table, np.concatenate(segments), 0, 0)
+        return binpack.bin_from_bytes(b.to_bytes(cfg), cfg)
+
+    @staticmethod
+    def two_payloads():
+        rng = np.random.default_rng(13)
+        return [binpack.compress_tile(rng.integers(0, 8, size=400, dtype=np.uint8)).payload
+                for _ in range(2)]
+
+    def test_continuation_after_next_start_rejected(self):
+        # bin 0 starts tiles 0 and 1; bin 1 then continues tile 0, which
+        # pack_bins never writes, though each bin parses alone
+        a, b = self.two_payloads()
+        cfg = BinConfig(bin_size=4096)
+        bins = [self.parsed_bin(cfg, [0, 1], [a[:10], b]),
+                self.parsed_bin(cfg, [binpack._CONT_BIT], [a[10:]])]
+        with pytest.raises(IntegrityError, match="stream order at tile 2"):
+            binpack.unpack_bins(bins)
+
+    # the last pair's second id is tile 2**31 - 1 + 1, which is tile 0 continued
+    @pytest.mark.parametrize("ids", [[5, 2], [1, 3], [2**31 - 1, 2**31]])
+    def test_entries_not_consecutive_rejected(self, ids):
+        with pytest.raises(IntegrityError, match="next tile"):
+            self.parsed_bin(BinConfig(bin_size=4096), ids, self.two_payloads())
+
+    def test_stream_starting_past_tile_zero_rejected(self):
+        b = self.parsed_bin(BinConfig(bin_size=4096), [1, 2], self.two_payloads())
+        with pytest.raises(IntegrityError, match="stream order at tile 0"):
+            binpack.unpack_bins([b])
 
     def test_corrupt_table_detected(self):
         rng = np.random.default_rng(9)
@@ -447,9 +495,9 @@ class TestUnpackBins:
             for _, off, n in b.table.tolist():  # an accepted table never overlaps or leaves a gap
                 assert off == end and n >= 1
                 end += n
-            # ... and lists each tile once, continuing one only in its first entry
+            # ... and lists consecutive tiles, continuing one only in its first entry
             ids = b.table["id"]
-            assert len(set((ids & (binpack._CONT_BIT - 1)).tolist())) == len(ids)
+            assert np.all(ids[1:] == (ids[:-1] & (binpack._CONT_BIT - 1)) + 1)
             assert not any(ids[1:] & binpack._CONT_BIT)
             assert all(isinstance(raw, np.ndarray) for raw in binpack.unpack_bins([b]))
         except NeuroPlugError:

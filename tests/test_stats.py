@@ -176,8 +176,8 @@ class TestHeteroskedasticity:
         spec = binpack.NoiseSpec(alpha=0, support_r=10**9, sigma2_max=250_000)
         rng = np.random.default_rng(11)
         cfg = binpack.BinConfig(kappa=1)
-        tiles = [binpack.CompressedTile(tile_id=i, raw_size=1, payload=np.zeros(1, np.uint8))
-                 for i in range(64)]
+        tiles = [binpack.CompressedTile(raw_size=1, payload=np.zeros(1, np.uint8))
+                 for _ in range(64)]
         stream = np.array([
             b.noise_reserved
             for _ in range(-(-100_000 // 64))

@@ -504,8 +504,8 @@ class TestModelStore:
             for a, b, w in zip(first.weight_tiles[i], second.weight_tiles[i], tiles):
                 assert a is b
                 assert a.payload.tobytes() == w.payload.tobytes()
-                assert (a.tile_id, a.raw_size, a.comp_size, a.dummy_spans) == (
-                    w.tile_id, w.raw_size, w.comp_size, w.dummy_spans)
+                assert (a.raw_size, a.comp_size, a.dummy_spans) == (
+                    w.raw_size, w.comp_size, w.dummy_spans)
 
 
 def np_key(**kw):

@@ -159,7 +159,9 @@ def _defined(stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
-    return [t.id for t in targets if isinstance(t, ast.Name)]
+    # every name stored to, also inside tuple and list targets
+    return [node.id for t in targets if t is not None for node in ast.walk(t)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
 
 
 def _referenced(stmt) -> set[str]:
