@@ -6,8 +6,9 @@
                     from the statistical estimates.
 * si_attack       - side information: strips fake read-after-write updates
                     by spotting unchanged values, then filters like ss.
-* huffduff_attack - crafted impulse inputs; the boundary effect in nonzero
-                    write volume leaks the filter width on sparse traces.
+* huffduff_attack - crafted impulse inputs; reads layer 0's written volume
+                    off any trace and tests its boundary effect against a
+                    fixed input's run-to-run noise for the filter size.
 * reverse_engg_attack - segments layers by RAW structure and solves the
                     exact volume equations for (C, H, K, R*S) by integer
                     enumeration.
@@ -309,44 +310,28 @@ def smart_rank_for_layer(y_obs: float, x_r: int) -> mellin.RankResult:
 
 def craft_inputs(policy: str, shape: LayerShape, count: int) -> list[Tensor3D]:
     """Attack inputs: a single 1 swept along the first row or column."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    tensors = []
-    if policy == "impulse-row":
-        if count > shape.w:
-            raise DomainError(f"impulse-row supports at most {shape.w} positions")
-        for k in range(count):
-            vals = np.zeros((shape.c, shape.h, shape.w), dtype=np.int8)
-            vals[0, 0, k] = 1
-            tensors.append(Tensor3D(vals))
-    elif policy == "impulse-col":
-        if count > shape.h:
-            raise DomainError(f"impulse-col supports at most {shape.h} positions")
-        for k in range(count):
-            vals = np.zeros((shape.c, shape.h, shape.w), dtype=np.int8)
-            vals[0, k, 0] = 1
-            tensors.append(Tensor3D(vals))
-    else:
+    sides = {"impulse-row": shape.w, "impulse-col": shape.h}
+    if policy not in sides:
         raise DomainError(f"unknown crafted-input policy {policy!r}")
+    if not 1 <= count <= sides[policy]:
+        raise DomainError(f"{policy} supports 1 to {sides[policy]} positions, not {count}")
+    tensors = []
+    for k in range(count):
+        vals = np.zeros((shape.c, shape.h, shape.w), dtype=np.int8)
+        vals[(0, 0, k) if policy == "impulse-row" else (0, k, 0)] = 1
+        tensors.append(Tensor3D(vals))
     return tensors
 
 
 # ---------------------------------------------------------------------------
-# case study 1: boundary effect on sparse accelerators
+# case study 1: boundary effect on compressed traffic
 
 
 def _layer1_write_volume(trace: Trace) -> int:
+    """Bytes written to fmap 1, which only layer 0 writes."""
     arr = trace.arr
     mask = (arr["op"] == OP_WRITE) & (tracegen.fmap_index(arr["addr"]) == 1)
     return int(arr["size"][mask].sum())
-
-
-def _plateau_half_width(series: np.ndarray) -> int:
-    mid = series[len(series) // 2]
-    for k, v in enumerate(series):
-        if v == mid:
-            return k
-    return 0
 
 
 def huffduff_attack(net: NetworkSpec, seed: int = 0,
@@ -356,64 +341,54 @@ def huffduff_attack(net: NetworkSpec, seed: int = 0,
     Sweeping a single 1 along the first row, outputs shrink while the
     filter window still hangs over the edge; the first position matching
     the mid-row volume marks half the filter width.  A column sweep gives
-    the height the same way.  With no key the attacker reads layer 0's write
-    volume from an unprotected sparse-accelerator trace; with a key, the
-    NeuroPlug bin count of layer 0's ofmap under that key.  seed is the
-    model seed.
+    the height the same way.  Each run's observation is layer 0's written
+    volume, read off the trace of an unprotected sparse accelerator with no
+    key, or of NeuroPlug under key.  The row sweep counts as a signal only
+    if its variance exceeds four times that of as many runs of its first
+    input; only a signal estimates the filter.  seed is the model seed.
     """
     shape0 = net.layers[0].shape
-    caches: dict[int, tracegen.NeuroPlugCache] = {}  # id(input) -> its compressed content
+    prepared: dict = {}  # id(input) -> its forward pass, or its compressed content
 
     def volume_for(inp: Tensor3D, run_index: int) -> int:
-        if key is not None:
-            if id(inp) not in caches:
-                caches[id(inp)] = tracegen.prepare_neuroplug(net, inp, seed)
-            run = tracegen.neuroplug_trace(net, inp, key, run_index, seed, caches[id(inp)])
-            return run.bins_of(0, "ofmap") * key.bin_cfg.bin_size
-        return _layer1_write_volume(tracegen.baseline_trace(net, inp, seed=seed, sparse=True))
+        if id(inp) not in prepared:
+            prepare = tracegen.compute_net_data if key is None else tracegen.prepare_neuroplug
+            prepared[id(inp)] = prepare(net, inp, seed)
+        if key is None:
+            trace = tracegen.baseline_trace(net, inp, seed=seed, sparse=True, data=prepared[id(inp)])
+        else:
+            trace = tracegen.neuroplug_trace(net, inp, key, run_index, seed, prepared[id(inp)]).trace
+        return _layer1_write_volume(trace)
 
     row_sweep = craft_inputs("impulse-row", shape0, shape0.w)
     col_sweep = craft_inputs("impulse-col", shape0, shape0.h)
     row_series = np.array([volume_for(inp, i) for i, inp in enumerate(row_sweep)])
     col_series = np.array([volume_for(inp, i) for i, inp in enumerate(col_sweep)])
-
-    if key is not None:
-        # compare against noise-only dispersion at a fixed input
-        fixed = [volume_for(row_sweep[0], 1000 + i) for i in range(len(row_sweep))]
-        noise_var = float(np.var(fixed))
-        series_var = float(np.var(row_series))
-        if series_var == noise_var == 0:
-            # neither the sweep nor the noise moved the bin count, so this run
-            # cannot tell a hidden signal from a missing one
-            verdict = "inconclusive: no variance in either series"
-        elif series_var <= 4 * max(noise_var, 1.0):
-            verdict = "failed: series variance within noise"
-        else:
-            verdict = "signal"
-        est = LayerEstimate(
-            layer=0,
-            evidence={
-                "series_variance": series_var,
-                "noise_variance": noise_var,
-                "verdict": verdict,
-            },
-        )
-        return AttackReport(
-            kind="huffduff",
-            layers=[est],
-            notes=[verdict],
-            runs_used=len(row_series) + len(col_series) + len(fixed),
-            extra={"row_series": row_series.tolist(), "s_hat": None, "r_hat": None},
-        )
-
-    s_hat = 2 * _plateau_half_width(row_series) + 1
-    r_hat = 2 * _plateau_half_width(col_series) + 1
-    est = LayerEstimate(layer=0, evidence={"s_hat": s_hat, "r_hat": r_hat})
+    # noise-only dispersion: one input, as many runs as the row sweep
+    fixed = [volume_for(row_sweep[0], 1000 + i) for i in range(len(row_sweep))]
+    noise_var = float(np.var(fixed))
+    series_var = float(np.var(row_series))
+    if series_var == noise_var == 0:
+        # neither the sweep nor the noise moved the volume, so this run
+        # cannot tell a hidden signal from a missing one
+        verdict = "inconclusive: no variance in either series"
+    elif series_var <= 4 * noise_var:
+        verdict = "failed: series variance within noise"
+    else:
+        verdict = "signal"
+    evidence = {"series_variance": series_var, "noise_variance": noise_var, "verdict": verdict}
+    s_hat = r_hat = None
+    if verdict == "signal":
+        # the first position at the mid-series volume is half the filter side
+        s_hat = 2 * int(np.argmax(row_series == row_series[len(row_series) // 2])) + 1
+        r_hat = 2 * int(np.argmax(col_series == col_series[len(col_series) // 2])) + 1
+        evidence.update(s_hat=s_hat, r_hat=r_hat)
     return AttackReport(
         kind="huffduff",
-        layers=[est],
-        runs_used=len(row_series) + len(col_series),
-        extra={"s_hat": s_hat, "r_hat": r_hat, "row_series": row_series.tolist()},
+        layers=[LayerEstimate(layer=0, evidence=evidence)],
+        notes=[verdict],
+        runs_used=len(row_series) + len(col_series) + len(fixed),
+        extra={"row_series": row_series.tolist(), "s_hat": s_hat, "r_hat": r_hat},
     )
 
 

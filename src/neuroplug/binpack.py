@@ -386,8 +386,9 @@ def bin_from_bytes(data: bytes, cfg: BinConfig, index: int = 0) -> Bin:
     arr = np.frombuffer(data, dtype=np.uint8)
     n = int(arr[0]) | (int(arr[1]) << 8)
     payload_base = table_bytes(n)
-    if n > cfg.kappa or payload_base > cfg.bin_size:
-        raise IntegrityError("entry count exceeds table capacity")
+    # pack_bins opens a bin only for a segment, so a bin holds 1..kappa entries
+    if not 1 <= n <= cfg.kappa or payload_base > cfg.bin_size:
+        raise IntegrityError(f"entry count {n} outside 1..{cfg.kappa}")
     table = arr[2:payload_base].view(_TABLE_ENTRY).copy()
     lengths = table["length"].astype(np.int64)
     # pack_bins lays segments back to back from offset 0, so any other

@@ -99,7 +99,12 @@ def fmap_index(addrs) -> np.ndarray:
 
 
 class Trace:
-    """Time-ordered event stream backed by a structured array."""
+    """Event stream in issue order, backed by a structured array.
+
+    Every generator but one issues events at non-decreasing t.  The layer
+    divider's read-back and rewrite repeat the times of the writes they
+    copy, so its traces step back in time where they are inserted.
+    """
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
@@ -143,6 +148,10 @@ class Trace:
         if bad.size:
             i = int(bad[0])
             raise IntegrityError(f"trace record {i}: op {rec['op'][i]} is neither read nor write")
+        # no generator emits an event that moves no bytes
+        empty = np.flatnonzero(rec["size"] == 0)
+        if empty.size:
+            raise IntegrityError(f"trace record {int(empty[0])} has size 0")
         return cls(rec.astype(EVENT_DTYPE))
 
 

@@ -88,6 +88,50 @@ class TestHuffDuff:
         record = json.dumps(report.to_json(), sort_keys=True).encode()
         assert hashlib.blake2b(record, digest_size=16).hexdigest() == self.PINNED_REPORTS[name]
 
+    def test_baseline_report_is_a_signal(self, toy_layer0):
+        # the sparse baseline is deterministic, so its noise runs do not move
+        report = huffduff_attack(toy_layer0)
+        evidence = report.layers[0].evidence
+        assert evidence["verdict"] == "signal" and report.notes == ["signal"]
+        assert evidence["noise_variance"] == 0.0 < evidence["series_variance"]
+        assert evidence["s_hat"] == evidence["r_hat"] == 3
+        assert report.extra["s_hat"] == report.extra["r_hat"] == 3
+        shape = toy_layer0.layers[0].shape
+        assert report.runs_used == 2 * shape.w + shape.h
+
+    @pytest.mark.parametrize("net_name", ["toy-sparse", "vgg16-32", "vgg16-head"])
+    def test_trace_volume_is_layer0_ofmap_bins(self, net_name):
+        # every NeuroPlug write is one bin, and only layer 0 writes fmap 1,
+        # so the trace gives the simulator's bin count
+        net = model.load_network(net_name)
+        inp = model.generate_input(net.layers[0].shape, 1)
+        cache = tracegen.prepare_neuroplug(net, inp, 1)
+        for key in self.KEYS.values():
+            for run_index in range(2):
+                run = tracegen.neuroplug_trace(net, inp, key, run_index, 1, cache)
+                assert attacks._layer1_write_volume(run.trace) == \
+                    run.bins_of(0, "ofmap") * key.bin_cfg.bin_size
+
+
+class TestCraftInputs:
+    SHAPE = model.LayerShape(k=2, c=3, h=5, w=7, r=3, s=3, pad=1)
+
+    @pytest.mark.parametrize("policy, count", [("impulse-diag", 1), ("impulse-row", 0),
+                                               ("impulse-row", 8), ("impulse-col", 0),
+                                               ("impulse-col", 6)])
+    def test_rejected(self, policy, count):
+        with pytest.raises(DomainError):
+            attacks.craft_inputs(policy, self.SHAPE, count)
+
+    @pytest.mark.parametrize("policy, side", [("impulse-row", 7), ("impulse-col", 5)])
+    def test_single_one_at_each_position(self, policy, side):
+        tensors = attacks.craft_inputs(policy, self.SHAPE, side)
+        assert len(tensors) == side
+        for k, tensor in enumerate(tensors):
+            expected = np.zeros((3, 5, 7), dtype=np.int8)
+            expected[(0, 0, k) if policy == "impulse-row" else (0, k, 0)] = 1
+            np.testing.assert_array_equal(tensor.values, expected)
+
 
 def events(*rows):
     """A hand-built trace from (op, addr, size, digest) rows."""

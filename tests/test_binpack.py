@@ -433,6 +433,13 @@ class TestUnpackBins:
         with pytest.raises(IntegrityError):
             binpack.bin_from_bytes(bytes(img), cfg)
 
+    @pytest.mark.parametrize("cfg", [BinConfig(), BinConfig(bin_size=4096)])
+    def test_blank_bin_rejected(self, cfg):
+        # pack_bins never writes a bin without a table entry; a stream of
+        # blank images would otherwise unpack to no tiles without an error
+        with pytest.raises(IntegrityError, match="entry count 0"):
+            binpack.bin_from_bytes(bytes(cfg.bin_size), cfg)
+
     def three_tile_image(self):
         """One 4,096 B bin holding three compressed tiles, and its wire image."""
         rng = np.random.default_rng(10)

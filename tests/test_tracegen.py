@@ -836,6 +836,14 @@ class TestTraceDecodersTotal:
         with pytest.raises(IntegrityError):
             Trace.from_binary(bytes(blob))
 
+    @pytest.mark.parametrize("record", [0, 3])
+    def test_size_zero_record_rejected(self, record):
+        # no generator emits an event that moves no bytes
+        tr = small_trace()
+        tr.arr["size"][record] = 0
+        with pytest.raises(IntegrityError, match=f"record {record} has size 0"):
+            Trace.from_binary(tr.to_binary())
+
     @settings(max_examples=150)
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
            st.integers(-30, 30))
@@ -848,6 +856,17 @@ class TestTraceDecodersTotal:
             assert isinstance(Trace.from_binary(bytes(blob)), Trace)
         except NeuroPlugError:
             pass
+
+
+class TestTimeOrder:
+    def test_only_the_layer_divider_steps_back(self):
+        # its read-back and rewrite repeat the times of the writes they copy
+        for name, tr in pinned_traces():
+            steps = np.diff(tr.t.astype(np.int64))
+            if "layer-divider" in name:
+                assert (steps < 0).any(), name
+            else:
+                assert (steps >= 0).all(), name
 
 
 def pinned_traces():
