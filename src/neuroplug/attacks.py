@@ -7,7 +7,7 @@
 * si_attack       - side information: strips fake read-after-write updates
                     by spotting unchanged values, then filters like ss.
 * huffduff_attack - crafted impulse inputs; reads layer 0's written volume
-                    off any trace and tests its boundary effect against a
+                    from `observe` and tests its boundary effect against a
                     fixed input's run-to-run noise for the filter size.
 * reverse_engg_attack - segments layers by RAW structure and solves the
                     exact volume equations for (C, H, K, R*S) by integer
@@ -18,8 +18,8 @@ The address map is treated as public NPU design knowledge; only key
 material is secret.  Every attack reads a trace the same way: one byte-range
 overlap test (`_overlapping`) decides which writes are read back, which
 reads consume earlier writes and where reverse engineering cuts the trace
-into layers, and `tracegen.fmap_index` says which feature map an address
-belongs to.
+into layers, `tracegen.fmap_index` says which feature map an address
+belongs to, and `observe` counts each layer's bytes by region alone.
 """
 
 from __future__ import annotations
@@ -93,18 +93,28 @@ class AttackReport:
 # trace helpers
 
 
+def _last_bytes(addr, size) -> np.ndarray:
+    """addr + size - 1 per range, exact in uint64: a range that runs past the
+    top of the address space ends at 2**64 - 1."""
+    end = addr + size
+    return np.where(end < addr, np.uint64(2**64 - 1), end - np.uint64(1))
+
+
 def _overlapping(rows, against) -> np.ndarray:
     """Mask over `rows` of the byte ranges [addr, addr + size) that overlap
     some range of `against`, i.e. some range starts before the row ends and
-    ends after it starts."""
-    if len(against) == 0:
+    ends after it starts.  It compares inclusive last bytes, so [0, 0),
+    which has none, overlaps nothing."""
+    keep = np.flatnonzero(against["addr"] | against["size"])
+    if keep.size == 0:
         return np.zeros(len(rows), dtype=bool)
-    order = np.argsort(against["addr"], kind="stable")
-    starts = against["addr"][order].astype(np.int64)
-    reach = np.maximum.accumulate(starts + against["size"][order].astype(np.int64))
-    lo = rows["addr"].astype(np.int64)
-    last = np.searchsorted(starts, lo + rows["size"].astype(np.int64), side="left") - 1
-    return (last >= 0) & (reach[np.maximum(last, 0)] > lo)
+    order = keep[np.argsort(against["addr"][keep], kind="stable")]
+    starts = against["addr"][order]
+    reach = np.maximum.accumulate(_last_bytes(starts, against["size"][order]))
+    # contiguous copies of the strided columns: every step below reads them
+    lo, size = np.ascontiguousarray(rows["addr"]), np.ascontiguousarray(rows["size"])
+    last = np.searchsorted(starts, _last_bytes(lo, size), side="right") - 1
+    return (last >= 0) & (reach[np.maximum(last, 0)] >= lo) & ((lo | size) > 0)
 
 
 def _read_back_writes(arr) -> np.ndarray:
@@ -127,6 +137,25 @@ def _fmap_read_stats(reads) -> tuple[int, int]:
         return 0, 1
     _, counts = np.unique(reads["addr"], return_counts=True)
     return int(reads["size"].sum()), max(1, int(np.bincount(counts).argmax()))
+
+
+def observe(trace: Trace) -> np.ndarray:
+    """Row i: the bytes read in fmap i, read in layer i's weight region and
+    written to fmap i + 1, each address counted once; dummy regions are
+    left out.  Only the public address map is read, and under NeuroPlug
+    each entry is a bin count times the bin size."""
+    arr = trace.arr
+    fmap = tracegen.fmap_index(arr["addr"])
+    w_layer = (arr["addr"] >> REGION_SHIFT).astype(np.int64) - tracegen.WEIGHT_REGION
+    w_layer[w_layer >= tracegen.DUMMY_REGION - tracegen.WEIGHT_REGION] = -1
+    col = np.where(arr["op"] == OP_READ, np.where(fmap >= 0, 0, 1), 2)
+    row = np.choose(col, [fmap, w_layer, fmap - 1])
+    out = np.zeros((int(row.max(initial=-1)) + 1, 3), dtype=np.uint64)
+    for op in (OP_READ, OP_WRITE):
+        idx = np.flatnonzero((row >= 0) & (arr["op"] == op))
+        idx = idx[np.unique(arr["addr"][idx], return_index=True)[1]]
+        np.add.at(out, (row[idx], col[idx]), arr["size"][idx])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +356,6 @@ def craft_inputs(policy: str, shape: LayerShape, count: int) -> list[Tensor3D]:
 # case study 1: boundary effect on compressed traffic
 
 
-def _layer1_write_volume(trace: Trace) -> int:
-    """Bytes written to fmap 1, which only layer 0 writes."""
-    arr = trace.arr
-    mask = (arr["op"] == OP_WRITE) & (tracegen.fmap_index(arr["addr"]) == 1)
-    return int(arr["size"][mask].sum())
-
-
 def huffduff_attack(net: NetworkSpec, seed: int = 0,
                     key: tracegen.NeuroPlugKey | None = None) -> AttackReport:
     """Impulse-position sweep; the rise to the plateau reveals the filter.
@@ -358,7 +380,7 @@ def huffduff_attack(net: NetworkSpec, seed: int = 0,
             trace = tracegen.baseline_trace(net, inp, seed=seed, sparse=True, data=prepared[id(inp)])
         else:
             trace = tracegen.neuroplug_trace(net, inp, key, run_index, seed, prepared[id(inp)]).trace
-        return _layer1_write_volume(trace)
+        return int(observe(trace)[0, 2])
 
     row_sweep = craft_inputs("impulse-row", shape0, shape0.w)
     col_sweep = craft_inputs("impulse-col", shape0, shape0.h)
@@ -414,9 +436,12 @@ def _first_read_of_own_write(seg) -> int | None:
 def _segment_trace(arr) -> list[np.ndarray]:
     """Split on the first read of data written in the current segment.
 
-    A block's first weight fetch can precede the boundary read, so each
-    segment's trailing reads of a weight region that the next segment
-    touches move into the next segment.
+    A layer's weight reads can precede its boundary read, so a segment's
+    trailing reads of a weight region move into the next segment, but only
+    when the next segment reads that region again.  A layer whose weight
+    reads all come before its first input read (one weight block, or a
+    NeuroPlug case-II layer) leaves them in the previous segment, which
+    ROADMAP item 1 is to fix.
     """
     bounds = [0]
     while (cut := _first_read_of_own_write(arr[bounds[-1]:])) is not None:

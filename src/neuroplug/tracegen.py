@@ -113,24 +113,12 @@ class Trace:
         return len(self.arr)
 
     @property
-    def op(self):
-        return self.arr["op"]
-
-    @property
-    def addr(self):
-        return self.arr["addr"]
-
-    @property
     def size(self):
         return self.arr["size"]
 
     @property
     def t(self):
         return self.arr["t"]
-
-    @property
-    def digest(self):
-        return self.arr["digest"]
 
     def to_binary(self) -> bytes:
         """Each event as one little-endian copy of EVENT_DTYPE (33 B)."""
@@ -551,12 +539,12 @@ def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int)
 
 
 def _first_layer_tiles(
-    net: NetworkSpec, input_tensor: Tensor3D, key: NeuroPlugKey, run_index: int
+    net: NetworkSpec, fmap0: np.ndarray, key: NeuroPlugKey, run_index: int
 ) -> list[CompressedTile]:
     """Input tiles with fresh keyed dummy bytes, recompressed per run."""
     layer = net.layers[0]
     walk, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
-    return _compress_stream(_chunks(input_tensor.values, walk), key.noise.dummy_bytes_first_layer,
+    return _compress_stream(_chunks(fmap0, walk), key.noise.dummy_bytes_first_layer,
                             np.random.default_rng([key.seed, run_index, 0xD0]))
 
 
@@ -574,7 +562,9 @@ def neuroplug_trace(
     each output) is packed one way, with a generator seeded by the key, the
     run and the stream's tag.  A feature map's bin count is kept when it is
     written and read back by the layers that consume it.  A weight part's
-    tiles number from 0, so a stored copy unpacks part by part.
+    tiles number from 0, so a stored copy unpacks part by part.  Every map,
+    the input too, and the weights come from `cache`; input_tensor and
+    model_seed only build the cache when none is passed.
     """
     if cache is None:
         cache = prepare_neuroplug(net, input_tensor, model_seed)
@@ -596,7 +586,8 @@ def neuroplug_trace(
     # bins per feature map: layer 0 packs the (dummied) input, and every
     # other map is stored by the layer that writes it
     stored = {}
-    stored[0], report = pack(_first_layer_tiles(net, input_tensor, key, run_index), "fmap0", 0, 0xB0)
+    stored[0], report = pack(_first_layer_tiles(net, cache.data.fmaps[0], key, run_index),
+                             "fmap0", 0, 0xB0)
     reports.append(report)
     for i, layer in enumerate(net.layers):
         n_in = stored[i]

@@ -26,6 +26,28 @@ ADDITIVE_LEAKS = {
 RUNS = 4
 
 
+NETS = ["toy-sparse", "vgg16-32", "vgg16-head"]
+STREAMS = ("ifmap", "filter", "ofmap")
+# 4,096 B bins in 64 KiB: across the three nets, layers run cases AllFit, I, II and III
+SMALL_KEY = NeuroPlugKey(noise=binpack.NoiseSpec(alpha=512, support_r=1024, sigma2_max=2**16),
+                         bin_cfg=binpack.BinConfig(bin_size=4096), npu_capacity=64 * 1024)
+
+
+@pytest.fixture(scope="module")
+def prepared():
+    """(net, input, prepare_neuroplug cache) of a bundled net at input and
+    model seed 1, made once per net."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            net = model.load_network(name)
+            inp = model.generate_input(net.layers[0].shape, 1)
+            made[name] = net, inp, tracegen.prepare_neuroplug(net, inp, 1)
+        return made[name]
+    return get
+
+
 @pytest.fixture(scope="module")
 def toy_layer0():
     """The first (3x3, pad 1) layer of toy-sparse on its own."""
@@ -99,18 +121,52 @@ class TestHuffDuff:
         shape = toy_layer0.layers[0].shape
         assert report.runs_used == 2 * shape.w + shape.h
 
-    @pytest.mark.parametrize("net_name", ["toy-sparse", "vgg16-32", "vgg16-head"])
-    def test_trace_volume_is_layer0_ofmap_bins(self, net_name):
-        # every NeuroPlug write is one bin, and only layer 0 writes fmap 1,
-        # so the trace gives the simulator's bin count
-        net = model.load_network(net_name)
-        inp = model.generate_input(net.layers[0].shape, 1)
-        cache = tracegen.prepare_neuroplug(net, inp, 1)
-        for key in self.KEYS.values():
+
+class TestObserve:
+    @pytest.mark.parametrize("net_name", NETS)
+    def test_neuroplug_entries_are_bins(self, prepared, net_name):
+        # every NeuroPlug event is one bin, so the trace gives the
+        # simulator's bin counts; HuffDuff reads entry [0, 2]
+        net, inp, cache = prepared(net_name)
+        for key in (*TestHuffDuff.KEYS.values(), SMALL_KEY):
             for run_index in range(2):
                 run = tracegen.neuroplug_trace(net, inp, key, run_index, 1, cache)
-                assert attacks._layer1_write_volume(run.trace) == \
-                    run.bins_of(0, "ofmap") * key.bin_cfg.bin_size
+                assert attacks.observe(run.trace).tolist() == [
+                    [run.bins_of(i, stream) * key.bin_cfg.bin_size for stream in STREAMS]
+                    for i in range(len(net.layers))]
+
+    def test_small_key_runs_every_case(self, prepared):
+        cases = set()
+        for net_name in NETS:
+            net, inp, cache = prepared(net_name)
+            run = tracegen.neuroplug_trace(net, inp, SMALL_KEY, 0, 1, cache)
+            cases.update(plan.case for plan in run.plans)
+        assert cases == {sfc.CASE_ALL_FIT, sfc.CASE_I, sfc.CASE_II, sfc.CASE_III}
+
+    @pytest.mark.parametrize("net_name", NETS)
+    def test_dense_baseline_volumes(self, net_name):
+        net = model.load_network(net_name)
+        trace = tracegen.baseline_trace(net, model.generate_input(net.layers[0].shape, 1), seed=1)
+        assert attacks.observe(trace).tolist() == [
+            [row["ifmap_volume"], sfc.weight_bytes(layer.shape), row["ofmap_volume"]]
+            for row, layer in zip(tracegen.ground_truth(net)["layers"], net.layers, strict=True)]
+
+    def test_each_address_once_and_no_dummies(self):
+        trace = events(
+            (OP_READ, fmap_base(0), 100, 0),
+            (OP_READ, weight_base(1), 30, 0),
+            (OP_READ, fmap_base(0), 100, 0),  # a re-read
+            (OP_READ, weight_base(1), 30, 0),
+            (OP_WRITE, fmap_base(2), 40, 0),
+            (OP_WRITE, fmap_base(2), 40, 0),  # a rewrite
+            (OP_READ, fmap_base(2), 40, 0),
+            (OP_WRITE, tracegen.dummy_base(0), 50, 0),
+            (OP_READ, tracegen.dummy_base(1), 50, 0),
+        )
+        assert attacks.observe(trace).tolist() == [[100, 0, 0], [0, 30, 40], [40, 0, 0]]
+
+    def test_empty_trace(self):
+        assert attacks.observe(events()).shape == (0, 3)
 
 
 class TestCraftInputs:
@@ -152,6 +208,11 @@ def ranges(pairs):
 # small addresses and sizes, so that ranges nest, touch and repeat, and size 0 is common
 RANGES = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=12)
 
+# ranges at both ends of the address space, so that some run past 2**64
+TOP_RANGES = st.lists(st.tuples(st.integers(0, 40) | st.integers(2**64 - 40, 2**64 - 1),
+                                st.integers(0, 50) | st.integers(2**64 - 50, 2**64 - 1)),
+                      max_size=10)
+
 # reads and writes in two feature maps and two weight regions at small
 # offsets, so that ranges nest, touch and are read before they are written
 SEGMENT_EVENTS = st.lists(st.tuples(
@@ -189,6 +250,20 @@ class TestTraceReading:
         # row where two ranges touch; traces hold no zero-size events
         sized = rows["size"] > 0
         np.testing.assert_array_equal(got[sized], oracles.overlapping_merged(rows, against)[sized])
+
+    @settings(max_examples=300)
+    @given(TOP_RANGES, TOP_RANGES)
+    def test_overlap_exact_at_the_top(self, rows, against):
+        # the definition in unbounded integers: a range may run past 2**64
+        want = [any(b < a + s and b + u > a for b, u in against) for a, s in rows]
+        assert attacks._overlapping(ranges(rows), ranges(against)).tolist() == want
+
+    def test_write_past_the_top_does_not_wrap(self):
+        # [2**64 - 10, 2**64 + 54) holds no byte of [5, 69), but does hold the top byte
+        arr = events((OP_WRITE, 2**64 - 10, 64, 0), (OP_READ, 5, 64, 0)).arr
+        assert attacks._read_back_writes(arr).tolist() == [False, False]
+        arr = events((OP_WRITE, 2**64 - 10, 64, 0), (OP_READ, 2**64 - 1, 1, 0)).arr
+        assert attacks._read_back_writes(arr).tolist() == [True, False]
 
     def test_read_covered_only_by_earlier_longer_write(self):
         # segment 1's read of fmap 1 lies inside the first, longer write of
@@ -241,6 +316,10 @@ class TestTraceReading:
         with pytest.raises(DomainError):
             attacks.si_attack([])
 
+    def test_ss_needs_a_trace(self):
+        with pytest.raises(DomainError):
+            attacks.ss_attack([])
+
     def test_si_copies_base_report(self):
         def figures(report):
             return [{k: v for k, v in est.to_json().items() if k != "evidence"}
@@ -288,6 +367,23 @@ class TestReverseEngg:
         report, truth = vgg_reverse
         assert (truth[1]["k"], truth[1]["r"] * truth[1]["s"]) == (64, 9)
         assert report.layers[1].evidence["tuples"] == [(64, 28, 16, 72)]
+
+
+@pytest.mark.xfail(strict=True, reason="a layer whose weight reads all precede its first input "
+                   "read leaves them in the previous segment (ROADMAP item 1)")
+@pytest.mark.parametrize("net_name, keyed", [("toy-sparse", False), ("vgg16-head", False),
+                                             ("vgg16-head", True)])
+def test_segments_hold_their_layers_weights(prepared, net_name, keyed):
+    # each segment's weight-region bytes should be its layer's weights;
+    # today toy-sparse's dense segments hold [648, 1152, 2304, 0] B against
+    # [72, 576, 1152, 2304], and vgg16-head's keyed segments [16, 16, 16,
+    # 32, 0] filter bins against [8, 8, 16, 16, 32]
+    net, inp, cache = prepared(net_name)
+    trace = (tracegen.neuroplug_trace(net, inp, NeuroPlugKey(), 0, 1, cache).trace if keyed
+             else tracegen.baseline_trace(net, inp, seed=1))
+    got = [int(attacks.observe(Trace(trace.arr[seg]))[:, 1].sum())
+           for seg in attacks._segment_trace(trace.arr)]
+    assert got == attacks.observe(trace)[:, 1].tolist()
 
 
 class TestVerdictVolumes:

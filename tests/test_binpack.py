@@ -236,6 +236,18 @@ class TestPackBins:
                 BinConfig(bin_size=60, kappa=8), no_noise(), np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("cfg, match", [(BinConfig(kappa=0), "kappa"),
+                                            (BinConfig(bin_size=0x10000), "16-bit")])
+    def test_bin_config_validation(self, cfg, match):
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field", ["alpha", "support_r", "sigma2_max",
+                                       "dummy_bytes_first_layer"])
+    def test_negative_noise_parameter_rejected(self, field):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            NoiseSpec(**{field: -1}).validate()
+
 
 @st.composite
 def pack_inputs(draw):
@@ -421,6 +433,11 @@ class TestUnpackBins:
         b = self.parsed_bin(BinConfig(bin_size=4096), [1, 2], self.two_payloads())
         with pytest.raises(IntegrityError, match="stream order at tile 0"):
             binpack.unpack_bins([b])
+
+    @pytest.mark.parametrize("size", [2047, 2049])
+    def test_image_of_wrong_length_rejected(self, size):
+        with pytest.raises(IntegrityError, match="exactly 2048 bytes"):
+            binpack.bin_from_bytes(bytes(size), BinConfig(bin_size=2048))
 
     def test_corrupt_table_detected(self):
         rng = np.random.default_rng(9)

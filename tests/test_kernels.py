@@ -320,6 +320,15 @@ class TestMalformedContainer:
         with pytest.raises(IntegrityError, match="data byte"):
             binpack.decompress_tile(np.array([binpack.MODE_STORED], np.uint8))
 
+    @pytest.mark.parametrize("payload, match", [
+        (b"", "empty container"),
+        (bytes([binpack.MODE_RLE_HUF, 0x80]), "truncated varint"),
+        (bytes([binpack.MODE_RLE_HUF, 5]), "truncated header"),
+    ], ids=["empty", "varint", "header"])
+    def test_truncated_container(self, payload, match):
+        with pytest.raises(IntegrityError, match=match):
+            binpack.decompress_tile(np.frombuffer(payload, np.uint8))
+
     def test_container_without_a_token(self):
         with pytest.raises(IntegrityError, match="without a token"):
             binpack.decompress_tile(container(0, [(1, 1), (2, 1)], b""))

@@ -50,6 +50,27 @@ def one_bin_prediction():
     return h, 11_520, 2_457_600
 
 
+class TestGridPdfRejected:
+    @pytest.mark.parametrize("x, f, match", [
+        ([1.0], [1.0], "length >= 2"),
+        ([1.0, 2.0], [1.0], "equal length"),
+        ([[1.0, 2.0]], [[1.0, 1.0]], "1-D"),
+        ([0.0, 1.0], [1.0, 1.0], "strictly positive"),
+        ([1.0, 1.0], [1.0, 1.0], "strictly increasing"),
+        ([2.0, 1.0], [1.0, 1.0], "strictly increasing"),
+        ([1.0, 2.0], [-1.0, 1.0], "nonnegative"),
+        ([1.0, 2.0], [np.inf, 1.0], "finite"),
+        ([1.0, 2.0], [np.nan, 1.0], "finite"),
+    ])
+    def test_rejected(self, x, f, match):
+        with pytest.raises(DomainError, match=match):
+            GridPdf(np.array(x), np.array(f))
+
+    def test_zero_mass_does_not_normalize(self):
+        with pytest.raises(DomainError, match="zero mass"):
+            GridPdf(np.array([1.0, 2.0]), np.zeros(2)).normalized()
+
+
 class TestRiemann:
     def test_gamma_identity(self):
         m = mellin_riemann(exp_pdf(), [2.0])

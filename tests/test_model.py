@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,56 @@ class TestNsqf:
                                       nsqf_sieve(2_457_600)[11_520:].astype(np.uint8))
 
 
+class TestValidation:
+    """Each validation raises its NeuroPlugError subclass."""
+
+    @pytest.mark.parametrize("edit, match", [
+        (dict(k=0), "field k must be >= 1"),
+        (dict(stride=0), "field stride must be >= 1"),
+        (dict(pool=0), "field pool must be >= 1"),
+        (dict(pad=-1), "pad must be >= 0"),
+        (dict(h=2, w=2, pad=0), "filter larger"),
+        (dict(pool=3), "pool 3 must divide output dims 8x8"),
+    ])
+    def test_layer_shape(self, edit, match):
+        with pytest.raises(ShapeError, match=match):
+            small_layer(**edit).validate()
+
+    @pytest.mark.parametrize("field, top", [("tk", 2), ("tc", 3), ("th", 8), ("tw", 8)])
+    def test_tiling_outside_the_layer(self, field, top):
+        layer = small_layer()
+        for value in (0, top + 1):
+            tiling = model.TilingSpec(**{**dict(tk=1, tc=1, th=1, tw=1), field: value})
+            with pytest.raises(ShapeError, match=f"{field}={value} outside"):
+                tiling.validate(layer)
+        model.TilingSpec(**{**dict(tk=1, tc=1, th=1, tw=1), field: top}).validate(layer)
+
+    def test_network_without_layers(self):
+        with pytest.raises(ConfigError, match="no layers"):
+            model.NetworkSpec(layers=[]).validate()
+
+    @pytest.mark.parametrize("sparsity", [-0.1, 1.0])
+    def test_sparsity_outside_unit_interval(self, sparsity):
+        net = model.load_network("toy-sparse")
+        net.layers[2] = dataclasses.replace(net.layers[2], sparsity=sparsity)
+        with pytest.raises(ConfigError, match="layer 2: sparsity"):
+            net.validate()
+
+    def test_input_size_differs_from_previous_output(self):
+        net = model.load_network("toy-sparse")
+        layer = net.layers[1]
+        shape = dataclasses.replace(layer.shape, h=layer.shape.h + 2, w=layer.shape.w + 2)
+        net.layers[1] = dataclasses.replace(layer, shape=shape)
+        with pytest.raises(ConfigError, match="layer 1: input"):
+            net.validate()
+
+    @pytest.mark.parametrize("values, match", [(np.zeros((2, 2), np.int8), "3 dims"),
+                                               (np.zeros((1, 2, 2), np.int16), "int8")])
+    def test_tensor3d(self, values, match):
+        with pytest.raises(ShapeError, match=match):
+            model.Tensor3D(values)
+
+
 class TestVolumesAndConfigs:
     def test_unit_volume(self):
         assert sfc.ifmap_bytes(model.LayerShape(k=1, c=1, h=1, w=1, r=1, s=1)) == 1
@@ -391,6 +442,29 @@ class TestVolumesAndConfigs:
         edit(doc)
         with pytest.raises(ConfigError, match=match):
             model.network_from_json(doc)
+
+    def test_layer_missing_field_rejected(self):
+        doc = network_to_json(model.load_network("toy-sparse"))
+        del doc["layers"][1]["k"]
+        with pytest.raises(ConfigError, match="missing field 'k'"):
+            model.network_from_json(doc)
+
+    def test_layer_without_tiling_is_auto_tiled(self):
+        doc = network_to_json(model.load_network("vgg16-32"))
+        for layer in doc["layers"]:
+            del layer["tiling"]
+        net = model.network_from_json(doc)
+        assert [layer.tiling for layer in net.layers] == [
+            model.auto_tile(layer.shape) for layer in net.layers]
+        assert net.layers != model.load_network("vgg16-32").layers
+
+    def test_missing_path_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot load network config"):
+            model.load_network(str(tmp_path / "absent.json"))
+
+    def test_unknown_input_policy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown input policy"):
+            model.generate_input(small_layer(), 0, "uniform")
 
     def test_bad_skip_rejected(self):
         doc = network_to_json(model.load_network("toy-sparse"))

@@ -86,7 +86,7 @@ class TestBaseline:
         net = tiny_net()
         tr = baseline_trace(net, toy_input(net))
         # the weight read (no feature map), the input read and the output write
-        assert sorted(zip(tr.op.tolist(), fmap_index(tr.addr).tolist())) == [
+        assert sorted(zip(tr.arr["op"].tolist(), fmap_index(tr.arr["addr"]).tolist())) == [
             (OP_READ, -1), (OP_READ, 0), (OP_WRITE, 1)]
 
     def test_fmap_index(self):
@@ -136,7 +136,7 @@ class TestBaseline:
             out = model.conv_forward(shape, inp.values, w)
             data = tracegen.NetData(fmaps=[inp.values, out], weights=[w])
             tr = baseline_trace(net, inp, sparse=True, data=data)
-            vols.append(int(tr.size[tr.op == OP_WRITE].sum()))
+            vols.append(int(tr.size[tr.arr["op"] == OP_WRITE].sum()))
         assert vols == sorted(vols)
 
     def test_skip_connection_rereads_source(self):
@@ -568,7 +568,16 @@ class TestNeuroPlug:
         a = neuroplug_trace(net, inp, np_key(), run_index=0, cache=cache)
         b = neuroplug_trace(net, inp, np_key(), run_index=1, cache=cache)
         n = min(len(a.trace), len(b.trace))
-        assert not np.any(a.trace.digest[:n] == b.trace.digest[:n])
+        assert not np.any(a.trace.arr["digest"][:n] == b.trace.arr["digest"][:n])
+
+    def test_cache_is_the_one_source(self, toy_run):
+        # layer 0 packs the cache's input, not input_tensor, as every other
+        # map and the weights already come from the cache
+        net, inp, cache = toy_run
+        want = neuroplug_trace(net, inp, np_key(), run_index=0, cache=cache)
+        got = neuroplug_trace(net, toy_input(net, 8), np_key(), run_index=0, cache=cache)
+        assert got.reports == want.reports
+        assert got.trace.arr.tobytes() == want.trace.arr.tobytes()
 
     def test_pipeline_roundtrip_through_bins(self):
         # layer-0 bins and their parsed wire images unpack to the same
@@ -577,7 +586,7 @@ class TestNeuroPlug:
         net = model.load_network("toy-sparse")
         inp = model.generate_input(net.layers[0].shape, 7)
         key = np_key()
-        tiles = tracegen._first_layer_tiles(net, inp, key, run_index=0)
+        tiles = tracegen._first_layer_tiles(net, inp.values, key, run_index=0)
         bins, _ = binpack.pack_bins(
             tiles, key.bin_cfg, key.noise, np.random.default_rng(0), assemble=True
         )
@@ -639,7 +648,7 @@ def case_three_runs():
 def read_passes(run):
     """Maximal runs of consecutive reads per region: [(region, [bin index, ...])]."""
     passes = []
-    for row in run.trace.arr[run.trace.op == OP_READ]:
+    for row in run.trace.arr[run.trace.arr["op"] == OP_READ]:
         region = int(row["addr"]) >> REGION_SHIFT
         idx = (int(row["addr"]) & ((1 << REGION_SHIFT) - 1)) // 2048
         if passes and passes[-1][0] == region:
@@ -673,7 +682,7 @@ class TestCaseTwoEmission:
             assert [r for r, _ in passes] == [WEIGHT_REGION, FMAP_REGION]
             assert passes[0][1] == list(range(run.bins_of(0, "filter")))
             assert passes[1][1] == list(range(n_in))
-            ops = run.trace.op.tolist()
+            ops = run.trace.arr["op"].tolist()
             n_out = run.bins_of(0, "ofmap")
             assert ops == [OP_READ] * (len(ops) - n_out) + [OP_WRITE] * n_out
 
@@ -733,7 +742,7 @@ class TestPlanMatchesEmission:
         copy, and the copies lie back to back in copy order."""
         bin_size = int(run.trace.size[0])
         # a layer's events end with its output writes
-        ops = run.trace.op
+        ops = run.trace.arr["op"]
         ends = np.flatnonzero((ops[:-1] == OP_WRITE) & (ops[1:] == OP_READ)) + 1
         layers = np.split(run.trace.arr, ends)
         for i, (plan, events) in enumerate(zip(run.plans, layers, strict=True)):

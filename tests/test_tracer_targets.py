@@ -145,7 +145,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "neuroplug"
 # public names that nothing outside tests calls yet, each with the ROADMAP
 # open item that will give it a caller
 CALLERS_TO_COME = {
-    ("attacks", "huffduff_attack"): "item 4",
+    ("attacks", "huffduff_attack"): "item 10",
     ("mellin", "search_space_size"): "item 5",
     **{("stats", name): "item 6" for name in (
         "fisher_information", "mutual_information", "pearson_cc", "runs_test", "cvm_test",
