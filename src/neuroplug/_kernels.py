@@ -1,7 +1,10 @@
 """Hot numeric kernels: integer convolution, NSQF masks, zero run-length
 coding, canonical Huffman bit packing and the NIST runs count.
 
-Each operation has one numpy/Python implementation.
+Each operation has one numpy/Python implementation.  The convolution takes
+int8 operands and runs float32 GEMMs of at most 2**10 reduction terms, whose
+integer sums stay within 2**24 and so round nothing; it sums them in int32,
+which holds any C*R*S < 2**17 products.
 """
 
 import math
@@ -12,18 +15,23 @@ import numpy as np
 # integer convolution (cross-correlation with zero padding), int8 -> int32
 
 
-_IM2COL_ELEMS = 1 << 16  # float64 im2col elements per GEMM: 512 KiB
+_IM2COL_ELEMS = 1 << 16  # float32 im2col elements per band: 256 KiB
+_SLICE_TERMS = 1 << 10  # reduction terms per float32 GEMM: sums stay within 2**24
 
 
 def conv2d_acc(ifmap, weights, stride, pad):
-    """Windowed sum of products as im2col float64 GEMMs, returned as int32.
+    """Windowed sum of products of int8 ifmap and weights, returned as int32.
 
-    Exact: every product and partial sum is an integer of magnitude at most
-    C*R*S*2**14, far below 2**53, so float64 rounds nothing.  The columns are
-    built for a band of output rows at a time to bound the memory: a band's
-    columns take no more than the larger of _IM2COL_ELEMS elements and the
-    float64 weight matrix the call holds anyway, so a layer with a large
-    weight matrix streams it through few GEMMs.
+    The im2col product is split along its C*R*S reduction axis into float32
+    GEMMs of at most _SLICE_TERMS terms, and the slices are summed in int32.
+    Exact: every int8 product has magnitude at most 2**14, so every partial
+    sum inside one GEMM is an integer of magnitude at most 2**24, which
+    float32 holds exactly whatever order, blocking or FMA the BLAS uses.  The
+    int32 total stays below 2**31 while C*R*S < 2**17 (LayerShape.validate).
+    The columns are built for a band of output rows at a time to bound the
+    memory: a band's columns take no more than the larger of _IM2COL_ELEMS
+    elements and the float32 weight matrix the call holds anyway, so a layer
+    with a large weight matrix streams it through few bands.
     """
     C, H, W = ifmap.shape
     K, _, R, S = weights.shape
@@ -33,12 +41,15 @@ def conv2d_acc(ifmap, weights, stride, pad):
     padded[:, pad : pad + H, pad : pad + W] = ifmap
     win = np.lib.stride_tricks.sliding_window_view(padded, (R, S), axis=(1, 2))
     win = win[:, ::stride, ::stride][:, :P, :Q].transpose(0, 3, 4, 1, 2)
-    w = weights.reshape(K, C * R * S).astype(np.float64)
-    out = np.empty((K, P, Q), dtype=np.int32)
+    w = weights.reshape(K, C * R * S).astype(np.float32)
+    out = np.zeros((K, P, Q), dtype=np.int32)
     band = max(1, max(_IM2COL_ELEMS, K * C * R * S) // (C * R * S * Q))
     for p0 in range(0, P, band):
-        cols = np.array(win[..., p0 : p0 + band, :], dtype=np.float64)
-        out[:, p0 : p0 + band] = (w @ cols.reshape(C * R * S, -1)).reshape(K, -1, Q)
+        cols = np.array(win[..., p0 : p0 + band, :], dtype=np.float32).reshape(C * R * S, -1)
+        acc = out[:, p0 : p0 + band]
+        for j in range(0, C * R * S, _SLICE_TERMS):
+            part = w[:, j : j + _SLICE_TERMS] @ cols[j : j + _SLICE_TERMS]
+            acc += part.astype(np.int32).reshape(acc.shape)
     return out
 
 

@@ -67,6 +67,10 @@ class LayerShape:
             raise ShapeError("filter larger than padded input")
         if self.p % self.pool or self.q % self.pool:
             raise ShapeError(f"pool {self.pool} must divide output dims {self.p}x{self.q}")
+        if self.c * self.r * self.s >= 1 << 17:
+            # c*r*s products of magnitude up to 2**14 must sum below 2**31
+            raise ShapeError(f"c*r*s = {self.c * self.r * self.s} overflows int32 "
+                             "accumulators; it must be below 2**17")
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,12 @@ def _as_array(t) -> np.ndarray:
 
 
 def conv_accumulate(layer: LayerShape, ifmap, weights) -> np.ndarray:
-    """Raw windowed sum-of-products on 32-bit accumulators (no ReLU/pool)."""
+    """Raw windowed sum-of-products on 32-bit accumulators (no ReLU/pool).
+
+    The layer must validate, and ifmap and weights must hold int8 elements:
+    nothing is cast, so the int32 result is exact.
+    """
+    layer.validate()
     ifmap = _as_array(ifmap)
     weights = np.asarray(weights)
     if ifmap.shape != (layer.c, layer.h, layer.w):
@@ -163,12 +172,10 @@ def conv_accumulate(layer: LayerShape, ifmap, weights) -> np.ndarray:
         raise ShapeError(
             f"weights shape {weights.shape} != {(layer.k, layer.c, layer.r, layer.s)}"
         )
-    return _kernels.conv2d_acc(
-        np.ascontiguousarray(ifmap, dtype=np.int8),
-        np.ascontiguousarray(weights, dtype=np.int8),
-        layer.stride,
-        layer.pad,
-    )
+    if ifmap.dtype != np.int8 or weights.dtype != np.int8:
+        raise ShapeError(f"conv inputs must be int8, not {ifmap.dtype} ifmap "
+                         f"and {weights.dtype} weights")
+    return _kernels.conv2d_acc(ifmap, weights, layer.stride, layer.pad)
 
 
 def requantize(acc: np.ndarray) -> np.ndarray:

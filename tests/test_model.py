@@ -94,6 +94,53 @@ class TestConvForward:
             got = model.conv_accumulate(layer, ifmap, w)
             np.testing.assert_array_equal(got.astype(np.int64), conv_brute(ifmap, w, stride, pad))
 
+    def test_slices_sum_past_float32_exactly(self):
+        # 129*3*3 = 1161 terms: 1161 * 127 * 127 = 18,725,769 is odd and above
+        # 2**24, where float32 holds only even integers, so one float32 GEMM
+        # over every term, or slices summed in float32, would round it
+        layer = small_layer(k=2, c=129, h=4, w=4, pad=0)
+        w = np.stack([np.full((129, 3, 3), 127, np.int8), np.full((129, 3, 3), -128, np.int8)])
+        acc = model.conv_accumulate(layer, np.full((129, 4, 4), 127, np.int8), w)
+        assert acc[0].tolist() == [[18_725_769] * 2] * 2
+        assert acc[1].tolist() == [[-1161 * 127 * 128] * 2] * 2
+
+    @pytest.mark.parametrize("one_row_bands", [False, True])
+    @pytest.mark.parametrize("terms", [1, 5, 7])
+    def test_narrow_slices_match_brute_force(self, monkeypatch, terms, one_row_bands):
+        # 2*3*3 = 18 terms: slices of 5 and 7 leave remainders of 3 and 4
+        monkeypatch.setattr(_kernels, "_SLICE_TERMS", terms)
+        if one_row_bands:
+            monkeypatch.setattr(_kernels, "_IM2COL_ELEMS", 1)
+        rng = np.random.default_rng(terms)
+        for stride, pad in [(1, 1), (2, 0)]:
+            layer = small_layer(k=3, c=2, h=9, w=9, stride=stride, pad=pad)
+            ifmap = rng.integers(-128, 128, size=(2, 9, 9), dtype=np.int8)
+            w = rng.integers(-128, 128, size=(3, 2, 3, 3), dtype=np.int8)
+            w[0] = -128
+            ifmap[:, :4, :4] = -128
+            got = model.conv_accumulate(layer, ifmap, w)
+            np.testing.assert_array_equal(got.astype(np.int64), conv_brute(ifmap, w, stride, pad))
+
+    def test_int32_accumulator_bound(self):
+        # 2**17 products of (-128)**2 sum to 2**31, one past the int32 range
+        layer = small_layer(k=1, c=2**15, h=2, w=2, r=2, s=2, pad=0)
+        extreme = np.full((1, 2**15, 2, 2), -128, np.int8)
+        with pytest.raises(ShapeError, match="below 2\\*\\*17"):
+            model.conv_accumulate(layer, extreme[0], extreme)
+        # one channel fewer is the largest layer allowed, summed over 128 slices
+        layer = small_layer(k=1, c=2**15 - 1, h=2, w=2, r=2, s=2, pad=0)
+        acc = model.conv_accumulate(layer, extreme[0, 1:], extreme[:, 1:])
+        assert acc.tolist() == [[[(2**17 - 4) * 2**14]]]
+
+    @pytest.mark.parametrize("ifmap, w", [
+        (np.full((1, 3, 3), 200, np.int64), np.ones((1, 1, 3, 3), np.int8)),  # cast, gives -504
+        (np.full((1, 3, 3), 1.5), np.ones((1, 1, 3, 3), np.int8)),  # cast, gives 9
+        (np.ones((1, 3, 3), np.int8), np.ones((1, 1, 3, 3), np.int16)),
+    ])
+    def test_rejects_operands_that_are_not_int8(self, ifmap, w):
+        with pytest.raises(ShapeError, match="must be int8"):
+            model.conv_accumulate(small_layer(k=1, c=1, h=3, w=3, pad=0), ifmap, w)
+
     def test_linear_before_relu(self):
         layer = small_layer(k=2, c=2, h=6, w=6)
         rng = np.random.default_rng(3)
@@ -346,6 +393,7 @@ class TestValidation:
         (dict(pad=-1), "pad must be >= 0"),
         (dict(h=2, w=2, pad=0), "filter larger"),
         (dict(pool=3), "pool 3 must divide output dims 8x8"),
+        (dict(c=2**15, r=2, s=2), "c\\*r\\*s = 131072 overflows int32"),
     ])
     def test_layer_shape(self, edit, match):
         with pytest.raises(ShapeError, match=match):
