@@ -57,8 +57,11 @@ def maxpool2d(arr, pool):
     """Max pooling with window pool x pool, stride pool (pool must divide dims)."""
     if pool == 1:
         return arr
-    K, P, Q = arr.shape
-    return arr.reshape(K, P // pool, pool, Q // pool, pool).max(axis=(2, 4))
+    views = [arr[:, di::pool, dj::pool] for di in range(pool) for dj in range(pool)]
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -112,10 +112,10 @@ class Layer:
 
 @dataclass
 class NetworkSpec:
-    """Ordered conv layers plus skip connections (source idx < dest idx)."""
+    """A chain of conv layers: layer i alone reads feature map i and writes
+    feature map i + 1."""
 
     layers: list[Layer]
-    skips: list[tuple[int, int]] = field(default_factory=list)
     name: str = ""
 
     def validate(self) -> None:
@@ -135,9 +135,6 @@ class NetworkSpec:
                     f"layer {i + 1}: input {nxt.h}x{nxt.w} != previous output "
                     f"{cur.p_out}x{cur.q_out}"
                 )
-        for src, dst in self.skips:
-            if not (0 <= src < dst < len(self.layers)):
-                raise ConfigError(f"skip ({src}, {dst}) must satisfy 0 <= src < dst < n")
 
 
 @dataclass(frozen=True)
@@ -315,7 +312,7 @@ def _layer_from_json(doc) -> Layer:
 
 
 def network_from_json(doc) -> NetworkSpec:
-    _check_object(doc, {"name", "layers", "skips"}, "network")
+    _check_object(doc, {"name", "layers"}, "network")
     try:
         layers_doc = doc["layers"]
         if not isinstance(layers_doc, list):
@@ -323,15 +320,10 @@ def network_from_json(doc) -> NetworkSpec:
         layers = [_layer_from_json(d) for d in layers_doc]
     except KeyError as e:
         raise ConfigError(f"layer config missing field {e}") from None
-    skips = doc.get("skips", [])
-    if not isinstance(skips, list) or not all(
-        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p)) for p in skips
-    ):
-        raise ConfigError(f"skips must be a list of [src, dst] integer pairs, got {skips!r}")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ConfigError(f"network name must be a string, got {name!r}")
-    net = NetworkSpec(layers=layers, skips=[tuple(p) for p in skips], name=name)
+    net = NetworkSpec(layers=layers, name=name)
     net.validate()
     return net
 

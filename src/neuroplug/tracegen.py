@@ -13,7 +13,7 @@ clock but is not an event.
   and each input tile adds T_TILE of compute, moved or skipped.  Sparse
   mode sizes events by the nonzero bytes of each block (a sparse
   accelerator's compressed transfers).
-* additive_cm_trace - a baseline with one abstract additive-noise
+* additive_cm_trace - a dense baseline with one abstract additive-noise
   countermeasure spliced in per layer: unread dummy writes, constant-mean
   read inflation, or the sub-layer divider that fakes read-after-write
   dependences.  Inserted events are issued at the time of the event they
@@ -57,7 +57,7 @@ import numpy as np
 from . import binpack, sfc
 from .binpack import BinConfig, CompressedTile, NoiseSpec
 from .errors import ConfigError, IntegrityError
-from .model import NetworkSpec, Tensor3D, conv_forward, generate_weights
+from .model import Layer, NetworkSpec, Tensor3D, conv_forward, generate_weights
 from .sfc import ExecutionPlan
 
 OP_READ = 0
@@ -256,12 +256,11 @@ def baseline_trace(
 ) -> Trace:
     """Unprotected tile-granularity trace in the canonical loop order.
 
-    Per layer: re-read the stored curve of each skip source, then per
-    output-map block and channel group read the weight block and that
-    group's input tiles (each holding the array for T_TILE cycles, moved or
-    skipped), and flush the block's output tiles once after its last
-    channel group.  Each layer's event table is built once per `data` and
-    looked up by later calls (see `NetData`).
+    Per layer, per output-map block and channel group: read the weight
+    block and that group's input tiles (each holding the array for T_TILE
+    cycles, moved or skipped), and flush the block's output tiles once
+    after its last channel group.  Each layer's event table is built once
+    per `data` and looked up by later calls (see `NetData`).
     """
     return _build(np.concatenate(_baseline_tables(net, input_tensor, seed, sparse,
                                                   observe_values, data)))
@@ -276,19 +275,18 @@ def _baseline_tables(net: NetworkSpec, input_tensor: Tensor3D, seed: int, sparse
     fmaps = data.fmaps if need_values else [None] * (len(net.layers) + 1)
     weights = data.weights if need_values else [None] * len(net.layers)
     # besides data, a layer's table reads only what its key names: the
-    # layer, its skip sources and the two flags
+    # layer and the two flags
     tables = data._tables if data is not None else {}
     layers = []
     for i, layer in enumerate(net.layers):
-        key = (i, layer, tuple((src, net.layers[src]) for src, dst in net.skips if dst == i),
-               sparse, observe_values)
+        key = (i, layer, sparse, observe_values)
         if key not in tables:
-            tables[key] = _layer_table(net, i, fmaps, weights, sparse, observe_values)
+            tables[key] = _layer_table(i, layer, fmaps, weights, sparse, observe_values)
         layers.append(tables[key])
     return layers
 
 
-def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
+def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
                  observe_values: bool) -> np.ndarray:
     """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only."""
 
@@ -298,19 +296,14 @@ def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
                  *_size_digest(image, np.s_[off:off + actual], actual, sparse, observe_values))
                 for off, _, actual in walk]
 
-    shp, til = net.layers[i].shape, net.layers[i].tiling
+    shp, til = layer.shape, layer.tiling
     n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
     wblock_cap = til.tk * til.tc * shp.r * shp.s
     in_walk, _ = sfc.ifmap_walk(shp, til)
     out_walk, _ = sfc.ofmap_walk(shp, til)
-    # every block the layer moves, sized and hashed once: skip tiles,
-    # weight blocks (k-major), input tiles, output tiles
+    # every block the layer moves, sized and hashed once: weight blocks
+    # (k-major), input tiles, output tiles
     rows = []
-    for src, dst in net.skips:
-        if dst == i:
-            src_walk, _ = sfc.ofmap_walk(net.layers[src].shape, net.layers[src].tiling)
-            rows += tile_rows(OP_READ, src + 1, src_walk)
-    w_row = len(rows)
     for b, (k0, c0) in enumerate(itertools.product(range(0, shp.k, til.tk),
                                                    range(0, shp.c, til.tc))):
         k1, c1 = min(shp.k, k0 + til.tk), min(shp.c, c0 + til.tc)
@@ -327,10 +320,10 @@ def _layer_table(net: NetworkSpec, i: int, fmaps, weights, sparse: bool,
     table = np.column_stack((table, dt))
 
     # the loop nest as one index order over the table: walk tile j is in channel group j mod n
-    order = [np.arange(w_row)]
+    order = []
     for ko in range(n_k):
         for co in range(n_c):
-            order += [[w_row + ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
+            order += [[ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
         order.append(np.arange(out_row + ko, len(rows), n_k))
     table = table[np.concatenate(order)]
     table.flags.writeable = False
@@ -353,20 +346,18 @@ def additive_cm_trace(
     cm_model: str,
     seed: int = 0,
     run_index: int = 0,
-    sparse: bool = False,
     observe_values: bool = False,
     data: NetData | None = None,
 ) -> Trace:
-    """Baseline plus one of the additive-noise countermeasure models."""
+    """The dense baseline plus one of the additive-noise countermeasure models."""
     if cm_model not in ADDITIVE_MODELS:
         raise ConfigError(f"unknown additive model {cm_model!r}")
     rng = np.random.default_rng([seed, run_index, 0xC3])
     # the layer divider's rewrites repeat the digests of the writes they copy
-    tables = _baseline_tables(net, input_tensor, seed, sparse,
-                              observe_values or cm_model == "layer-divider", data)
+    tables = _baseline_tables(net, input_tensor, seed, sparse=False, data=data,
+                              observe_values=observe_values or cm_model == "layer-divider")
     base = _build(np.concatenate(tables)).arr
-    # where each layer's events end in base: a row of size 0 is no event
-    ends = np.cumsum([np.count_nonzero(table[:, 2]) for table in tables])
+    ends = np.cumsum([len(table) for table in tables])  # where each layer's events end
     chunks, pos = [], 0
     for start, stop, rows in _additive_edits(base, ends, net, cm_model, rng):
         chunks += [base[pos:start], rows]
@@ -378,12 +369,10 @@ def additive_cm_trace(
 def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng):
     """Per layer, one (start, stop, rows) edit: rows replace arr[start:stop].
 
-    Layer i's events are arr[ends[i - 1]:ends[i]]; its reads of fmap i
-    there are its own, where a later layer's skip re-read of fmap i lies
-    past ends[i].  Dummy writes follow the layer's last write and
-    const-mean padding its last own read.  A layer without one (a sparse
-    layer whose map is all zero) gets them all the same, after the last
-    event of its span, so that their absence does not show the zero map.
+    Layer i's events are arr[ends[i - 1]:ends[i]], and in a dense trace
+    they read fmap i and write fmap i + 1 at least once each.  Dummy writes
+    follow the layer's last write and const-mean padding its last read of
+    fmap i.
     """
     fmap = fmap_index(arr["addr"])
     for i, layer in enumerate(net.layers):
@@ -395,7 +384,7 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
             # unread dummy writes appended to the layer's output flush
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
             n = max(1, round(DUMMY_RATIO * len(out_tiles)))
-            at = writes[-1] + 1 if writes.size else ends[i]
+            at = writes[-1] + 1
             yield at, at, _inserted(arr, at, OP_WRITE, dummy_base(i) + np.arange(n) * out_cap,
                                     out_cap, rng.integers(1, 1 << 63, size=n))
         elif cm_model == "const-mean":
@@ -405,7 +394,7 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
             cap = sfc.deep_tile_bytes(layer.tiling)
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             offs = np.arange(0, total, cap)
-            at = reads[-1] + 1 if reads.size else ends[i]
+            at = reads[-1] + 1
             yield at, at, _inserted(arr, at, OP_READ, fmap_base(i) + sfc.ifmap_bytes(layer.shape) + offs,
                                     np.minimum(cap, total - offs), 0)
         elif cm_model == "layer-divider" and writes.size >= 2:
@@ -501,20 +490,6 @@ def _chunks(tensor: np.ndarray, walk) -> list[np.ndarray]:
     return np.split(sfc.curve_image(tensor, walk), chunk_ends(walk)[:-1])
 
 
-def _compress_stream(chunks, dummy_bytes: int = 0, rng=None) -> list[CompressedTile]:
-    """Compress a stream's raw chunks in order, tile j from chunks[j].
-
-    dummy_bytes keyed dummy bytes drawn from rng are spread over the chunks,
-    the first dummy_bytes % len(chunks) of them taking one byte more.
-    """
-    share, extra = divmod(dummy_bytes, len(chunks))
-    tiles = []
-    for j, raw in enumerate(chunks):
-        inflated, spans = binpack.inject_dummy(raw, share + (j < extra), rng)
-        tiles.append(binpack.compress_tile(inflated, dummy_spans=spans))
-    return tiles
-
-
 def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile]]:
     """The model's weight tiles, compressed the first time they are asked for.
 
@@ -523,7 +498,8 @@ def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile
     model = _model(net, model_seed)
     if model.weight_tiles is None:
         # a weight tile per output map: the rows of the (k, c*r*s) weight bytes
-        model.weight_tiles = [_compress_stream(w.view(np.uint8).reshape(len(w), -1))
+        model.weight_tiles = [[binpack.compress_tile(row)
+                               for row in w.view(np.uint8).reshape(len(w), -1)]
                               for w in model.weights]
         for tile in itertools.chain.from_iterable(model.weight_tiles):
             tile.payload.flags.writeable = False
@@ -532,7 +508,8 @@ def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile
 
 def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
-    fmap_tiles = [_compress_stream(_chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
+    fmap_tiles = [[binpack.compress_tile(raw)
+                   for raw in _chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])]
                   for fmap, layer in zip(data.fmaps[1:], net.layers)]
     return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles,
                           weight_tiles=_weight_tiles(net, model_seed))
@@ -541,11 +518,20 @@ def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int)
 def _first_layer_tiles(
     net: NetworkSpec, fmap0: np.ndarray, key: NeuroPlugKey, run_index: int
 ) -> list[CompressedTile]:
-    """Input tiles with fresh keyed dummy bytes, recompressed per run."""
+    """Input tiles with fresh keyed dummy bytes, recompressed per run.
+
+    The dummy bytes are spread over the input's chunks in order, the first
+    dummy_bytes_first_layer % len(chunks) of them taking one byte more.
+    """
     layer = net.layers[0]
-    walk, _ = sfc.ifmap_walk(layer.shape, layer.tiling)
-    return _compress_stream(_chunks(fmap0, walk), key.noise.dummy_bytes_first_layer,
-                            np.random.default_rng([key.seed, run_index, 0xD0]))
+    chunks = _chunks(fmap0, sfc.ifmap_walk(layer.shape, layer.tiling)[0])
+    rng = np.random.default_rng([key.seed, run_index, 0xD0])
+    share, extra = divmod(key.noise.dummy_bytes_first_layer, len(chunks))
+    tiles = []
+    for j, raw in enumerate(chunks):
+        inflated, spans = binpack.inject_dummy(raw, share + (j < extra), rng)
+        tiles.append(binpack.compress_tile(inflated, dummy_spans=spans))
+    return tiles
 
 
 def neuroplug_trace(
@@ -561,10 +547,10 @@ def neuroplug_trace(
     Every stream (the input, each weight partition part of each stored copy,
     each output) is packed one way, with a generator seeded by the key, the
     run and the stream's tag.  A feature map's bin count is kept when it is
-    written and read back by the layers that consume it.  A weight part's
-    tiles number from 0, so a stored copy unpacks part by part.  Every map,
-    the input too, and the weights come from `cache`; input_tensor and
-    model_seed only build the cache when none is passed.
+    written and read back by the next layer.  A weight part's tiles number
+    from 0, so a stored copy unpacks part by part.  Every map, the input
+    too, and the weights come from `cache`; input_tensor and model_seed
+    only build the cache when none is passed.
     """
     if cache is None:
         cache = prepare_neuroplug(net, input_tensor, model_seed)
@@ -583,14 +569,12 @@ def neuroplug_trace(
             digest = _digest64(f"{key.seed}:{run_index}:{region_tag}:{addr}".encode())
             rows.append((op, addr, cfg.bin_size, digest, gap))
 
-    # bins per feature map: layer 0 packs the (dummied) input, and every
-    # other map is stored by the layer that writes it
-    stored = {}
-    stored[0], report = pack(_first_layer_tiles(net, cache.data.fmaps[0], key, run_index),
-                             "fmap0", 0, 0xB0)
+    # bins of the map a layer reads: layer 0 packs the (dummied) input, and
+    # every later layer reads the map the layer before it stored
+    n_in, report = pack(_first_layer_tiles(net, cache.data.fmaps[0], key, run_index),
+                        "fmap0", 0, 0xB0)
     reports.append(report)
     for i, layer in enumerate(net.layers):
-        n_in = stored[i]
         streams.append(StreamBins(i, "ifmap", n_in))
 
         plan = sfc.plan_execution(layer.shape, layer.tiling, key.npu_capacity,
@@ -607,14 +591,9 @@ def neuroplug_trace(
         copy_bins = [sum(n for n, _ in parts) for parts in packed]
         streams.append(StreamBins(i, "filter", sum(copy_bins)))
 
-        stored[i + 1], report = pack(cache.fmap_tiles[i], f"fmap{i + 1}", i, 0xB2)
+        n_out, report = pack(cache.fmap_tiles[i], f"fmap{i + 1}", i, 0xB2)
         reports.append(report)
-        streams.append(StreamBins(i, "ofmap", stored[i + 1]))
-
-        # skip connections re-read the stored curve of the source layer
-        for src, dst in net.skips:
-            if dst == i:
-                emit_bins(OP_READ, fmap_base(src + 1), stored[src + 1], region_tag=src + 1)
+        streams.append(StreamBins(i, "ofmap", n_out))
 
         # the plan's read order: ifmap groups and stored weight copies, each
         # a run of bins that starts where the stream's earlier ones end
@@ -623,7 +602,8 @@ def neuroplug_trace(
         for stream, idx in plan.passes():
             base, region_tag, counts = reads[stream]
             emit_bins(OP_READ, base, counts[idx], region_tag, start=sum(counts[:idx]))
-        emit_bins(OP_WRITE, fmap_base(i + 1), stored[i + 1], region_tag=i + 1)
+        emit_bins(OP_WRITE, fmap_base(i + 1), n_out, region_tag=i + 1)
+        n_in = n_out
 
     return NeuroPlugRun(trace=_build(rows), streams=streams, plans=plans, reports=reports)
 

@@ -442,7 +442,6 @@ class _Emitter:
     def __init__(self):
         self.rows = []
         self.clock = 0
-        self.layer_ends = []  # events emitted by the end of each layer
 
     def emit(self, op, addr, size, digest=0):
         self.rows.append((op, addr, size, self.clock, digest))
@@ -452,9 +451,7 @@ class _Emitter:
         self.clock += cycles
 
     def build(self):
-        trace = Trace(np.array(self.rows, dtype=EVENT_DTYPE))
-        trace.layer_ends = self.layer_ends
-        return trace
+        return Trace(np.array(self.rows, dtype=EVENT_DTYPE))
 
 
 def _digest64(data):
@@ -472,11 +469,10 @@ def _tile_size_digest(tensor, sl, cap_actual, sparse, observe_values):
 
 
 def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=False, data=None):
-    """One event at a time, in loop-nest order: per layer the skip re-reads,
-    then per output-map block each channel group's weight block and input
-    tiles (each tile advancing the clock by T_TILE), then the block's
-    output tiles; size-0 events are not emitted.  The trace's layer_ends
-    lists how many events the layers up to each one emitted."""
+    """One event at a time, in loop-nest order: per layer and output-map
+    block each channel group's weight block and input tiles (each tile
+    advancing the clock by T_TILE), then the block's output tiles; size-0
+    events are not emitted."""
     need_values = sparse or observe_values
     if need_values and data is None:
         data = compute_net_data(net, input_tensor, seed)
@@ -490,14 +486,6 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
         wblock_cap = til.tk * til.tc * shp.r * shp.s
         in_tensor = data.fmaps[i] if need_values else None
         out_tensor = data.fmaps[i + 1] if need_values else None
-        for src, _dst in (sk for sk in net.skips if sk[1] == i):
-            src_layer = net.layers[src]
-            skip_tiles, _ = sfc.ofmap_walk(src_layer.shape, src_layer.tiling)
-            skip_tensor = data.fmaps[src + 1] if need_values else None
-            for off, sl, actual in skip_tiles:
-                size, dig = _tile_size_digest(skip_tensor, sl, actual, sparse, observe_values)
-                if size > 0:
-                    em.emit(OP_READ, fmap_base(src + 1) + off, size, dig)
         for ko in range(n_k):
             k0 = ko * til.tk
             k1 = min(shp.k, k0 + til.tk)
@@ -527,15 +515,13 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
                 size, dig = _tile_size_digest(out_tensor, sl, actual, sparse, observe_values)
                 if size > 0:
                     em.emit(OP_WRITE, fmap_base(i + 1) + off, size, dig)
-        em.layer_ends.append(len(em.rows))
     return em.build()
 
 
 def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
-    """Each additive model as its own per-layer cut-and-insert over a
-    baseline from baseline_trace_loop, whose layer_ends bound each layer's
-    own events.  A layer with no write (dummy writes) or no read of its
-    input map (const-mean) is cut after the last event of its span."""
+    """Each additive model as its own per-layer cut-and-insert over a dense
+    baseline from baseline_trace_loop: after a layer's last write of its
+    output map (dummy writes) or last read of its input map (const-mean)."""
     rng = np.random.default_rng([seed, run_index, 0xC3])
     chunks = []
     pos = 0
@@ -545,24 +531,21 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
         if cm_model == "dummy-writes":
             out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
-            cut = idx[-1] + 1 if idx.size else base.layer_ends[i]
+            cut = idx[-1] + 1
             chunks.append(arr[pos:cut])
             n_dummy = max(1, round(DUMMY_RATIO * len(out_tiles)))
             extra = np.zeros(n_dummy, dtype=EVENT_DTYPE)
             extra["op"] = OP_WRITE
             extra["addr"] = dummy_base(i) + np.arange(n_dummy) * out_cap
             extra["size"] = out_cap
-            extra["t"] = arr["t"][cut - 1] if cut else 0
+            extra["t"] = arr["t"][cut - 1]
             extra["digest"] = rng.integers(1, 1 << 63, size=n_dummy)
             chunks.append(extra)
             pos = cut
         elif cm_model == "const-mean":
             in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_READ) & (region == FMAP_REGION + i))
-            start = base.layer_ends[i - 1] if i else 0
-            # the layer's own reads, not a later layer's skip re-read
-            idx = idx[(idx >= start) & (idx < base.layer_ends[i])]
-            cut = idx[-1] + 1 if idx.size else base.layer_ends[i]
+            cut = idx[-1] + 1
             chunks.append(arr[pos:cut])
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             sizes = []
@@ -575,7 +558,7 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
             ext_base = fmap_base(i) + sum(a for _, _, a in in_tiles)
             extra["addr"] = ext_base + np.cumsum([0] + sizes[:-1])
             extra["size"] = sizes
-            extra["t"] = arr["t"][cut - 1] if cut else 0
+            extra["t"] = arr["t"][cut - 1]
             chunks.append(extra)
             pos = cut
         else:
@@ -842,7 +825,7 @@ def network_to_json(net) -> dict:
                 "tiling": {"tk": ti.tk, "tc": ti.tc, "th": ti.th, "tw": ti.tw},
             }
         )
-    return {"name": net.name, "layers": layers, "skips": [list(p) for p in net.skips]}
+    return {"name": net.name, "layers": layers}
 
 
 # ---------------------------------------------------------------------------

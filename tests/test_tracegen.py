@@ -53,25 +53,6 @@ def toy_input(net, seed=0, policy="natural"):
     return model.generate_input(net.layers[0].shape, seed, policy)
 
 
-def silent_layer_net():
-    """A three-layer net whose middle layer's weights are all zero (sparsity
-    0.999 on 144 weights), with a skip from layer 0 to layer 2; its input,
-    NetData (seed 1) and the sparse baseline of its two-layer prefix.  Fmaps
-    2 and 3 are all zero, so in a sparse trace layer 1 only reads fmap 1 and
-    layer 2 never reads fmap 2, and neither writes."""
-    layers = [Layer(shape=LayerShape(k=4, c=c, h=8, w=8, r=3, s=3, pad=1),
-                    tiling=TilingSpec(tk=2, tc=2, th=4, tw=4), sparsity=sparsity)
-              for c, sparsity in [(2, 0.0), (4, 0.999), (4, 0.0)]]
-    net = NetworkSpec(layers=layers, skips=[(0, 2)])
-    inp = toy_input(net, 1)
-    data = tracegen.compute_net_data(net, inp, 1)
-    assert data.fmaps[1].any() and not data.weights[1].any()
-    assert not data.fmaps[2].any() and not data.fmaps[3].any()
-    prefix = baseline_trace(NetworkSpec(layers=layers[:2]), inp, 1, sparse=True,
-                            data=tracegen.NetData(fmaps=data.fmaps[:3], weights=data.weights[:2]))
-    return net, inp, data, prefix
-
-
 def const_mean_pads(net, arr):
     """The const-mean padding in a trace: reads past the end of an input map."""
     fmap = fmap_index(arr["addr"])
@@ -139,15 +120,6 @@ class TestBaseline:
             vols.append(int(tr.size[tr.arr["op"] == OP_WRITE].sum()))
         assert vols == sorted(vols)
 
-    def test_skip_connection_rereads_source(self):
-        net = model.load_network("toy-sparse")
-        net.skips.append((0, 2))
-        arr = baseline_trace(net, toy_input(net, 1)).arr
-        # a second full read pass over fmap(1) must appear
-        rd = (arr["op"] == OP_READ) & ((arr["addr"] >> REGION_SHIFT) == FMAP_REGION + 1)
-        _, counts = np.unique(arr["addr"][rd], return_counts=True)
-        assert counts.max() >= 2
-
 
 class TestAdditiveModels:
     def test_dummy_writes_counts(self):
@@ -183,77 +155,22 @@ class TestAdditiveModels:
         assert abs(np.mean(added) - 22400) <= 224  # within 1%
         assert min(added) == 22400 - 8  # jitter floor attained
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    @pytest.mark.parametrize("skip", [(0, 2), (0, 3)])
-    def test_const_mean_pads_inside_each_layer(self, skip, sparse):
-        # a skip re-reads fmap 1 in a later layer; layer 1's padding must
-        # still follow layer 1's own reads
+    def test_const_mean_pads_inside_each_layer(self):
+        # each layer's padding directly follows its last read of its input
+        # map, before its last write
         net = model.load_network("toy-sparse")
-        net.skips.append(skip)
         inp = toy_input(net, 1)
-        base = baseline_trace(net, inp, seed=1, sparse=sparse).arr
-        arr = additive_cm_trace(net, inp, "const-mean", seed=1, sparse=sparse).arr
-        fmap = fmap_index(arr["addr"])
-        pad = np.zeros(len(arr), dtype=bool)  # reads past the end of an input map
-        for i, layer in enumerate(net.layers):
-            pad |= (fmap == i) & (arr["addr"] >= fmap_base(i) + sfc.ifmap_bytes(layer.shape))
-        assert arr[~pad].tobytes() == base.tobytes()
-        for i in range(len(net.layers)):
-            layer_pad = np.flatnonzero(pad & (fmap == i))
-            last_write = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))[-1]
-            assert 0 < layer_pad.size and layer_pad[-1] < last_write
-
-    def test_const_mean_pads_a_silent_layer_inside_it(self):
-        # layer 1's weights are all zero, so a sparse trace holds no weight
-        # read and no output write of it, and layer 2's skip re-reads its
-        # input map.  Layer 1's padding must still follow its own reads,
-        # which end where the trace of the two-layer prefix net ends
-        net, inp, data, prefix = silent_layer_net()
-        base = baseline_trace(net, inp, 1, sparse=True, data=data).arr
-        arr = additive_cm_trace(net, inp, "const-mean", seed=1, sparse=True, data=data).arr
+        base = baseline_trace(net, inp, seed=1).arr
+        arr = additive_cm_trace(net, inp, "const-mean", seed=1).arr
         pad = const_mean_pads(net, arr)
         assert arr[~pad].tobytes() == base.tobytes()
         fmap = fmap_index(arr["addr"])
-        rereads = (base["op"] == OP_READ) & (fmap_index(base["addr"]) == 1)
-        assert np.any(rereads[len(prefix):])  # the skip re-read
-        at = np.flatnonzero(pad & (fmap == 1))
-        assert at.size and np.array_equal(at, at[0] + np.arange(at.size))
-        assert np.count_nonzero(~pad[: at[0]]) == len(prefix)
-
-    def test_const_mean_pads_a_layer_without_input_reads(self):
-        # fmap 2 is all zero, so the sparse trace has no read of layer 2's
-        # input map; the padding must not vanish with them, or its absence
-        # shows the zero map.  It follows the last event of layer 2's span,
-        # the end of the trace, at that event's clock, and every layer is
-        # padded by the same bytes as in the dense trace
-        net, inp, data, _ = silent_layer_net()
-        padded = {}
-        for sparse in (False, True):
-            arr = additive_cm_trace(net, inp, "const-mean", seed=1, sparse=sparse, data=data).arr
-            pad, fmap = const_mean_pads(net, arr), fmap_index(arr["addr"])
-            padded[sparse] = [int(arr["size"][pad & (fmap == i)].sum()) for i in range(3)]
-        assert padded[True] == padded[False] == [22403, 22393, 22395]
-        base = baseline_trace(net, inp, 1, sparse=True, data=data).arr
-        assert not np.any((base["op"] == OP_READ) & (fmap_index(base["addr"]) == 2))
-        at = np.flatnonzero(pad & (fmap == 2))
-        assert at.size and np.array_equal(at, np.arange(len(arr) - at.size, len(arr)))
-        assert np.all(arr["t"][at] == base["t"][-1])
-
-    def test_dummy_writes_in_a_layer_that_writes_nothing(self):
-        # layers 1 and 2 write nothing in the sparse trace; each still gets
-        # its dummy writes, layer 1's after the last event of its span
-        net, inp, data, prefix = silent_layer_net()
-        base = baseline_trace(net, inp, 1, sparse=True, data=data).arr
-        arr = additive_cm_trace(net, inp, "dummy-writes", seed=1, sparse=True, data=data).arr
-        region = arr["addr"] >> REGION_SHIFT
-        dummy = region >= DUMMY_REGION
-        assert arr[~dummy].tobytes() == base.tobytes()
-        assert np.all(arr["op"][dummy] == OP_WRITE)
-        per_layer = [np.flatnonzero(region == dummy_base(i) >> REGION_SHIFT) for i in range(3)]
-        assert [at.size for at in per_layer] == [4, 4, 4]
-        at = per_layer[1]
-        assert np.count_nonzero(~dummy[: at[0]]) == len(prefix)
-        assert np.all(arr["t"][at] == prefix.arr["t"][-1])
+        for i in range(len(net.layers)):
+            layer_pad = np.flatnonzero(pad & (fmap == i))
+            last_read = np.flatnonzero(~pad & (arr["op"] == OP_READ) & (fmap == i))[-1]
+            last_write = np.flatnonzero((arr["op"] == OP_WRITE) & (fmap == i + 1))[-1]
+            assert 0 < layer_pad.size and layer_pad[-1] < last_write
+            assert np.array_equal(layer_pad, last_read + 1 + np.arange(layer_pad.size))
 
     def test_dummy_writes_in_a_one_tile_layer(self):
         # half of one output tile rounds to none; the layer still gets one
@@ -288,8 +205,7 @@ class TestAdditiveModels:
 
 @st.composite
 def small_nets(draw):
-    """One to three chained layers with ragged tilings, optional pooling and,
-    on three layers, an optional skip connection from layer 0 to layer 2."""
+    """One to three chained layers with ragged tilings and optional pooling."""
     n_layers = draw(st.integers(1, 3))
     c, h = draw(st.integers(1, 5)), draw(st.integers(1, 8))
     layers = []
@@ -302,15 +218,15 @@ def small_nets(draw):
         layers.append(Layer(shape=shape, tiling=tiling,
                             sparsity=draw(st.sampled_from([0.0, 0.5, 0.95]))))
         c, h = k, shape.p_out
-    skips = [(0, 2)] if n_layers == 3 and draw(st.booleans()) else []
-    net = NetworkSpec(layers=layers, skips=skips)
+    net = NetworkSpec(layers=layers)
     net.validate()
     return net
 
 
 class TestAgainstEmitterLoop:
     """Every baseline and additive trace equals the per-event emitter's, byte
-    for byte; sparse tiles and weight blocks of size 0 are skipped."""
+    for byte; sparse tiles and weight blocks of size 0 are skipped.  The
+    additive models run on the dense baseline only."""
 
     @settings(max_examples=120)
     @given(small_nets(), st.sampled_from(["natural", "sparse"]), st.integers(0, 3),
@@ -323,21 +239,22 @@ class TestAgainstEmitterLoop:
         assert got.arr.tobytes() == want.arr.tobytes()
         if not (sparse or observe_values):
             assert baseline_trace(net, inp, seed).arr.tobytes() == want.arr.tobytes()
+        dense = {values: baseline_trace_loop(net, inp, seed, False, values, data)
+                 for values in {observe_values, True}}
         for cm_model in tracegen.ADDITIVE_MODELS:
-            base = want
-            if cm_model == "layer-divider" and not observe_values:
-                base = baseline_trace_loop(net, inp, seed, sparse, True, data)
+            # the layer divider's rewrites repeat the digests of the writes they copy
+            base = dense[observe_values or cm_model == "layer-divider"]
             want_cm = additive_cm_loop(base, net, cm_model, seed, run_index=1)
-            got_cm = additive_cm_trace(net, inp, cm_model, seed, 1, sparse, observe_values, data)
+            got_cm = additive_cm_trace(net, inp, cm_model, seed, 1, observe_values, data)
             assert got_cm.arr.tobytes() == want_cm.arr.tobytes()
 
 
-def retiled(net, skips=()):
+def retiled(net):
     """The same layers with other tilings (halved k and c tiles, 16x16 maps)."""
     layers = [dataclasses.replace(layer, tiling=TilingSpec(
         tk=max(1, layer.shape.k // 2), tc=max(1, layer.shape.c // 2), th=16, tw=16))
         for layer in net.layers]
-    return NetworkSpec(layers=layers, skips=list(skips))
+    return NetworkSpec(layers=layers)
 
 
 class TestTableMemo:
@@ -347,7 +264,6 @@ class TestTableMemo:
     @pytest.fixture
     def toy(self):
         net = model.load_network("toy-sparse")
-        net.skips.append((0, 2))
         inp = toy_input(net, 1)
         return net, inp, tracegen.compute_net_data(net, inp, 1)
 
@@ -357,12 +273,10 @@ class TestTableMemo:
         digest64 = tracegen._digest64
         monkeypatch.setattr(tracegen, "_digest64", lambda b: hashed.append(1) or digest64(b))
         blocks = 0
-        for i, layer in enumerate(net.layers):
+        for layer in net.layers:
             shp, til = layer.shape, layer.tiling
             blocks += math.ceil(shp.k / til.tk) * math.ceil(shp.c / til.tc)
             blocks += len(sfc.ifmap_walk(shp, til)[0]) + len(sfc.ofmap_walk(shp, til)[0])
-            blocks += sum(len(sfc.ofmap_walk(net.layers[src].shape, net.layers[src].tiling)[0])
-                          for src, dst in net.skips if dst == i)
         base = baseline_trace_loop(net, inp, 1, observe_values=True, data=data)
         counts = []
         for run in range(4):
@@ -383,10 +297,11 @@ class TestTableMemo:
             tr.arr["size"] += 1
 
     def test_nets_and_modes_sharing_data(self, toy):
-        """Other tilings and skips, sparse and dense, all on one NetData."""
+        """Other tilings, of every layer or of one, sparse and dense, all on
+        one NetData."""
         net, inp, data = toy
-        nets = [net, retiled(net), retiled(net, net.skips),
-                NetworkSpec(layers=net.layers)]
+        nets = [net, retiled(net),
+                NetworkSpec(layers=[net.layers[0], retiled(net).layers[1], *net.layers[2:]])]
         modes = [(False, True), (True, False), (True, True), (False, False)]
         want = {(n, mode): baseline_trace_loop(nn, inp, 1, *mode, data=data).arr.tobytes()
                 for n, nn in enumerate(nets) for mode in modes}
@@ -497,7 +412,7 @@ class TestModelStore:
             assert len(compressed) == (n + 1) * fmap_chunks + weight_rows
         assert len(generated) == 1
         first, second = caches
-        want = [tracegen._compress_stream(w.view(np.uint8).reshape(len(w), -1))
+        want = [[binpack.compress_tile(row) for row in w.view(np.uint8).reshape(len(w), -1)]
                 for w in model.generate_weights(net, 3)]
         for i, tiles in enumerate(want):
             assert len(first.weight_tiles[i]) == len(second.weight_tiles[i]) == len(tiles)
@@ -886,10 +801,9 @@ def pinned_traces():
     yield "toy sparse", baseline_trace(toy, inp, seed=1, sparse=True)
     yield "toy values", baseline_trace(toy, inp, seed=1, observe_values=True)
     for cm_model in tracegen.ADDITIVE_MODELS:
-        for sparse in (False, True):
-            for run in (0, 1):
-                yield (f"toy {cm_model} sparse={sparse} run {run}",
-                       additive_cm_trace(toy, inp, cm_model, seed=1, run_index=run, sparse=sparse))
+        for run in (0, 1):
+            yield (f"toy {cm_model} run {run}",
+                   additive_cm_trace(toy, inp, cm_model, seed=1, run_index=run))
     cache = prepare_neuroplug(toy, inp, model_seed=1)
     for run in range(3):
         run_trace = neuroplug_trace(toy, inp, NeuroPlugKey(), run, 1, cache).trace
@@ -899,37 +813,23 @@ def pinned_traces():
     data = tracegen.compute_net_data(vgg, inp, 1)
     yield "vgg values", baseline_trace(vgg, inp, seed=1, observe_values=True, data=data)
     yield "vgg layer-divider", additive_cm_trace(vgg, inp, "layer-divider", seed=1, data=data)
-    toy.skips.append((0, 2))
-    inp = toy_input(toy, 1)
-    yield "skip dense", baseline_trace(toy, inp)
-    yield "skip sparse values", baseline_trace(toy, inp, sparse=True, observe_values=True)
-    yield "skip neuroplug run 0", neuroplug_trace(toy, inp, NeuroPlugKey(), 0, 1).trace
 
 
 PINNED_TRACES = {
     "toy dense": "1d1ae1267c887ad9acee66414f5a5ec3",
     "toy sparse": "ded76fa13648bdc366096623fde8c991",
     "toy values": "8e09ebc33ef8b8dbbf3d4f1d1674aea4",
-    "toy dummy-writes sparse=False run 0": "0c87ae2f55dd68971a68db3ee86ccaa2",
-    "toy dummy-writes sparse=False run 1": "c06bfba7461b53b11b4b7ba4bea5b16a",
-    "toy dummy-writes sparse=True run 0": "844d825f0c26da6b2749d496c975759c",
-    "toy dummy-writes sparse=True run 1": "e24a09c082d65cf1c557f3e2c6c0d39e",
-    "toy const-mean sparse=False run 0": "47589cf4bb035c13e012126caac3c72d",
-    "toy const-mean sparse=False run 1": "6bcaf996e782d8f5b37feb23a91b5abb",
-    "toy const-mean sparse=True run 0": "10649ad0b5369a909d47f25479fa3aee",
-    "toy const-mean sparse=True run 1": "1d4766c6abbf4366e50938872064fe76",
-    "toy layer-divider sparse=False run 0": "8a95622064593143a391248ba11eba00",
-    "toy layer-divider sparse=False run 1": "8a95622064593143a391248ba11eba00",
-    "toy layer-divider sparse=True run 0": "1522c56fc6961baa69ae4deebb979907",
-    "toy layer-divider sparse=True run 1": "1522c56fc6961baa69ae4deebb979907",
+    "toy dummy-writes run 0": "0c87ae2f55dd68971a68db3ee86ccaa2",
+    "toy dummy-writes run 1": "c06bfba7461b53b11b4b7ba4bea5b16a",
+    "toy const-mean run 0": "47589cf4bb035c13e012126caac3c72d",
+    "toy const-mean run 1": "6bcaf996e782d8f5b37feb23a91b5abb",
+    "toy layer-divider run 0": "8a95622064593143a391248ba11eba00",
+    "toy layer-divider run 1": "8a95622064593143a391248ba11eba00",
     "toy neuroplug run 0": "1a15b757de70077cad205e825f7dead0",
     "toy neuroplug run 1": "a715b7b3214f97ae4e92067e9a17160a",
     "toy neuroplug run 2": "7bd58813a50e8a92871d2465b1e71514",
     "vgg values": "67660b50330f0600788c82053c2cdca0",
     "vgg layer-divider": "cb5204c209a689d7fe556f3ed661fc9a",
-    "skip dense": "f65c9755a2a612fd0e24aa908ee62040",
-    "skip sparse values": "78a3416fd47f6941d5d44a87f3c091ab",
-    "skip neuroplug run 0": "6596e084aa95fe5858c898c7ef5f16a5",
 }
 
 
