@@ -31,10 +31,10 @@ Content is computed per model or per input.  A model, the layer shapes
 and sparsities of a net with one model seed, has weights and compressed
 weight tiles (the tiling does not enter them); an input has
 feature maps and compressed feature-map tiles.  A one-slot store holds the
-last model's weights and weight tiles, so the many inputs an attack runs
-against one model generate and compress them once.  Everything the store
-and `compute_net_data` compute is read-only, so no caller can change what
-later inputs read.
+last model's weights, weight tiles and weight-block digests, so the many
+inputs an attack runs against one model generate, compress and hash them
+once.  Everything the store and `compute_net_data` compute is read-only, so
+no caller can change what later inputs read.
 
 A trace has one file form, `Trace.to_binary`: each event as a 33 B
 little-endian copy of EVENT_DTYPE, so every field round-trips bit for bit.
@@ -187,11 +187,20 @@ def _size_digest(tensor, index, size: int, sparse: bool, observe_values: bool) -
 
 @dataclass
 class _Model:
-    """One model's read-only weights and, once asked for, their compressed tiles."""
+    """One model's read-only weights and, once asked for, their compressed
+    tiles and its weight-block digests.
+
+    weight_rows memoises, per (layer index, tk, tc, sparse, observe_values),
+    a layer's weight-block rows (op, addr, size, digest) as a read-only
+    array: the model key fixes each layer's shape, and a retiled net shares
+    the model, so the tiling and the two flags name everything else.  Two
+    threads that miss one key at once build equal rows, and either may stay.
+    """
 
     key: tuple  # ((shape, sparsity) per layer, model seed)
     weights: list[np.ndarray]
     weight_tiles: list[list[CompressedTile]] | None = None
+    weight_rows: dict = field(default_factory=dict, repr=False)
 
 
 _held: _Model | None = None  # the store: the last model asked for
@@ -224,22 +233,27 @@ class NetData:
     Both are read-only, and `baseline_trace` relies on that: it memoises
     each layer's ordered event table (sizes and digests of every block)
     here, so later traces of the same input look the table up instead of
-    hashing every block again.  fmaps[0] is the caller's input array.
+    hashing every block again.  The weight blocks' rows go one level up,
+    into `_weight_rows`: `compute_net_data` hands every input the model's
+    dict, so the inputs of one model hash its weights once between them; a
+    hand-built NetData gets a dict of its own.  fmaps[0] is the caller's
+    input array.
     """
 
     fmaps: list[np.ndarray]  # tensor per fmap index, fmaps[0] = input
     weights: list[np.ndarray]
+    _weight_rows: dict = field(default_factory=dict, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def compute_net_data(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NetData:
-    weights = list(_model(net, model_seed).weights)
+    model = _model(net, model_seed)
     fmaps = [input_tensor.values]
-    for layer, w in zip(net.layers, weights):
+    for layer, w in zip(net.layers, model.weights):
         fmap = conv_forward(layer.shape, fmaps[-1], w)
         fmap.flags.writeable = False
         fmaps.append(fmap)
-    return NetData(fmaps=fmaps, weights=weights)
+    return NetData(fmaps=fmaps, weights=list(model.weights), _weight_rows=model.weight_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +274,8 @@ def baseline_trace(
     block and that group's input tiles (each holding the array for T_TILE
     cycles, moved or skipped), and flush the block's output tiles once
     after its last channel group.  Each layer's event table is built once
-    per `data` and looked up by later calls (see `NetData`).
+    per `data` and looked up by later calls; its weight blocks are sized
+    and hashed once per model and tiling (see `NetData`).
     """
     return _build(np.concatenate(_baseline_tables(net, input_tensor, seed, sparse,
                                                   observe_values, data)))
@@ -277,18 +292,24 @@ def _baseline_tables(net: NetworkSpec, input_tensor: Tensor3D, seed: int, sparse
     # besides data, a layer's table reads only what its key names: the
     # layer and the two flags
     tables = data._tables if data is not None else {}
+    weight_rows = data._weight_rows if data is not None else {}
     layers = []
     for i, layer in enumerate(net.layers):
         key = (i, layer, sparse, observe_values)
         if key not in tables:
-            tables[key] = _layer_table(i, layer, fmaps, weights, sparse, observe_values)
+            tables[key] = _layer_table(i, layer, fmaps, weights, sparse, observe_values,
+                                       weight_rows)
         layers.append(tables[key])
     return layers
 
 
 def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
-                 observe_values: bool) -> np.ndarray:
-    """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only."""
+                 observe_values: bool, weight_rows: dict) -> np.ndarray:
+    """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only.
+
+    Its weight-block rows are looked up in weight_rows, its model's memo
+    (see `_Model`), and built there on first use.
+    """
 
     def tile_rows(op, fmap, walk):
         image = None if fmaps[fmap] is None else sfc.curve_image(fmaps[fmap], walk)
@@ -302,19 +323,24 @@ def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
     in_walk, _ = sfc.ifmap_walk(shp, til)
     out_walk, _ = sfc.ofmap_walk(shp, til)
     # every block the layer moves, sized and hashed once: weight blocks
-    # (k-major), input tiles, output tiles
-    rows = []
-    for b, (k0, c0) in enumerate(itertools.product(range(0, shp.k, til.tk),
-                                                   range(0, shp.c, til.tc))):
-        k1, c1 = min(shp.k, k0 + til.tk), min(shp.c, c0 + til.tc)
-        size = (k1 - k0) * (c1 - c0) * shp.r * shp.s
-        rows.append((OP_READ, weight_base(i) + b * wblock_cap,
-                     *_size_digest(weights[i], np.s_[k0:k1, c0:c1], size, sparse, observe_values)))
-    in_row = len(rows)
-    rows += tile_rows(OP_READ, i, in_walk)
-    out_row = len(rows)
-    rows += tile_rows(OP_WRITE, i + 1, out_walk)
-    table = np.array(rows, dtype=np.uint64)
+    # (k-major, once per model and tiling), input tiles, output tiles
+    wkey = (i, til.tk, til.tc, sparse, observe_values)
+    wrows = weight_rows.get(wkey)
+    if wrows is None:
+        wrows = []
+        for b, (k0, c0) in enumerate(itertools.product(range(0, shp.k, til.tk),
+                                                       range(0, shp.c, til.tc))):
+            k1, c1 = min(shp.k, k0 + til.tk), min(shp.c, c0 + til.tc)
+            size = (k1 - k0) * (c1 - c0) * shp.r * shp.s
+            wrows.append((OP_READ, weight_base(i) + b * wblock_cap,
+                          *_size_digest(weights[i], np.s_[k0:k1, c0:c1], size, sparse,
+                                        observe_values)))
+        wrows = np.array(wrows, dtype=np.uint64)
+        wrows.flags.writeable = False
+        weight_rows[wkey] = wrows
+    in_row, out_row = len(wrows), len(wrows) + len(in_walk)
+    rows = tile_rows(OP_READ, i, in_walk) + tile_rows(OP_WRITE, i + 1, out_walk)
+    table = np.concatenate((wrows, np.array(rows, dtype=np.uint64)))
     dt = _transfer_cycles(table[:, 2])
     dt[in_row:out_row] += T_TILE
     table = np.column_stack((table, dt))
@@ -324,7 +350,7 @@ def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
     for ko in range(n_k):
         for co in range(n_c):
             order += [[ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
-        order.append(np.arange(out_row + ko, len(rows), n_k))
+        order.append(np.arange(out_row + ko, len(table), n_k))
     table = table[np.concatenate(order)]
     table.flags.writeable = False
     return table

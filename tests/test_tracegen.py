@@ -105,9 +105,6 @@ class TestBaseline:
         rng = np.random.default_rng(0)
         w = rng.integers(0, 8, size=(2, 1, 3, 3), dtype=np.int8)  # nonnegative taps
 
-        class FixedData(tracegen.NetData):
-            pass
-
         vols = []
         vals = np.zeros((1, 8, 8), np.int8)
         order = rng.permutation(64)
@@ -267,7 +264,8 @@ class TestTableMemo:
         inp = toy_input(net, 1)
         return net, inp, tracegen.compute_net_data(net, inp, 1)
 
-    def test_each_block_hashed_once_per_input(self, toy, monkeypatch):
+    def test_each_block_hashed_once_per_input(self, generated, toy, monkeypatch):
+        # generated comes first, so toy's data is of a model the store has not hashed
         net, inp, data = toy
         hashed = []
         digest64 = tracegen._digest64
@@ -287,6 +285,45 @@ class TestTableMemo:
                 assert got.arr.tobytes() == want.arr.tobytes()
         assert counts == [blocks] * 12
 
+    def test_weight_blocks_hashed_once_per_model(self, generated, monkeypatch):
+        """The inputs of one model hash each of its weight blocks once per
+        tiling between them; a new model hashes them again."""
+        net = model.load_network("toy-sparse")
+        mixed = NetworkSpec(layers=[net.layers[0], retiled(net).layers[1], *net.layers[2:]])
+        hashed = []
+        digest64 = tracegen._digest64
+        monkeypatch.setattr(tracegen, "_digest64", lambda b: hashed.append(1) or digest64(b))
+
+        def weight_blocks(nn):
+            return sum(math.ceil(layer.shape.k / layer.tiling.tk)
+                       * math.ceil(layer.shape.c / layer.tiling.tc) for layer in nn.layers)
+
+        def tiles(nn):
+            return sum(len(sfc.ifmap_walk(layer.shape, layer.tiling)[0])
+                       + len(sfc.ofmap_walk(layer.shape, layer.tiling)[0]) for layer in nn.layers)
+
+        steps = [
+            (net, 1, weight_blocks(net) + tiles(net)),  # a first input of the model
+            (net, 1, tiles(net)),  # a second input
+            (retiled(net), 1, weight_blocks(retiled(net)) + tiles(retiled(net))),
+            (retiled(net), 1, tiles(retiled(net))),
+            (mixed, 1, tiles(mixed)),  # every layer's tiling already seen
+            (net, 2, weight_blocks(net) + tiles(net)),  # a new model
+        ]
+        for n, (nn, seed, want_hashed) in enumerate(steps):
+            inp = toy_input(nn, n)
+            data = tracegen.compute_net_data(nn, inp, seed)
+            before = len(hashed)
+            got = baseline_trace(nn, inp, seed, observe_values=True, data=data)
+            cm_model = tracegen.ADDITIVE_MODELS[n % len(tracegen.ADDITIVE_MODELS)]
+            got_cm = additive_cm_trace(nn, inp, cm_model, seed, n, observe_values=True, data=data)
+            assert len(hashed) - before == want_hashed, n
+            want = baseline_trace_loop(nn, inp, seed, observe_values=True, data=data)
+            assert got.arr.tobytes() == want.arr.tobytes(), n
+            want_cm = additive_cm_loop(want, nn, cm_model, seed, n)
+            assert got_cm.arr.tobytes() == want_cm.arr.tobytes(), n
+        assert len(generated) == 2
+
     def test_returned_trace_is_a_copy(self, toy):
         net, inp, data = toy
         want = baseline_trace_loop(net, inp, 1, observe_values=True, data=data).arr.tobytes()
@@ -298,18 +335,22 @@ class TestTableMemo:
 
     def test_nets_and_modes_sharing_data(self, toy):
         """Other tilings, of every layer or of one, sparse and dense, all on
-        one NetData."""
+        one NetData, and then on a second input of the same model, which
+        takes its weight blocks' rows from the first's."""
         net, inp, data = toy
+        other = toy_input(net, 2)
+        inputs = [(inp, data), (other, tracegen.compute_net_data(net, other, 1))]
         nets = [net, retiled(net),
                 NetworkSpec(layers=[net.layers[0], retiled(net).layers[1], *net.layers[2:]])]
         modes = [(False, True), (True, False), (True, True), (False, False)]
-        want = {(n, mode): baseline_trace_loop(nn, inp, 1, *mode, data=data).arr.tobytes()
-                for n, nn in enumerate(nets) for mode in modes}
-        for _ in range(2):
-            for n, nn in enumerate(nets):
-                for mode in modes:
-                    got = baseline_trace(nn, inp, 1, *mode, data=data)
-                    assert got.arr.tobytes() == want[n, mode], (n, mode)
+        for x, d in inputs:
+            want = {(n, mode): baseline_trace_loop(nn, x, 1, *mode, data=d).arr.tobytes()
+                    for n, nn in enumerate(nets) for mode in modes}
+            for _ in range(2):
+                for n, nn in enumerate(nets):
+                    for mode in modes:
+                        got = baseline_trace(nn, x, 1, *mode, data=d)
+                        assert got.arr.tobytes() == want[n, mode], (n, mode)
 
 
 class TestModelStore:
@@ -354,13 +395,16 @@ class TestModelStore:
         models = self.toy_models()
         net, seed = models["A"]
         data = tracegen.compute_net_data(net, toy_input(net), seed)
+        baseline_trace(net, toy_input(net), seed, observe_values=True, data=data)
         first = weakref.ref(data.weights[0])
+        (rows,) = [weakref.ref(wrows) for key, wrows in data._weight_rows.items() if key[0] == 0]
         del data
         for name in "BC":
             net, seed = models[name]
             tracegen.compute_net_data(net, toy_input(net), seed)
         gc.collect()
         assert first() is None
+        assert rows() is None
         assert tracegen._held.key == (tuple((layer.shape, layer.sparsity) for layer in net.layers),
                                       seed)
         net, seed = models["A"]
