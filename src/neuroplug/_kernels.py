@@ -87,11 +87,21 @@ def nsqf_mask(lo, hi):
 # zero run-length coding: 0x00 runs become (0, runlen) pairs, runlen in 1..255
 
 
-def rle_encode(data):
+def rle_encode(data, starts):
+    """The tokens of the tiles data[starts[j]:starts[j + 1]], concatenated,
+    and each tile's token count.
+
+    starts are the tiles' first bytes, increasing from 0, so every tile is
+    nonempty.  A zero run breaks at each tile start, so the tokens of a
+    tile are those of the tile alone.
+    """
     data = np.ascontiguousarray(data, dtype=np.uint8)
-    zero = np.concatenate(([False], data == 0, [False]))
-    bounds = np.flatnonzero(zero[1:] != zero[:-1])
-    starts, run = bounds[::2], bounds[1::2] - bounds[::2]  # zero runs [start, start + run)
+    zero = np.zeros(data.size + 2, dtype=bool)  # byte i is zero at i + 1
+    zero[1:-1] = data == 0
+    cut = np.zeros(data.size + 1, dtype=bool)  # a run breaks before byte i
+    cut[starts] = cut[-1] = True
+    run_at = np.flatnonzero(zero[1:-1] & (cut[:-1] | ~zero[:-2]))
+    run = np.flatnonzero(zero[1:-1] & (cut[1:] | ~zero[2:])) + 1 - run_at  # [run_at, run_at + run)
     # slot 0 of each input byte holds the byte, slot 1 a pair's length;
     # the nonzero bytes and the pairs, read in order, are the output.  A
     # run emits one (0, len) pair per started 255 zeros, at the pair's
@@ -100,10 +110,11 @@ def rle_encode(data):
     slots[:, 0] = data
     for skip in range(0, int(run.max(initial=0)), 255):
         live = run > skip
-        slots[starts[live] + skip, 1] = np.minimum(run[live] - skip, 255)
+        slots[run_at[live] + skip, 1] = np.minimum(run[live] - skip, 255)
     keep = slots != 0
     keep[:, 0] |= keep[:, 1]
-    return np.compress(keep.ravel(), slots.ravel())
+    at = np.flatnonzero(keep.ravel())  # slot 2i is byte i's first
+    return slots.ravel()[at], np.diff(np.searchsorted(at, 2 * np.asarray(starts)), append=at.size)
 
 
 def rle_decode(tokens):

@@ -9,6 +9,11 @@ already reaches the stored size; the container is the same either way.
 The Huffman container lists (symbol, code length) pairs; canonical codes
 follow from them (RFC 1951 section 3.2.2), so the decoder takes only the
 number of codes of each length and the symbols in (length, symbol) order.
+`compress_stream` codes a whole stream (a map's chunks, a layer's weight
+rows) in one pass where it can: the RLE pass, the token histograms, the
+floors, the canonical codes, the headers, the code tables and the stored
+tiles are computed once per stream; the code lengths and the Huffman
+bitstream are made per tile.  A tile's container is the same in any stream.
 Tiles are then packed first-fit in curve order into bins of exactly
 ``bin_size`` bytes.  Every bin reserves a noise-drawn slice of empty space,
 so the observable bin count is an affine function of the true data volume:
@@ -167,38 +172,34 @@ def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
 
 
 def _canonical_codes(lens: np.ndarray) -> np.ndarray:
-    """Canonical codes (uint64, 0 for absent symbols) of the code lengths.
+    """Canonical codes (uint64, 0 for absent symbols) of code lengths given
+    as rows of 256, one code per row (a 1-D lens is one code).
 
     As in RFC 1951 section 3.2.2, symbols sorted by (length, symbol) take
     consecutive codes, lengthened with zeros where the length grows.  So the
     code of a symbol is the code space that the symbols before it take, in
     units of its own length: sum over them of 2**(maxlen - length), shifted
-    right by maxlen - its length.  The lengths must satisfy Kraft's
-    inequality.
+    right by maxlen - its length.  Absent symbols sort first and take no
+    space.  The lengths must satisfy Kraft's inequality.
     """
-    present = np.flatnonzero(lens)
-    sym_lens = lens[present].tolist()
-    maxlen = max(sym_lens)
-    codes = [0] * len(sym_lens)
-    space = 0  # the code space of the codes so far, in maxlen-bit units
-    for i in sorted(range(len(sym_lens)), key=sym_lens.__getitem__):
-        codes[i] = space >> (maxlen - sym_lens[i])
-        space += 1 << (maxlen - sym_lens[i])
-    out = np.zeros(256, dtype=np.uint64)
-    out[present] = codes
-    return out
+    lens = np.asarray(lens)
+    table = lens.reshape(-1, 256)
+    rows = np.arange(len(table))[:, None]
+    order = np.argsort(table, axis=1, kind="stable")  # (length, symbol) order
+    in_order = table[rows, order]
+    shift = (in_order[:, -1:] - in_order).astype(np.uint64)  # maxlen - length
+    space = np.left_shift((in_order > 0).astype(np.uint64), shift)  # in maxlen-bit units
+    codes = np.empty(table.shape, dtype=np.uint64)
+    codes[rows, order] = (np.cumsum(space, axis=1) - space) >> shift
+    return codes.reshape(lens.shape)
 
 
-def _varint_encode(n: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
+_VARINT_STEPS = 1 << np.arange(7, 63, 7)  # the least n whose varint takes 2, 3, ... bytes
+
+
+def _varint_len(n) -> np.ndarray:
+    """Bytes of the varint of each n >= 0: 7 bits a byte, the low bits first."""
+    return 1 + np.searchsorted(_VARINT_STEPS, n, side="right")
 
 
 def _varint_decode(data: np.ndarray, pos: int) -> tuple[int, int]:
@@ -215,57 +216,104 @@ def _varint_decode(data: np.ndarray, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _size_floor(n_tokens: int, counts: np.ndarray) -> int:
-    """A lower bound on the bytes of an RLE+Huffman container of n_tokens
-    tokens whose symbols occur counts times (counts > 0).
+def _size_floor(n_tokens: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """A lower bound on the bytes of the RLE+Huffman container of each
+    tile, from its token count n_tokens[j] and its token histogram freq[j]
+    (a row of 256 counts).
 
     The header and code table take 2 + len(varint(n)) + 2 * n_sym bytes.
     Every prefix code spends at least n * H bits on the tokens (Shannon, H
     their empirical entropy) and at least one bit per token.  The float sum
-    is shrunk by a relative 1e-9, far above its rounding error, so the
-    floor of it never exceeds n * H.
+    is shrunk by a relative 1e-9, far above its rounding error in any
+    summation order, so the floor of it never exceeds n * H.
     """
-    n_h = float((counts * np.log2(n_tokens / counts)).sum())
-    bits = max(n_tokens, math.floor(n_h * (1 - 1e-9)))
-    return 2 + len(_varint_encode(n_tokens)) + 2 * counts.size + (bits + 7) // 8
+    rows, syms = np.nonzero(freq)
+    counts = freq[rows, syms]
+    n_h = np.bincount(rows, counts * np.log2(n_tokens[rows] / counts), minlength=len(freq))
+    bits = np.maximum(n_tokens, np.floor(n_h * (1 - 1e-9)).astype(np.int64))
+    n_sym = np.bincount(rows, minlength=len(freq))
+    return 2 + _varint_len(n_tokens) + 2 * n_sym + (bits + 7) // 8
 
 
-def _rle_huffman(raw: np.ndarray) -> np.ndarray | None:
-    """The RLE+Huffman container of raw, or None where it would take at
-    least raw.size + 1 bytes.  The code lengths are built only when
-    `_size_floor` leaves them a chance, and the bitstream only when the
-    lengths give a container short enough."""
-    tokens = _kernels.rle_encode(raw)
-    freq = np.bincount(tokens, minlength=256)
-    present = np.flatnonzero(freq)
-    if _size_floor(tokens.size, freq[present]) >= raw.size + 1:
-        return None
-    lens = _huffman_lengths(freq)
-    header = bytes([MODE_RLE_HUF]) + _varint_encode(tokens.size) + bytes([present.size - 1])
-    if len(header) + 2 * present.size + (int(freq @ lens) + 7) // 8 >= raw.size + 1:
-        return None
-    bitstream = _kernels.huff_encode(tokens, _canonical_codes(lens), lens)
-    table = np.stack((present, lens[present]), axis=1).astype(np.uint8)
-    return np.concatenate([np.frombuffer(header, dtype=np.uint8), table.reshape(-1), bitstream])
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[j] + [0, lengths[j]) of every range, in order."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
-def compress_tile(raw, dummy_spans: tuple = ()) -> CompressedTile:
-    """Compress one tile's bytes into a self-describing container.
+def compress_stream(raws, spans=None) -> list[CompressedTile]:
+    """Compress each tile of a stream into a self-describing container.
 
-    The container is RLE+Huffman unless that takes at least raw.size + 1
+    A container is RLE+Huffman unless that takes at least raw.size + 1
     bytes; then it is stored mode, one mode byte and the raw bytes.  For n
     RLE tokens over n_sym symbols with empirical entropy H, the RLE+Huffman
     container takes at least 2 + len(varint(n)) + 2 * n_sym +
     ceil(max(n, n * H) / 8) bytes (`_size_floor`); where that floor already
     reaches raw.size + 1, stored mode is chosen without building a code.
+
+    Once per stream: the RLE pass (zero runs break at tile starts), the
+    token histograms, the floors, the container sizes, the canonical codes,
+    and the headers, code tables and stored tiles, all written into one
+    output array whose slices are the payloads.  Per tile: the code
+    lengths, where the floor leaves a chance, and the bitstream of each
+    RLE+Huffman tile.  spans[j], if given, are tile j's dummy-byte spans.
+    Every tile must be nonempty.
     """
-    raw = np.ascontiguousarray(raw, dtype=np.uint8)
-    if raw.size == 0:
+    raws = [np.asarray(raw, dtype=np.uint8) for raw in raws]
+    if not raws:
+        return []
+    sizes = np.array([raw.size for raw in raws], dtype=np.int64)
+    if not sizes.all():
         raise DomainError("cannot compress an empty tile")
-    packed = _rle_huffman(raw)
-    if packed is None:
-        packed = np.concatenate([np.array([MODE_STORED], dtype=np.uint8), raw])
-    return CompressedTile(raw_size=raw.size, payload=packed, dummy_spans=tuple(dummy_spans))
+    n = sizes.size
+    starts = np.cumsum(sizes) - sizes
+    data = np.concatenate(raws)
+    tokens, n_tok = _kernels.rle_encode(data, starts)
+    freq = np.bincount(np.repeat(np.arange(0, 256 * n, 256), n_tok) + tokens,
+                       minlength=256 * n).reshape(n, 256)
+    lens = np.zeros((n, 256), dtype=np.uint8)
+    for t in np.flatnonzero(_size_floor(n_tok, freq) < sizes + 1).tolist():
+        lens[t] = _huffman_lengths(freq[t])
+    rows, syms = np.nonzero(lens)
+    n_sym = np.bincount(rows, minlength=n)
+    head = 2 + _varint_len(n_tok)  # mode, varint(n_tokens), n_sym - 1
+    bits = np.bincount(rows, freq[rows, syms] * lens[rows, syms], minlength=n).astype(np.int64)
+    huff_size = head + 2 * n_sym + (bits + 7) // 8
+    huff = (n_sym > 0) & (huff_size < sizes + 1)
+    comp = np.where(huff, huff_size, sizes + 1)
+    at = np.cumsum(comp) - comp
+    out = np.empty(int(comp.sum()), dtype=np.uint8)
+
+    stored = np.flatnonzero(~huff)
+    out[at[stored]] = MODE_STORED
+    out[_ranges(at[stored] + 1, sizes[stored])] = data[_ranges(starts[stored], sizes[stored])]
+    # the code tables: (symbol, length) pairs in symbol order after the header
+    rows, syms = rows[huff[rows]], syms[huff[rows]]
+    pos = (at + head)[rows] + 2 * (np.arange(rows.size) - np.searchsorted(rows, rows))
+    out[pos] = syms
+    out[pos + 1] = lens[rows, syms]
+    # the headers: mode, varint(n_tokens) a byte per round, n_sym - 1
+    h = np.flatnonzero(huff)
+    out[at[h]] = MODE_RLE_HUF
+    out[at[h] + head[h] - 1] = n_sym[h] - 1
+    byte_at, left = at[h] + 1, n_tok[h]
+    while byte_at.size:
+        more = left > 0x7F
+        out[byte_at] = left & 0x7F | more << 7
+        byte_at, left = byte_at[more] + 1, left[more] >> 7
+    codes = _canonical_codes(lens)
+    tok_at = np.cumsum(n_tok) - n_tok
+    for t, a, b, p, q in zip(h.tolist(), tok_at[h].tolist(), (tok_at + n_tok)[h].tolist(),
+                             (at + head + 2 * n_sym)[h].tolist(), (at + comp)[h].tolist()):
+        out[p:q] = _kernels.huff_encode(tokens[a:b], codes[t], lens[t])
+
+    spans = [()] * n if spans is None else spans
+    return [CompressedTile(raw_size=size, payload=out[p : p + c], dummy_spans=tuple(s))
+            for size, p, c, s in zip(sizes.tolist(), at.tolist(), comp.tolist(), spans, strict=True)]
+
+
+def compress_tile(raw, dummy_spans: tuple = ()) -> CompressedTile:
+    """Compress one tile's bytes: a stream of one tile (`compress_stream`)."""
+    return compress_stream([raw], [dummy_spans])[0]
 
 
 def decompress_tile(payload: np.ndarray) -> np.ndarray:

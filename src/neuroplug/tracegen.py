@@ -47,6 +47,7 @@ use the map (the NPU design is public; only key material is secret).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -275,7 +276,9 @@ def baseline_trace(
     cycles, moved or skipped), and flush the block's output tiles once
     after its last channel group.  Each layer's event table is built once
     per `data` and looked up by later calls; its weight blocks are sized
-    and hashed once per model and tiling (see `NetData`).
+    and hashed once per model and tiling (see `NetData`).  A dense table
+    without values depends on the layer alone and is built once per layer
+    for every caller, `data` or not.
     """
     return _build(np.concatenate(_baseline_tables(net, input_tensor, seed, sparse,
                                                   observe_values, data)))
@@ -284,23 +287,27 @@ def baseline_trace(
 def _baseline_tables(net: NetworkSpec, input_tensor: Tensor3D, seed: int, sparse: bool,
                      observe_values: bool, data: NetData | None) -> list[np.ndarray]:
     """The baseline's per-layer event tables, in layer order."""
-    need_values = sparse or observe_values
-    if need_values and data is None:
+    if not (sparse or observe_values):
+        return [_value_free_table(i, layer) for i, layer in enumerate(net.layers)]
+    if data is None:
         data = compute_net_data(net, input_tensor, seed)
-    fmaps = data.fmaps if need_values else [None] * (len(net.layers) + 1)
-    weights = data.weights if need_values else [None] * len(net.layers)
     # besides data, a layer's table reads only what its key names: the
     # layer and the two flags
-    tables = data._tables if data is not None else {}
-    weight_rows = data._weight_rows if data is not None else {}
     layers = []
     for i, layer in enumerate(net.layers):
         key = (i, layer, sparse, observe_values)
-        if key not in tables:
-            tables[key] = _layer_table(i, layer, fmaps, weights, sparse, observe_values,
-                                       weight_rows)
-        layers.append(tables[key])
+        if key not in data._tables:
+            data._tables[key] = _layer_table(i, layer, data.fmaps, data.weights, sparse,
+                                             observe_values, data._weight_rows)
+        layers.append(data._tables[key])
     return layers
+
+
+@functools.lru_cache(maxsize=64)
+def _value_free_table(i: int, layer: Layer) -> np.ndarray:
+    """Layer i's dense table without values, which reads nothing but the
+    layer: built once for every caller, and kept for the last 64 layers."""
+    return _layer_table(i, layer, [None] * (i + 2), [None] * (i + 1), False, False, {})
 
 
 def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
@@ -474,12 +481,6 @@ class NeuroPlugRun:
     plans: list[ExecutionPlan]
     reports: list[binpack.BinPackReport]
 
-    def bins_of(self, layer: int, stream: str) -> int:
-        for s in self.streams:
-            if s.layer == layer and s.stream == stream:
-                return s.n_bins
-        raise KeyError((layer, stream))
-
 
 @dataclass
 class NeuroPlugCache:
@@ -524,8 +525,7 @@ def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile
     model = _model(net, model_seed)
     if model.weight_tiles is None:
         # a weight tile per output map: the rows of the (k, c*r*s) weight bytes
-        model.weight_tiles = [[binpack.compress_tile(row)
-                               for row in w.view(np.uint8).reshape(len(w), -1)]
+        model.weight_tiles = [binpack.compress_stream(list(w.view(np.uint8).reshape(len(w), -1)))
                               for w in model.weights]
         for tile in itertools.chain.from_iterable(model.weight_tiles):
             tile.payload.flags.writeable = False
@@ -534,8 +534,7 @@ def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile
 
 def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
-    fmap_tiles = [[binpack.compress_tile(raw)
-                   for raw in _chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])]
+    fmap_tiles = [binpack.compress_stream(_chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
                   for fmap, layer in zip(data.fmaps[1:], net.layers)]
     return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles,
                           weight_tiles=_weight_tiles(net, model_seed))
@@ -553,11 +552,9 @@ def _first_layer_tiles(
     chunks = _chunks(fmap0, sfc.ifmap_walk(layer.shape, layer.tiling)[0])
     rng = np.random.default_rng([key.seed, run_index, 0xD0])
     share, extra = divmod(key.noise.dummy_bytes_first_layer, len(chunks))
-    tiles = []
-    for j, raw in enumerate(chunks):
-        inflated, spans = binpack.inject_dummy(raw, share + (j < extra), rng)
-        tiles.append(binpack.compress_tile(inflated, dummy_spans=spans))
-    return tiles
+    inflated, spans = zip(*(binpack.inject_dummy(raw, share + (j < extra), rng)
+                            for j, raw in enumerate(chunks)))
+    return binpack.compress_stream(inflated, spans)
 
 
 def neuroplug_trace(

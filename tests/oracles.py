@@ -203,6 +203,20 @@ def runs_test_reference(bits):
 # neuroplug._kernels and neuroplug.binpack, which must match them bit for bit
 
 
+def varint_encode_loop(n):
+    """n >= 0 in 7-bit groups, the low group first, each but the last with
+    its top bit set."""
+    out = bytearray()
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        if n:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return bytes(out)
+
+
 def rle_encode_loop(data):
     """Zero runs become (0, runlen) pairs, runlen in 1..255; other bytes copy."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
@@ -756,6 +770,12 @@ def strip_dummies(data: np.ndarray, spans) -> np.ndarray:
     for off, ln in spans:
         keep[off : off + ln] = False
     return np.asarray(data, dtype=np.uint8)[keep]
+
+
+def bins_of(run, layer: int, stream: str) -> int:
+    """The bin count a NeuroPlug run lists for one layer's stream."""
+    (n_bins,) = [s.n_bins for s in run.streams if (s.layer, s.stream) == (layer, stream)]
+    return n_bins
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,16 @@ class TestHuffDuff:
     @pytest.mark.parametrize("name", list(KEYS))
     def test_neuroplug_compresses_each_input_once(self, toy_layer0, monkeypatch, generated, name):
         calls, compressed = [], []
-        prepare, compress = tracegen.prepare_neuroplug, binpack.compress_tile
+        prepare, compress = tracegen.prepare_neuroplug, binpack.compress_stream
         monkeypatch.setattr(tracegen, "prepare_neuroplug",
                             lambda *args: calls.append(args) or prepare(*args))
-        monkeypatch.setattr(binpack, "compress_tile",
-                            lambda *a, **kw: compressed.append(a) or compress(*a, **kw))
+
+        def compress_stream(*args):
+            tiles = compress(*args)
+            compressed.extend(tiles)
+            return tiles
+
+        monkeypatch.setattr(binpack, "compress_stream", compress_stream)
         report = huffduff_attack(toy_layer0, key=self.KEYS[name])
         # one cache per sweep input; the noise-only series reuses the first
         layer = toy_layer0.layers[0]
@@ -132,7 +137,7 @@ class TestObserve:
             for run_index in range(2):
                 run = tracegen.neuroplug_trace(net, inp, key, run_index, 1, cache)
                 assert attacks.observe(run.trace).tolist() == [
-                    [run.bins_of(i, stream) * key.bin_cfg.bin_size for stream in STREAMS]
+                    [oracles.bins_of(run, i, stream) * key.bin_cfg.bin_size for stream in STREAMS]
                     for i in range(len(net.layers))]
 
     def test_small_key_runs_every_case(self, prepared):

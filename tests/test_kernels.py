@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuroplug import _kernels, binpack, model, sfc, tracegen
-from neuroplug.errors import IntegrityError, NeuroPlugError
+from neuroplug.errors import DomainError, IntegrityError, NeuroPlugError
 
 from oracles import (
     canonical_tables_sequential,
@@ -21,6 +21,7 @@ from oracles import (
     huffman_lengths_heapq,
     rle_decode_loop,
     rle_encode_loop,
+    varint_encode_loop,
 )
 
 PROPERTY = settings(max_examples=150)
@@ -31,7 +32,7 @@ def oracle_rle_huffman(raw):
     tokens = rle_encode_loop(raw)
     lens = huffman_lengths_heapq(np.bincount(tokens, minlength=256))
     codes = canonical_tables_sequential(lens)[0]
-    header = bytearray([binpack.MODE_RLE_HUF]) + binpack._varint_encode(tokens.size)
+    header = bytearray([binpack.MODE_RLE_HUF]) + varint_encode_loop(tokens.size)
     present = np.flatnonzero(lens)
     header.append(present.size - 1)
     for s in present:
@@ -49,8 +50,9 @@ def oracle_container(raw):
 
 def assert_matches_oracles(raw):
     raw = np.asarray(raw, dtype=np.uint8)
-    tokens = _kernels.rle_encode(raw)
+    tokens, counts = _kernels.rle_encode(raw, [0])
     np.testing.assert_array_equal(tokens, rle_encode_loop(raw))
+    assert counts.tolist() == [tokens.size]
     assert tokens.dtype == np.uint8
     lens = binpack._huffman_lengths(np.bincount(tokens, minlength=256))
     np.testing.assert_array_equal(lens, huffman_lengths_heapq(np.bincount(tokens, minlength=256)))
@@ -119,13 +121,18 @@ def alphabet_tile(rng, size, n_values, zero_share, mean_run):
     return raw
 
 
+def size_floor(tokens):
+    """`binpack._size_floor` of one tile's RLE tokens."""
+    return int(binpack._size_floor(np.array([tokens.size]),
+                                   np.bincount(tokens, minlength=256)[None])[0])
+
+
 def assert_stored_decision(raw):
     """compress_tile matches the oracle container, and its size floor stays
     at or below the RLE+Huffman container; returns that container's size
     less raw.size + 1, the margin of the stored-mode decision."""
     tokens = rle_encode_loop(raw)
-    counts = np.bincount(tokens)
-    floor = binpack._size_floor(tokens.size, counts[counts > 0])
+    floor = size_floor(tokens)
     huffman = len(oracle_rle_huffman(raw))
     assert floor <= huffman
     assert binpack.compress_tile(raw).payload.tobytes() == oracle_container(raw)
@@ -175,9 +182,10 @@ class TestStoredDecision:
         for i, raw in enumerate(tiles):
             raw = np.ascontiguousarray(raw)
             payload = binpack.compress_tile(raw).payload.tobytes()
-            freq = np.bincount(_kernels.rle_encode(raw), minlength=256)
+            tokens = _kernels.rle_encode(raw, [0])[0]
+            freq = np.bincount(tokens, minlength=256)
             lens = huffman_lengths_heapq(freq)
-            huffman = 2 + len(binpack._varint_encode(int(freq.sum()))) + 2 * np.count_nonzero(lens) \
+            huffman = 2 + len(varint_encode_loop(tokens.size)) + 2 * np.count_nonzero(lens) \
                 + (int((freq * lens).sum()) + 7) // 8
             stored = huffman >= raw.size + 1
             assert payload[0] == (binpack.MODE_STORED if stored else binpack.MODE_RLE_HUF)
@@ -185,8 +193,80 @@ class TestStoredDecision:
             if stored or i >= n_rows or i % every == 0:
                 assert payload == oracle_container(raw)
             if stored:
-                missed += binpack._size_floor(int(freq.sum()), freq[freq > 0]) < raw.size + 1
+                missed += size_floor(tokens) < raw.size + 1
         assert missed == undecided
+
+
+@st.composite
+def streams(draw):
+    """Tiles of every kind a stream mixes, in any order: all-zero tiles,
+    tiles that start and end in zero runs (past 255 included, so runs meet
+    across tile ends), 1-byte tiles, one-symbol tiles, high-entropy tiles
+    (stored) and mixed tiles."""
+    kinds = st.one_of(
+        st.integers(1, 600).map(lambda n: np.zeros(n, np.uint8)),
+        st.tuples(st.integers(0, 600), st.binary(min_size=1, max_size=40), st.integers(0, 600))
+        .map(lambda t: np.frombuffer(bytes(t[0]) + t[1] + bytes(t[2]), np.uint8)),
+        st.binary(min_size=1, max_size=1).map(lambda b: np.frombuffer(b, np.uint8)),
+        st.tuples(st.integers(0, 255), st.integers(1, 300)).map(lambda t: np.full(t[1], t[0], np.uint8)),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 400))
+        .map(lambda t: np.random.default_rng(t[0]).integers(0, 256, t[1], dtype=np.uint8)),
+        mixed_tiles(),
+    )
+    return draw(st.lists(kinds, min_size=1, max_size=12))
+
+
+class TestStream:
+    """`compress_stream` codes a stream's tiles together, and each
+    container must equal the one its tile alone gets from the oracles."""
+
+    @PROPERTY
+    @given(streams())
+    def test_matches_tile_oracles(self, raws):
+        spans = [((j, 1),) for j in range(len(raws))]
+        tiles = binpack.compress_stream(raws, spans)
+        assert [t.payload.tobytes() for t in tiles] == [oracle_container(raw) for raw in raws]
+        assert [(t.raw_size, t.dummy_spans) for t in tiles] == [
+            (raw.size, span) for raw, span in zip(raws, spans)]
+        sizes = np.array([raw.size for raw in raws])
+        tokens, counts = _kernels.rle_encode(np.concatenate(raws), np.cumsum(sizes) - sizes)
+        want = [rle_encode_loop(raw) for raw in raws]
+        assert counts.tolist() == [w.size for w in want]
+        np.testing.assert_array_equal(tokens, np.concatenate(want))
+
+    @settings(max_examples=30)
+    @given(streams(), st.data())
+    def test_empty_tile_anywhere(self, raws, data):
+        raws.insert(data.draw(st.integers(0, len(raws))), np.zeros(0, np.uint8))
+        with pytest.raises(DomainError):
+            binpack.compress_stream(raws)
+
+    def test_lengths_only_where_floor_passes(self, monkeypatch):
+        # code lengths are built for exactly the tiles whose size floor
+        # leaves RLE+Huffman a chance, and for no toy-sparse weight row
+        net = model.load_network("toy-sparse")
+        data = tracegen.compute_net_data(net, model.generate_input(net.layers[0].shape, 1), 1)
+        built = []
+        lengths = binpack._huffman_lengths
+        monkeypatch.setattr(binpack, "_huffman_lengths",
+                            lambda freq: built.append(freq.tolist()) or lengths(freq))
+        weight_rows = [list(w.view(np.uint8).reshape(len(w), -1)) for w in data.weights]
+        fmap_chunks = [tracegen._chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])
+                       for fmap, layer in zip(data.fmaps[1:], net.layers)]
+        for n, raws in enumerate(weight_rows + fmap_chunks):
+            built.clear()
+            binpack.compress_stream(raws)
+            tokens = [rle_encode_loop(raw) for raw in raws]
+            assert built == [np.bincount(t, minlength=256).tolist()
+                             for raw, t in zip(raws, tokens) if size_floor(t) < raw.size + 1]
+            assert built if n >= len(weight_rows) else not built
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 2**14 - 1, 2**14, 2**56 - 1, 2**56, 2**63 - 1])
+def test_varint_len(n):
+    assert int(binpack._varint_len(n)) == len(varint_encode_loop(n))
+    assert binpack._varint_decode(np.frombuffer(varint_encode_loop(n), np.uint8), 0) == (
+        n, len(varint_encode_loop(n)))
 
 
 class TestHuffmanLengths:
@@ -272,7 +352,7 @@ class TestHuffDecode:
 
 def container(n_tokens, table, bits=b"\x00"):
     """An RLE+Huffman container with a hand-written header."""
-    head = bytes([binpack.MODE_RLE_HUF]) + binpack._varint_encode(n_tokens)
+    head = bytes([binpack.MODE_RLE_HUF]) + varint_encode_loop(n_tokens)
     return np.frombuffer(head + bytes([len(table) - 1]) + bytes(sum(table, ())) + bits,
                          dtype=np.uint8)
 

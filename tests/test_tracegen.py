@@ -34,7 +34,7 @@ from neuroplug.tracegen import (
     weight_base,
 )
 
-from oracles import (additive_cm_loop, baseline_trace_loop, coalesced_raw_chunks,
+from oracles import (additive_cm_loop, baseline_trace_loop, bins_of, coalesced_raw_chunks,
                      generate_weights_lexsort, strip_dummies)
 
 
@@ -324,6 +324,27 @@ class TestTableMemo:
             assert got_cm.arr.tobytes() == want_cm.arr.tobytes(), n
         assert len(generated) == 2
 
+    def test_value_free_tables_built_once(self, monkeypatch):
+        # a dense trace without values reads no data, so each layer's table
+        # is built once and every later call, of any input, looks it up
+        net = model.load_network("toy-sparse")
+        built = []
+        layer_table = tracegen._layer_table
+        monkeypatch.setattr(tracegen, "_layer_table", lambda *a: built.append(a[0]) or layer_table(*a))
+        for nn in (net, retiled(net)):
+            built.clear()
+            want = baseline_trace_loop(nn, toy_input(nn, 1), 1).arr.tobytes()
+            first = baseline_trace(nn, toy_input(nn, 1), 1)
+            seen = len(built)
+            assert seen <= len(nn.layers)
+            for seed in (2, 3):
+                inp = toy_input(nn, seed)
+                data = tracegen.compute_net_data(nn, inp, 1)
+                assert baseline_trace(nn, inp, seed, data=data).arr.tobytes() == want
+                assert additive_cm_trace(nn, inp, "dummy-writes", seed).size.sum() > 0
+            assert first.arr.tobytes() == want
+            assert len(built) == seen
+
     def test_returned_trace_is_a_copy(self, toy):
         net, inp, data = toy
         want = baseline_trace_loop(net, inp, 1, observe_values=True, data=data).arr.tobytes()
@@ -444,9 +465,14 @@ class TestModelStore:
     def test_weight_streams_compressed_once_per_model(self, generated, monkeypatch):
         net = model.load_network("toy-sparse")
         compressed = []
-        compress = binpack.compress_tile
-        monkeypatch.setattr(binpack, "compress_tile",
-                            lambda *a, **kw: compressed.append(1) or compress(*a, **kw))
+        compress = binpack.compress_stream
+
+        def compress_stream(*args):
+            tiles = compress(*args)
+            compressed.extend(tiles)
+            return tiles
+
+        monkeypatch.setattr(binpack, "compress_stream", compress_stream)
         fmap_chunks = sum(len(tracegen.chunk_ends(sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
                           for layer in net.layers)
         weight_rows = sum(layer.shape.k for layer in net.layers)
@@ -518,7 +544,7 @@ class TestNeuroPlug:
         counts = []
         for ridx in range(100):
             r = neuroplug_trace(net, inp, np_key(), run_index=ridx, cache=cache)
-            counts.append([r.bins_of(i, "ifmap") for i in range(len(net.layers))])
+            counts.append([bins_of(r, i, "ifmap") for i in range(len(net.layers))])
         counts = np.array(counts)
         assert (counts.std(axis=0) > 0).all()
 
@@ -635,14 +661,14 @@ class TestCaseOneEmission:
 class TestCaseTwoEmission:
     def test_weights_first_then_ifmap_in_order_then_writes(self, case_two_runs):
         for run in case_two_runs:
-            n_in = run.bins_of(0, "ifmap")
+            n_in = bins_of(run, 0, "ifmap")
             assert run.plans[0].ifmap_bin_groups == sfc._chop(n_in, 9)
             passes = read_passes(run)
             assert [r for r, _ in passes] == [WEIGHT_REGION, FMAP_REGION]
-            assert passes[0][1] == list(range(run.bins_of(0, "filter")))
+            assert passes[0][1] == list(range(bins_of(run, 0, "filter")))
             assert passes[1][1] == list(range(n_in))
             ops = run.trace.arr["op"].tolist()
-            n_out = run.bins_of(0, "ofmap")
+            n_out = bins_of(run, 0, "ofmap")
             assert ops == [OP_READ] * (len(ops) - n_out) + [OP_WRITE] * n_out
 
     def test_pinned_digests(self, case_two_runs):
@@ -665,7 +691,7 @@ class TestCaseThreeEmission:
             assert [r for r, _ in passes] == [FMAP_REGION, WEIGHT_REGION] * len(groups)
             fmap_reads = [idx for r, idx in passes if r == FMAP_REGION]
             assert [len(idx) for idx in fmap_reads] == groups
-            assert sum(fmap_reads, []) == list(range(run.bins_of(0, "ifmap")))
+            assert sum(fmap_reads, []) == list(range(bins_of(run, 0, "ifmap")))
 
     def test_pass_reads_copy_p_mod_eta(self, case_three_runs):
         for run in case_three_runs:
@@ -676,7 +702,7 @@ class TestCaseThreeEmission:
             # the stored copies lie back to back in the weight region, in copy order
             copies = sorted({(idx[0], idx[-1]) for idx in weight_reads})
             assert len(copies) == min(eta, len(weight_reads))
-            assert copies[0][0] == 0 and copies[-1][1] == run.bins_of(0, "filter") - 1
+            assert copies[0][0] == 0 and copies[-1][1] == bins_of(run, 0, "filter") - 1
             assert all(b[0] == a[1] + 1 for a, b in zip(copies, copies[1:]))
             for p, idx in enumerate(weight_reads):
                 assert (idx[0], idx[-1]) == copies[p % eta]
@@ -724,10 +750,10 @@ class TestPlanMatchesEmission:
                 assert got[pos:pos + len(want)] == want
                 pos += len(want)
             assert pos == len(got)
-            assert sum(plan.ifmap_bin_groups) == run.bins_of(i, "ifmap")
+            assert sum(plan.ifmap_bin_groups) == bins_of(run, i, "ifmap")
             assert sorted(copies) == list(range(plan.eta))
             assert sum((copies[c] for c in range(plan.eta)), []) == [
-                (WEIGHT_REGION + i, b) for b in range(run.bins_of(i, "filter"))]
+                (WEIGHT_REGION + i, b) for b in range(bins_of(run, i, "filter"))]
             if plan.case == sfc.CASE_III:
                 assert plan.tau == sum(stream == "filter" for stream, _ in plan.passes())
 
@@ -973,13 +999,13 @@ class TestFindingOne:
         cache = prepare_neuroplug(net, inp, model_seed=seed)
         for r in range(3):
             run = neuroplug_trace(net, inp, key, r, seed, cache)
-            assert run.bins_of(0, "ifmap") == n_in
+            assert bins_of(run, 0, "ifmap") == n_in
             for i, plan in enumerate(run.plans):
-                assert run.bins_of(i, "ofmap") == n_out[i]
+                assert bins_of(run, i, "ofmap") == n_out[i]
                 # Finding 5: one weight tile per output map, so the filter
                 # stream counts the output maps of each partition part
                 per_copy = sum(math.ceil(part / kappa) for part in plan.ofmap_partition)
-                assert run.bins_of(i, "filter") == plan.eta * per_copy
+                assert bins_of(run, i, "filter") == plan.eta * per_copy
 
 
 class TestStoredForm:
