@@ -20,6 +20,9 @@ overlap test (`_overlapping`) decides which writes are read back, which
 reads consume earlier writes and where reverse engineering cuts the trace
 into layers, `tracegen.fmap_index` says which feature map an address
 belongs to, and `observe` counts each layer's bytes by region alone.
+`ss_attack` and `si_attack` read each trace once: they group its events
+by address in one pass (an address names its feature map), and their
+per-layer loops only collect the figures.
 """
 
 from __future__ import annotations
@@ -131,12 +134,28 @@ def _unique_volume(rows) -> int:
     return int(rows["size"][first_idx].sum())
 
 
-def _fmap_read_stats(reads) -> tuple[int, int]:
-    """(total read volume, per-address count mode) of one fmap's reads."""
-    if len(reads) == 0:
-        return 0, 1
-    _, counts = np.unique(reads["addr"], return_counts=True)
-    return int(reads["size"].sum()), max(1, int(np.bincount(counts).argmax()))
+def _read_figures(arr, fmaps, n: int):
+    """Per feature map i < n of one trace: the bytes read, and the mode of
+    its addresses' read counts, ties going to the smaller count (1 for a map
+    no read touches).  One group-by over the trace's reads: an address
+    names its map, so its read count is the size of its address group."""
+    idx = np.flatnonzero((arr["op"] == OP_READ) & (fmaps >= 0) & (fmaps < n))
+    volume = np.zeros(n, dtype=np.uint64)
+    np.add.at(volume, fmaps[idx], arr["size"][idx])
+    addrs, counts = np.unique(arr["addr"][idx], return_counts=True)
+    fm = tracegen.fmap_index(addrs)
+    # (map, count) groups, each with the number of addresses it holds
+    by_pair = np.lexsort((counts, fm))
+    fm, counts = fm[by_pair], counts[by_pair]
+    start = np.flatnonzero((np.diff(fm, prepend=-1) != 0) | (np.diff(counts, prepend=0) != 0))
+    freq = np.diff(start, append=fm.size)
+    fm, counts = fm[start], counts[start]
+    # per map: the most addresses first, then the smaller count
+    best = np.lexsort((counts, -freq, fm))
+    best = best[np.diff(fm[best], prepend=-1) != 0]
+    mode = np.ones(n, dtype=np.int64)
+    mode[fm[best]] = counts[best]
+    return volume, mode
 
 
 def observe(trace: Trace) -> np.ndarray:
@@ -168,7 +187,9 @@ def ss_attack(traces) -> AttackReport:
     Write events never read again carry no data the network consumed, so
     they are dropped.  Volumes are normalized by the per-address read-count
     mode to undo block re-reads, then the min and mean over runs serve as
-    the noise filter.
+    the noise filter.  Each trace is read once: its reads and its read-back
+    writes are grouped by map in one pass each, and the per-layer loop only
+    collects the figures.
     """
     vols: dict[int, list[float]] = {}
     write_counts: dict[int, list[int]] = {}
@@ -177,15 +198,19 @@ def ss_attack(traces) -> AttackReport:
     for trace in traces:
         arr = trace.arr
         runs += 1
-        read_back = _read_back_writes(arr)
         fmaps = tracegen.fmap_index(arr["addr"])
-        is_read = arr["op"] == OP_READ
-        for i in range(int(fmaps.max(initial=0))):
-            vol, mode = _fmap_read_stats(arr[is_read & (fmaps == i)])
-            vols.setdefault(i, []).append(vol / mode)
-            out_mask = read_back & (fmaps == i + 1)
-            write_counts.setdefault(i, []).append(int(out_mask.sum()))
-            write_vols.setdefault(i, []).append(int(arr["size"][out_mask].sum()))
+        n = int(fmaps.max(initial=0))  # layers 0 .. n - 1 read fmap i and write fmap i + 1
+        volume, mode = _read_figures(arr, fmaps, n)
+        out = np.flatnonzero(_read_back_writes(arr) & (fmaps >= 1) & (fmaps <= n))
+        out_layer = fmaps[out] - 1
+        out_count = np.bincount(out_layer, minlength=n)
+        out_volume = np.zeros(n, dtype=np.uint64)
+        np.add.at(out_volume, out_layer, arr["size"][out])
+        for i, (vol, m, count, wvol) in enumerate(zip(volume.tolist(), mode.tolist(),
+                                                      out_count.tolist(), out_volume.tolist())):
+            vols.setdefault(i, []).append(vol / m)
+            write_counts.setdefault(i, []).append(count)
+            write_vols.setdefault(i, []).append(wvol)
     if runs == 0:
         raise DomainError("ss attack needs at least one trace")
     layers = []
@@ -264,8 +289,10 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
     A write whose content hash equals the previous write to the same
     address updated nothing: real networks essentially never rewrite a
     feature map byte-identically, so those writes are dropped as planted.
-    The estimates of `base_report` are copied, so its figures stay its own;
-    the copies share its evidence dicts, which gain si's notes.
+    Each trace is read once, its kept read-back writes grouped by address
+    in one pass.  The estimates of `base_report` are copied, so its
+    figures stay its own; the copies share its evidence dicts, which gain
+    si's notes.
     """
     # shallow copies: the attack-vgg16-32 benchmark's golden record digests
     # ss+kk reports whose shared evidence carries si's notes
@@ -276,17 +303,25 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
     corrected_vols: dict[int, list[int]] = {}
     stripped_fmaps: set[int] = set()  # fmap indices (-1: none) that lost a fake write
     for trace in traces:
+        arr = trace.arr
         runs += 1
-        fake = _fake_rewrites(trace.arr)
+        fake = _fake_rewrites(arr)
         removed_total += int(fake.sum())
-        stripped_fmaps.update(tracegen.fmap_index(trace.arr["addr"][fake]).tolist())
-        arr = trace.arr[~fake]
-        read_back = _read_back_writes(arr)
-        out_layer = tracegen.fmap_index(arr["addr"]) - 1
-        for i in np.unique(out_layer[read_back & (out_layer >= 0)]).tolist():
-            rows = arr[read_back & (out_layer == i)]
-            corrected_counts.setdefault(i, []).append(int(np.unique(rows["addr"]).size))
-            corrected_vols.setdefault(i, []).append(_unique_volume(rows))
+        fmaps = tracegen.fmap_index(arr["addr"])
+        stripped_fmaps.update(fmaps[fake].tolist())
+        # fakes are writes, so stripping them leaves every read, and with
+        # it whether each other write is read back
+        kept = np.flatnonzero(_read_back_writes(arr) & ~fake & (fmaps >= 1))
+        # one group-by: an address names its map, and its first kept write
+        # counts its bytes
+        addrs, first = np.unique(arr["addr"][kept], return_index=True)
+        layer = tracegen.fmap_index(addrs) - 1
+        count = np.bincount(layer)
+        volume = np.zeros(count.size, dtype=np.uint64)
+        np.add.at(volume, layer, arr["size"][kept[first]])
+        for i in np.flatnonzero(count).tolist():
+            corrected_counts.setdefault(i, []).append(int(count[i]))
+            corrected_vols.setdefault(i, []).append(int(volume[i]))
     layers = []
     for i in sorted(set(corrected_counts) | set(layers_map)):
         est = layers_map.get(i, LayerEstimate(layer=i))

@@ -126,18 +126,18 @@ def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
     a code is too long the frequencies are halved, rounding up, and the tree
     is rebuilt.  The merge runs on Python ints.
     """
-    present = np.flatnonzero(freq)
-    weights = freq[present].tolist()
+    present = freq.nonzero()[0]
+    weights = freq[present].astype(np.int64)
     lens = np.zeros(256, dtype=np.uint8)
-    n = len(weights)
+    n = weights.size
     if n <= 1:
         lens[present] = 1
         return lens
     while True:
-        order = sorted(range(n), key=weights.__getitem__)
+        order = weights.argsort(kind="stable")
         # the sentinel weight ends each queue: past the last leaf, and at
         # internal nodes not made yet
-        leaf_w = [weights[i] for i in order] + [math.inf]
+        leaf_w = weights[order].tolist() + [math.inf]
         node_w = [math.inf] * (n - 1)
         # parent of leaves 0..n-1, then of internal nodes 0..n-3 at n + i;
         # internal node n-2 is the root
@@ -168,7 +168,7 @@ def _huffman_lengths(freq: np.ndarray) -> np.ndarray:
         if max(leaf_len) <= _MAX_CODE_LEN:
             lens[present[order]] = leaf_len
             return lens
-        weights = [(w + 1) >> 1 for w in weights]
+        weights = (weights + 1) >> 1
 
 
 def _canonical_codes(lens: np.ndarray) -> np.ndarray:
@@ -265,43 +265,47 @@ def compress_stream(raws, spans=None) -> list[CompressedTile]:
     if not sizes.all():
         raise DomainError("cannot compress an empty tile")
     n = sizes.size
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     data = np.concatenate(raws)
     tokens, n_tok = _kernels.rle_encode(data, starts)
-    freq = np.bincount(np.repeat(np.arange(0, 256 * n, 256), n_tok) + tokens,
+    freq = np.bincount(np.arange(0, 256 * n, 256).repeat(n_tok) + tokens,
                        minlength=256 * n).reshape(n, 256)
     lens = np.zeros((n, 256), dtype=np.uint8)
-    for t in np.flatnonzero(_size_floor(n_tok, freq) < sizes + 1).tolist():
+    for t in (_size_floor(n_tok, freq) < sizes + 1).nonzero()[0].tolist():
         lens[t] = _huffman_lengths(freq[t])
-    rows, syms = np.nonzero(lens)
+    rows, syms = lens.nonzero()
+    sym_lens = lens[rows, syms]
     n_sym = np.bincount(rows, minlength=n)
     head = 2 + _varint_len(n_tok)  # mode, varint(n_tokens), n_sym - 1
-    bits = np.bincount(rows, freq[rows, syms] * lens[rows, syms], minlength=n).astype(np.int64)
+    bits = np.bincount(rows, freq[rows, syms] * sym_lens, minlength=n).astype(np.int64)
     huff_size = head + 2 * n_sym + (bits + 7) // 8
     huff = (n_sym > 0) & (huff_size < sizes + 1)
     comp = np.where(huff, huff_size, sizes + 1)
-    at = np.cumsum(comp) - comp
-    out = np.empty(int(comp.sum()), dtype=np.uint8)
+    at = comp.cumsum() - comp
+    out = np.empty(int(at[-1] + comp[-1]), dtype=np.uint8)
 
-    stored = np.flatnonzero(~huff)
-    out[at[stored]] = MODE_STORED
-    out[_ranges(at[stored] + 1, sizes[stored])] = data[_ranges(starts[stored], sizes[stored])]
+    h = huff.nonzero()[0]
+    if h.size < n:  # the stored tiles, where a stream has any
+        stored = (~huff).nonzero()[0]
+        out[at[stored]] = MODE_STORED
+        out[_ranges(at[stored] + 1, sizes[stored])] = data[_ranges(starts[stored], sizes[stored])]
+        coded = huff[rows]
+        rows, syms, sym_lens = rows[coded], syms[coded], sym_lens[coded]
     # the code tables: (symbol, length) pairs in symbol order after the header
-    rows, syms = rows[huff[rows]], syms[huff[rows]]
-    pos = (at + head)[rows] + 2 * (np.arange(rows.size) - np.searchsorted(rows, rows))
+    pos = (at + head)[rows] + 2 * (np.arange(rows.size) - rows.searchsorted(rows))
     out[pos] = syms
-    out[pos + 1] = lens[rows, syms]
+    out[pos + 1] = sym_lens
     # the headers: mode, varint(n_tokens) a byte per round, n_sym - 1
-    h = np.flatnonzero(huff)
-    out[at[h]] = MODE_RLE_HUF
-    out[at[h] + head[h] - 1] = n_sym[h] - 1
-    byte_at, left = at[h] + 1, n_tok[h]
+    at_h = at[h]
+    out[at_h] = MODE_RLE_HUF
+    out[at_h + head[h] - 1] = n_sym[h] - 1
+    byte_at, left = at_h + 1, n_tok[h]
     while byte_at.size:
         more = left > 0x7F
         out[byte_at] = left & 0x7F | more << 7
         byte_at, left = byte_at[more] + 1, left[more] >> 7
     codes = _canonical_codes(lens)
-    tok_at = np.cumsum(n_tok) - n_tok
+    tok_at = n_tok.cumsum() - n_tok
     for t, a, b, p, q in zip(h.tolist(), tok_at[h].tolist(), (tok_at + n_tok)[h].tolist(),
                              (at + head + 2 * n_sym)[h].tolist(), (at + comp)[h].tolist()):
         out[p:q] = _kernels.huff_encode(tokens[a:b], codes[t], lens[t])

@@ -2,10 +2,14 @@
 
 A feature map is walked as deep tiles: row-major over the (row, col) grid
 with the channel groups of one position kept adjacent.  `ifmap_walk` and
-`ofmap_walk` are the one walk every trace generator uses, and
-`curve_image` is the map's one stored form: its tiles back to back in
-walk order.  Baseline tiles and NeuroPlug storage chunks are slices of
-that image, so it is the only place a walk turns into bytes.  Execution
+`ofmap_walk` are the one walk every trace generator uses.  A walk depends
+on the map and tile shapes alone, so it is made once per shape and shared
+as an immutable tuple (the last 256 shapes are kept).  `curve_image` is
+the map's one stored form: its tiles back to back in walk order, gathered
+in one step through an index made once per (map shape, walk) (the last
+64 kept), in the smallest unsigned type that holds the map's positions.
+Baseline tiles and NeuroPlug storage chunks are slices of that image, so
+it is the only place a walk turns into bytes.  Execution
 planning picks the capacity case (AllFit, I, II, III) when weights and/or
 inputs overflow the on-chip capacity.  The case is decided once, in
 `plan_execution`, and the plan owns the layer's read order: the weight
@@ -18,6 +22,7 @@ element count and a byte count at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,13 +38,15 @@ CASE_II = "II"
 CASE_III = "III"
 
 
+@functools.lru_cache(maxsize=256)
 def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
     """Deep tiles in curve order: rows outer, cols inner, channel groups innermost.
 
-    Returns ([(byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...],
+    Returns (((byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...),
     full_tile_bytes).  The tensor is stored densely in curve order, so
     offsets are running sums of the actual tile bytes; any tiling of the
-    same tensor covers the identical byte extent.
+    same tensor covers the identical byte extent.  The walk is a value of
+    its six sizes alone: it is made once and every caller shares it.
     """
     out = []
     offset = 0
@@ -52,7 +59,7 @@ def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
                 actual = (hi - lo) * (r1 - r0) * (w1 - w0)
                 out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
                 offset += actual
-    return out, tch * th * tw
+    return tuple(out), tch * th * tw
 
 
 def ifmap_walk(layer: LayerShape, tiling: TilingSpec):
@@ -70,8 +77,21 @@ def curve_image(tensor: np.ndarray, walk) -> np.ndarray:
     """A (channels, rows, cols) int8 map's stored bytes: the walk's deep
     tiles back to back in walk order, each in C order.  Tile j of the walk
     is image[offset : offset + actual_bytes] (see `_walk`)."""
-    return np.concatenate([tensor[c0:c1, r0:r1, w0:w1].reshape(-1)
-                           for _, (c0, c1, r0, r1, w0, w1), _ in walk]).view(np.uint8)
+    return tensor.reshape(-1).take(_curve_index(tensor.shape, walk)).view(np.uint8)
+
+
+@functools.lru_cache(maxsize=64)
+def _curve_index(shape: tuple, walk) -> np.ndarray:
+    """The flat C-order positions, in a map of this shape, of its curve
+    image's elements, read-only and made once per (shape, walk).  The
+    smallest unsigned type that holds them keeps the memo small: uint16 for
+    every map of the bundled vgg16-32 and toy-sparse nets."""
+    size = math.prod(shape)
+    flat = np.arange(size, dtype=np.min_scalar_type(size - 1)).reshape(shape)
+    index = np.concatenate([flat[c0:c1, r0:r1, w0:w1].reshape(-1)
+                            for _, (c0, c1, r0, r1, w0, w1), _ in walk])
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ Both read a feature map in one stored form, `sfc.curve_image`: a baseline
 tile and a NeuroPlug storage chunk are each a slice of it.  The chunks are
 cut at `chunk_ends`, which depends on the walk alone, so a map's chunk
 count is public geometry that an attacker computes without the data.
+Likewise a layer's geometry (its walks, the loop-nest order of its dense
+table, and where the additive models splice into it) depends on the layer
+alone: `_layer_geometry` computes it once for every input, run and model.
 
 Content is computed per model or per input.  A model, the layer shapes
 and sparsities of a net with one model seed, has weights and compressed
@@ -69,6 +72,7 @@ EVENT_DTYPE = np.dtype(
 )
 
 _RECORD = EVENT_DTYPE.newbyteorder("<")  # the trace file's record, every field whole
+_EVENT_BYTES = np.dtype((np.void, EVENT_DTYPE.itemsize))  # an event as one opaque value
 
 REGION_SHIFT = 28
 FMAP_REGION = 1
@@ -164,14 +168,21 @@ def _build(rows) -> Trace:
     return Trace(arr)
 
 
+def _concat_events(parts) -> np.ndarray:
+    """np.concatenate of event arrays, through views that hide the fields:
+    numpy promotes structured dtypes field by field for every part it
+    joins, which costs far more than the copy."""
+    return np.concatenate([part.view(_EVENT_BYTES) for part in parts]).view(EVENT_DTYPE)
+
+
 def _digest64(data) -> int:
     """64-bit blake2b of bytes or any C-contiguous buffer."""
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def _size_digest(tensor, index, size: int, sparse: bool, observe_values: bool) -> tuple[int, int]:
-    """Event size and content hash of the tile or weight block tensor[index],
-    which holds size bytes.  Sparse transfers move only the nonzero bytes,
+    """Event size and content hash of the weight block tensor[index], which
+    holds size bytes.  Sparse transfers move only the nonzero bytes,
     so an all-zero block has size 0.  Without values (tensor None) a block
     moves whole and has no hash."""
     if tensor is None:
@@ -310,25 +321,86 @@ def _value_free_table(i: int, layer: Layer) -> np.ndarray:
     return _layer_table(i, layer, [None] * (i + 2), [None] * (i + 1), False, False, {})
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """A layer's value-free trace geometry: what its dense table looks like
+    for every input, run and model.
+
+    in_tiles and out_tiles are its input and output walks, each with its
+    tiles' byte offsets and sizes as arrays.  order is the loop-nest order
+    of the table's rows (weight blocks, then input tiles, then output
+    tiles, as `_layer_table` lists them); writes are the ordered table's
+    write positions, one per output tile; last_read is its last read of the
+    layer's input map; out_cap is a full output tile's bytes.
+    """
+
+    in_tiles: tuple
+    out_tiles: tuple
+    order: np.ndarray
+    writes: np.ndarray
+    last_read: int
+    out_cap: int
+
+
+@functools.lru_cache(maxsize=64)
+def _layer_geometry(layer: Layer) -> _Geometry:
+    """The layer's `_Geometry`, made once and kept for the last 64 layers."""
+    shp, til = layer.shape, layer.tiling
+    n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
+    in_walk, _ = sfc.ifmap_walk(shp, til)
+    out_walk, out_cap = sfc.ofmap_walk(shp, til)
+    in_row = n_k * n_c
+    out_row = in_row + len(in_walk)
+    # the loop nest as one index order over the table: walk tile j is in channel group j mod n
+    order = []
+    for ko in range(n_k):
+        for co in range(n_c):
+            order += [[ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
+        order.append(np.arange(out_row + ko, out_row + len(out_walk), n_k))
+    order = np.concatenate(order)
+    writes = np.flatnonzero(order >= out_row)
+    last_read = int(np.flatnonzero((order >= in_row) & (order < out_row))[-1])
+    in_tiles, out_tiles = ((walk, *np.array([(off, actual) for off, _, actual in walk],
+                                            dtype=np.int64).T) for walk in (in_walk, out_walk))
+    for arr in (order, writes, *in_tiles[1:], *out_tiles[1:]):
+        arr.flags.writeable = False
+    return _Geometry(in_tiles, out_tiles, order, writes, last_read, out_cap)
+
+
+def _tile_rows(op: int, j: int, tensor, tiles, sparse: bool, observe_values: bool) -> np.ndarray:
+    """(op, addr, size, digest) rows of map j's walked tiles, tiles being a
+    walk with its offsets and sizes.  Each tile is a slice of the map's
+    curve image: sparse sizes count its nonzero bytes in one reduction, and
+    digests hash it through a memoryview.  Without values (tensor None)
+    every tile moves whole and has no hash."""
+    walk, offs, sizes = tiles
+    rows = np.zeros((len(offs), 4), dtype=np.uint64)
+    rows[:, 0] = op
+    rows[:, 1] = fmap_base(j) + offs
+    rows[:, 2] = sizes
+    if tensor is not None:
+        image = sfc.curve_image(tensor, walk)
+        if sparse:
+            rows[:, 2] = np.add.reduceat(image != 0, offs, dtype=np.int64)
+        if observe_values:
+            view = memoryview(image)
+            rows[:, 3] = np.fromiter((_digest64(view[a:a + n])
+                                      for a, n in zip(offs.tolist(), sizes.tolist())),
+                                     dtype=np.uint64, count=len(offs))
+    return rows
+
+
 def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
                  observe_values: bool, weight_rows: dict) -> np.ndarray:
     """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only.
 
     Its weight-block rows are looked up in weight_rows, its model's memo
-    (see `_Model`), and built there on first use.
+    (see `_Model`), and built there on first use; its walks and row order
+    come from `_layer_geometry`.
     """
-
-    def tile_rows(op, fmap, walk):
-        image = None if fmaps[fmap] is None else sfc.curve_image(fmaps[fmap], walk)
-        return [(op, fmap_base(fmap) + off,
-                 *_size_digest(image, np.s_[off:off + actual], actual, sparse, observe_values))
-                for off, _, actual in walk]
-
     shp, til = layer.shape, layer.tiling
-    n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
+    geo = _layer_geometry(layer)
     wblock_cap = til.tk * til.tc * shp.r * shp.s
-    in_walk, _ = sfc.ifmap_walk(shp, til)
-    out_walk, _ = sfc.ofmap_walk(shp, til)
     # every block the layer moves, sized and hashed once: weight blocks
     # (k-major, once per model and tiling), input tiles, output tiles
     wkey = (i, til.tk, til.tc, sparse, observe_values)
@@ -345,20 +417,13 @@ def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
         wrows = np.array(wrows, dtype=np.uint64)
         wrows.flags.writeable = False
         weight_rows[wkey] = wrows
-    in_row, out_row = len(wrows), len(wrows) + len(in_walk)
-    rows = tile_rows(OP_READ, i, in_walk) + tile_rows(OP_WRITE, i + 1, out_walk)
-    table = np.concatenate((wrows, np.array(rows, dtype=np.uint64)))
+    table = np.concatenate((wrows,
+                            _tile_rows(OP_READ, i, fmaps[i], geo.in_tiles, sparse, observe_values),
+                            _tile_rows(OP_WRITE, i + 1, fmaps[i + 1], geo.out_tiles, sparse,
+                                       observe_values)))
     dt = _transfer_cycles(table[:, 2])
-    dt[in_row:out_row] += T_TILE
-    table = np.column_stack((table, dt))
-
-    # the loop nest as one index order over the table: walk tile j is in channel group j mod n
-    order = []
-    for ko in range(n_k):
-        for co in range(n_c):
-            order += [[ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
-        order.append(np.arange(out_row + ko, len(table), n_k))
-    table = table[np.concatenate(order)]
+    dt[len(wrows):len(wrows) + len(geo.in_tiles[1])] += T_TILE
+    table = np.column_stack((table, dt))[geo.order]
     table.flags.writeable = False
     return table
 
@@ -396,7 +461,7 @@ def additive_cm_trace(
         chunks += [base[pos:start], rows]
         pos = stop
     chunks.append(base[pos:])
-    return Trace(np.concatenate(chunks))
+    return Trace(_concat_events(chunks))
 
 
 def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng):
@@ -405,21 +470,20 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
     Layer i's events are arr[ends[i - 1]:ends[i]], and in a dense trace
     they read fmap i and write fmap i + 1 at least once each.  Dummy writes
     follow the layer's last write and const-mean padding its last read of
-    fmap i.
+    fmap i.  Those places are value-free, the same for every input, run and
+    model, so they come from the layer's `_layer_geometry` and no edit
+    scans arr.
     """
-    fmap = fmap_index(arr["addr"])
     for i, layer in enumerate(net.layers):
         lo = ends[i - 1] if i else 0
-        own = arr[lo : ends[i]]
-        writes = lo + np.flatnonzero(own["op"] == OP_WRITE)  # of fmap i + 1
-        reads = lo + np.flatnonzero((own["op"] == OP_READ) & (fmap[lo : ends[i]] == i))
+        geo = _layer_geometry(layer)
+        writes = lo + geo.writes  # of fmap i + 1
         if cm_model == "dummy-writes":
             # unread dummy writes appended to the layer's output flush
-            out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
-            n = max(1, round(DUMMY_RATIO * len(out_tiles)))
+            n = max(1, round(DUMMY_RATIO * writes.size))
             at = writes[-1] + 1
-            yield at, at, _inserted(arr, at, OP_WRITE, dummy_base(i) + np.arange(n) * out_cap,
-                                    out_cap, rng.integers(1, 1 << 63, size=n))
+            yield at, at, _inserted(arr, at, OP_WRITE, dummy_base(i) + np.arange(n) * geo.out_cap,
+                                    geo.out_cap, rng.integers(1, 1 << 63, size=n))
         elif cm_model == "const-mean":
             # a hardwired constant plus small zero-mean jitter of extra reads
             # that extend the layer's input region, so that their addresses
@@ -427,7 +491,7 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
             cap = sfc.deep_tile_bytes(layer.tiling)
             total = CONST_MEAN + int(rng.integers(JITTER[0], JITTER[1] + 1))
             offs = np.arange(0, total, cap)
-            at = reads[-1] + 1
+            at = lo + geo.last_read + 1
             yield at, at, _inserted(arr, at, OP_READ, fmap_base(i) + sfc.ifmap_bytes(layer.shape) + offs,
                                     np.minimum(cap, total - offs), 0)
         elif cm_model == "layer-divider" and writes.size >= 2:
@@ -442,7 +506,7 @@ def _additive_edits(arr: np.ndarray, ends, net: NetworkSpec, cm_model: str, rng)
             h = writes.size // 2
             read_back = w[:h].copy()
             read_back["op"] = OP_READ
-            yield writes[0], writes[-1] + 1, np.concatenate([w[:h], read_back, w[:h], w[h:]])
+            yield writes[0], writes[-1] + 1, _concat_events([w[:h], read_back, w[:h], w[h:]])
 
 
 def _inserted(arr: np.ndarray, at: int, op: int, addr, size, digest) -> np.ndarray:

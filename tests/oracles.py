@@ -4,6 +4,7 @@ Everything here is deliberately naive (loops, sieves, quadrature) and kept
 separate from the code paths under test.
 """
 
+import dataclasses
 import hashlib
 import heapq
 import math
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from neuroplug import sfc, tracegen
+from neuroplug import attacks, sfc, tracegen
 from neuroplug.binpack import (
     TABLE_ENTRY_BYTES,
     BinConfig,
@@ -447,6 +448,87 @@ def fake_rewrites_loop(arr):
     return fake
 
 
+# the statistical and side-information attacks as they were before
+# neuroplug.attacks read each trace once: per layer, one mask and one
+# np.unique over the whole trace
+
+
+def _fmap_read_stats(reads) -> tuple[int, int]:
+    """(total read volume, per-address count mode) of one fmap's reads."""
+    if len(reads) == 0:
+        return 0, 1
+    _, counts = np.unique(reads["addr"], return_counts=True)
+    return int(reads["size"].sum()), max(1, int(np.bincount(counts).argmax()))
+
+
+def ss_attack_loop(traces):
+    """ss_attack with a mask per layer per trace."""
+    vols, write_counts, write_vols = {}, {}, {}
+    runs = 0
+    for trace in traces:
+        arr = trace.arr
+        runs += 1
+        read_back = attacks._read_back_writes(arr)
+        fmaps = tracegen.fmap_index(arr["addr"])
+        is_read = arr["op"] == OP_READ
+        for i in range(int(fmaps.max(initial=0))):
+            vol, mode = _fmap_read_stats(arr[is_read & (fmaps == i)])
+            vols.setdefault(i, []).append(vol / mode)
+            out_mask = read_back & (fmaps == i + 1)
+            write_counts.setdefault(i, []).append(int(out_mask.sum()))
+            write_vols.setdefault(i, []).append(int(arr["size"][out_mask].sum()))
+    if runs == 0:
+        raise DomainError("ss attack needs at least one trace")
+    layers = [attacks.LayerEstimate(
+        layer=i,
+        volume_min=float(np.min(vols[i])),
+        volume_mean=float(np.mean(vols[i])),
+        write_count=int(np.min(write_counts[i])),
+        write_volume=int(np.min(write_vols[i])),
+        evidence={"statistic": "min/mean over runs, unread writes dropped"},
+    ) for i in sorted(vols)]
+    return attacks.AttackReport(kind="ss", layers=layers, runs_used=runs)
+
+
+def si_attack_loop(traces, base_report=None):
+    """si_attack on a copy of each trace without its fakes, with a mask and
+    an np.unique per layer."""
+    layers_map = ({est.layer: dataclasses.replace(est) for est in base_report.layers}
+                  if base_report else {})
+    removed_total = 0
+    runs = 0
+    corrected_counts, corrected_vols = {}, {}
+    stripped_fmaps = set()
+    for trace in traces:
+        runs += 1
+        fake = attacks._fake_rewrites(trace.arr)
+        removed_total += int(fake.sum())
+        stripped_fmaps.update(tracegen.fmap_index(trace.arr["addr"][fake]).tolist())
+        arr = trace.arr[~fake]
+        read_back = attacks._read_back_writes(arr)
+        out_layer = tracegen.fmap_index(arr["addr"]) - 1
+        for i in np.unique(out_layer[read_back & (out_layer >= 0)]).tolist():
+            rows = arr[read_back & (out_layer == i)]
+            corrected_counts.setdefault(i, []).append(int(np.unique(rows["addr"]).size))
+            corrected_vols.setdefault(i, []).append(attacks._unique_volume(rows))
+    layers = []
+    for i in sorted(set(corrected_counts) | set(layers_map)):
+        est = layers_map.get(i, attacks.LayerEstimate(layer=i))
+        if i in corrected_counts:
+            est.write_count = int(np.min(corrected_counts[i]))
+            est.write_volume = int(np.min(corrected_vols[i]))
+            est.evidence["si"] = "unchanged-value rewrites removed"
+        if i in stripped_fmaps and (i - 1) in corrected_vols:
+            est.volume_min = float(np.min(corrected_vols[i - 1]))
+            est.volume_mean = float(np.mean(corrected_vols[i - 1]))
+            est.evidence["si_volume"] = "input volume from cleaned upstream writes"
+        layers.append(est)
+    if runs == 0:
+        raise DomainError("si attack needs at least one trace")
+    return attacks.AttackReport(kind="si", layers=layers, runs_used=runs,
+                                extra={"fake_writes_removed": removed_total})
+
+
 # ---------------------------------------------------------------------------
 # trace building: the per-event emitter and the per-model splices that
 # neuroplug.tracegen replaced with one row builder and one splice
@@ -804,6 +886,12 @@ def generate_weights_lexsort(net, seed):
 # ---------------------------------------------------------------------------
 # storage chunks: the per-tile concatenation that neuroplug.tracegen's
 # curve image cut at chunk_ends replaced
+
+
+def curve_image_loop(tensor: np.ndarray, walk) -> np.ndarray:
+    """The walk's tiles sliced out one at a time and concatenated."""
+    return np.concatenate([tensor[c0:c1, r0:r1, w0:w1].reshape(-1)
+                           for _, (c0, c1, r0, r1, w0, w1), _ in walk]).view(np.uint8)
 
 
 def coalesced_raw_chunks(tensor: np.ndarray, entries) -> list[np.ndarray]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_tracegen import small_nets
 from neuroplug import attacks, binpack, model, sfc, tracegen
 from neuroplug.attacks import huffduff_attack
 from neuroplug.errors import DomainError, SupportError
@@ -340,6 +341,91 @@ class TestTraceReading:
         assert si.extra["fake_writes_removed"] == 1
         assert (si.layer(0).write_count, si.layer(0).write_volume) == (2, 100)
         assert si.layer(1).volume_min == 100.0
+
+
+def assert_attacks_match_loops(traces):
+    """ss_attack and si_attack, with and without a base report, report what
+    their per-layer loop oracles report on traces."""
+    ss = attacks.ss_attack(traces)
+    assert ss.to_json() == oracles.ss_attack_loop(traces).to_json()
+    assert attacks.si_attack(traces).to_json() == oracles.si_attack_loop(traces).to_json()
+    # si adds notes to the evidence of the report it copies, so each side
+    # gets a base report of its own
+    got = attacks.si_attack(traces, base_report=attacks.kk_attack(ss, {}))
+    want = oracles.si_attack_loop(traces, base_report=attacks.kk_attack(ss, {}))
+    assert got.to_json() == want.to_json()
+
+
+class TestStatisticalAttacksAgainstLoops:
+    """ss_attack and si_attack group each trace's events once; their reports
+    equal those of the per-layer loops they replaced."""
+
+    @pytest.mark.parametrize("net_name", ["toy-sparse", "vgg16-32"])
+    def test_bundled_traces(self, prepared, net_name):
+        net, inp, cache = prepared(net_name)
+        data = cache.data
+        groups = {
+            "dense": [tracegen.baseline_trace(net, inp, 1, observe_values=values, data=data)
+                      for values in (False, True)],
+            "sparse": [tracegen.baseline_trace(net, inp, 1, sparse=True, observe_values=values,
+                                               data=data) for values in (False, True)],
+            "neuroplug": [tracegen.neuroplug_trace(net, inp, NeuroPlugKey(seed=3), r, 1, cache).trace
+                          for r in range(RUNS)],
+        }
+        for cm_model in tracegen.ADDITIVE_MODELS:
+            for values in (False, True):
+                groups[cm_model, values] = [
+                    tracegen.additive_cm_trace(net, inp, cm_model, 1, r, values, data)
+                    for r in range(RUNS)]
+        for name, traces in groups.items():
+            assert len(traces) > 0, name
+            assert_attacks_match_loops(traces)
+
+    @settings(max_examples=40)
+    @given(small_nets(), st.integers(0, 3))
+    def test_small_chain_nets(self, net, seed):
+        inp = model.generate_input(net.layers[0].shape, seed, "sparse")
+        data = tracegen.compute_net_data(net, inp, seed)
+        traces = [tracegen.baseline_trace(net, inp, seed, sparse=True, observe_values=True,
+                                          data=data)]
+        for cm_model in tracegen.ADDITIVE_MODELS:
+            traces += [tracegen.additive_cm_trace(net, inp, cm_model, seed, r, True, data)
+                       for r in range(2)]
+        assert_attacks_match_loops(traces)
+        for n in range(len(traces)):
+            assert_attacks_match_loops(traces[n:n + 1])
+
+    def test_unread_map_and_mode_ties(self):
+        # fmap 0: one address read once and one twice, a tie between the
+        # counts 1 and 2 that goes to 1; fmap 1 is written but never read
+        trace = events(
+            (OP_READ, fmap_base(0), 10, 0),
+            (OP_READ, fmap_base(0) + 10, 10, 0),
+            (OP_READ, fmap_base(0) + 10, 10, 0),
+            (OP_WRITE, fmap_base(1), 8, 1),
+            (OP_WRITE, fmap_base(2), 6, 2),
+            (OP_READ, fmap_base(2), 6, 2),
+        )
+        ss = attacks.ss_attack([trace])
+        assert [(est.volume_min, est.write_count, est.write_volume) for est in ss.layers] == [
+            (30.0, 0, 0), (0.0, 1, 6)]
+        assert_attacks_match_loops([trace])
+
+    def test_traces_of_different_layer_counts(self):
+        one_layer = events((OP_READ, fmap_base(0), 100, 1), (OP_WRITE, fmap_base(1), 50, 2),
+                           (OP_READ, fmap_base(1), 50, 2))
+        net = model.load_network("toy-sparse")
+        toy = tracegen.additive_cm_trace(net, model.generate_input(net.layers[0].shape, 2),
+                                         "layer-divider", 2)
+        for traces in ([DIVIDED, one_layer], [one_layer, toy, DIVIDED], [toy, one_layer]):
+            assert_attacks_match_loops(traces)
+
+    def test_no_trace(self):
+        for attack, loop in ((attacks.ss_attack, oracles.ss_attack_loop),
+                             (attacks.si_attack, oracles.si_attack_loop)):
+            for fn in (attack, loop):
+                with pytest.raises(DomainError):
+                    fn([])
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from neuroplug import sfc
 from neuroplug.errors import PlanningError
 from neuroplug.model import LayerShape, TilingSpec
 
-from oracles import plan_execution_cases
+from oracles import curve_image_loop, plan_execution_cases
 
 
 def layer(h=8, w=8, c=4, k=4, r=3, s=3, pad=1, pool=1):
@@ -17,7 +17,7 @@ def layer(h=8, w=8, c=4, k=4, r=3, s=3, pad=1, pool=1):
 class TestIfmapSfc:
     def test_single_tile(self):
         entries, cap = sfc.ifmap_walk(layer(h=4, w=4, c=2), TilingSpec(tk=4, tc=2, th=4, tw=4))
-        assert entries == [(0, (0, 2, 0, 4, 0, 4), 32)]
+        assert entries == ((0, (0, 2, 0, 4, 0, 4), 32),)
         assert cap == 32
 
     def test_2x2_grid_row_major(self):
@@ -228,3 +228,45 @@ class TestOfmapMatchesNextIfmap:
         walk, cap = sfc.ofmap_walk(a, TilingSpec(tk=4, tc=4, th=8, tw=8))
         assert (walk, cap) == sfc.ifmap_walk(b, TilingSpec(tk=4, tc=4, th=4, tw=4))
         assert sum(actual for _, _, actual in walk) == a.k * a.p_out * a.q_out
+
+
+class TestWalkMemo:
+    """A walk is made once per shape and shared as an immutable value; the
+    curve image is one gather that equals slicing the walk's tiles out one
+    by one."""
+
+    def test_walk_shared_and_immutable(self):
+        a, b = layer(h=8, w=8, c=4, k=16), layer(h=8, w=8, c=16, k=8)
+        walk, cap = sfc.ofmap_walk(a, TilingSpec(tk=4, tc=4, th=4, tw=4))
+        assert walk is sfc.ifmap_walk(b, TilingSpec(tk=8, tc=4, th=4, tw=4))[0]
+        assert walk is sfc.ofmap_walk(a, TilingSpec(tk=4, tc=2, th=4, tw=4))[0]
+        assert isinstance(walk, tuple) and all(isinstance(tile, tuple) for tile in walk)
+        with pytest.raises(TypeError):
+            walk[0] = walk[1]
+        index = sfc._curve_index((a.k, a.p_out, a.q_out), walk)
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+    @settings(max_examples=200)
+    @given(k=st.integers(1, 12), c=st.integers(1, 12), side=st.integers(1, 10),
+           pool=st.sampled_from([1, 2]), tk=st.integers(1, 12), tc=st.integers(1, 12),
+           th=st.integers(1, 24), tw=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @example(k=5, c=3, side=7, pool=2, tk=2, tc=2, th=3, tw=5, seed=0)  # no tile side divides
+    @example(k=48, c=3, side=40, pool=1, tk=5, tc=2, th=7, tw=9, seed=1)  # over 2**16 positions
+    def test_curve_image_matches_loop(self, k, c, side, pool, tk, tc, th, tw, seed):
+        lay = layer(h=side * pool, w=side * pool + pool, c=c, k=k, pool=pool)
+        til = TilingSpec(tk=min(tk, k), tc=min(tc, c), th=th, tw=tw)
+        rng = np.random.default_rng(seed)
+        for walk, shape in ((sfc.ifmap_walk(lay, til)[0], (lay.c, lay.h, lay.w)),
+                            (sfc.ofmap_walk(lay, til)[0], (lay.k, lay.p_out, lay.q_out))):
+            tensor = rng.integers(-128, 128, shape, dtype=np.int8)
+            # a strided view of a larger map holds the same values
+            strided = np.zeros((shape[0], shape[1], 2 * shape[2]), dtype=np.int8)
+            strided[..., ::2] = tensor
+            want = curve_image_loop(tensor, walk)
+            for view in (tensor, strided[..., ::2]):
+                got = sfc.curve_image(view, walk)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, want)
+                got[:] = 0  # the image is the caller's own
+            np.testing.assert_array_equal(sfc.curve_image(tensor, walk), want)

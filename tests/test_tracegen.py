@@ -374,6 +374,29 @@ class TestTableMemo:
                         assert got.arr.tobytes() == want[n, mode], (n, mode)
 
 
+class TestGeometryMemo:
+    """A layer's trace geometry is value-free, so once one additive trace
+    has laid out a net, no later trace of it walks a map again: not of
+    another input or model, with values or without, of any additive model."""
+
+    def test_no_walk_after_the_first_trace(self, generated, monkeypatch):
+        net = model.load_network("toy-sparse")
+        walked = []
+        walk = sfc._walk
+        monkeypatch.setattr(sfc, "_walk", lambda *a: walked.append(a) or walk(*a))
+        additive_cm_trace(net, toy_input(net, 1), "dummy-writes", 1)
+        walked.clear()
+        for seed in (1, 2):  # two models
+            inp = toy_input(net, seed)
+            data = tracegen.compute_net_data(net, inp, seed)
+            for cm_model in tracegen.ADDITIVE_MODELS:
+                for values in (False, True):
+                    additive_cm_trace(net, inp, cm_model, seed, 1, values, data)
+            additive_cm_trace(net, inp, "dummy-writes", seed, 2)
+        assert walked == []
+        assert len(generated) == 2
+
+
 class TestModelStore:
     """The store holds one model's weights and weight tiles, shared by
     every input of that (net, model seed); what it hands out is read-only
