@@ -218,10 +218,10 @@ def ss_attack(traces) -> AttackReport:
         layers.append(
             LayerEstimate(
                 layer=i,
-                volume_min=float(np.min(vols[i])),
+                volume_min=min(vols[i]),
                 volume_mean=float(np.mean(vols[i])),
-                write_count=int(np.min(write_counts[i])),
-                write_volume=int(np.min(write_vols[i])),
+                write_count=min(write_counts[i]),
+                write_volume=min(write_vols[i]),
                 evidence={"statistic": "min/mean over runs, unread writes dropped"},
             )
         )
@@ -326,13 +326,13 @@ def si_attack(traces, base_report: AttackReport | None = None) -> AttackReport:
     for i in sorted(set(corrected_counts) | set(layers_map)):
         est = layers_map.get(i, LayerEstimate(layer=i))
         if i in corrected_counts:
-            est.write_count = int(np.min(corrected_counts[i]))
-            est.write_volume = int(np.min(corrected_vols[i]))
+            est.write_count = min(corrected_counts[i])
+            est.write_volume = min(corrected_vols[i])
             est.evidence["si"] = "unchanged-value rewrites removed"
         # where fakes were stripped, the cleaned write volume of the producing
         # layer is the trustworthy input volume of the consumer
         if i in stripped_fmaps and (i - 1) in corrected_vols:
-            est.volume_min = float(np.min(corrected_vols[i - 1]))
+            est.volume_min = float(min(corrected_vols[i - 1]))
             est.volume_mean = float(np.mean(corrected_vols[i - 1]))
             est.evidence["si_volume"] = "input volume from cleaned upstream writes"
         layers.append(est)

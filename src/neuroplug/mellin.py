@@ -13,6 +13,10 @@ per-layer guessing effort.  That restriction folds the candidate range
 block by block, each block ending on the boundary between two NSQF
 integers' catchments, so its memory is the result plus one bounded block
 however wide the range.
+
+scipy is not loaded with this module: `scipy.interpolate` loads with the
+first spline, in `_resample_log` or `smart_search_space`, so a process that
+only builds and attacks traces never pays for it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError, EvidenceError, SupportError
 from .model import nsqf_mask
@@ -100,6 +103,8 @@ class MellinFn:
 
 def _resample_log(pdf: GridPdf, t: np.ndarray) -> np.ndarray:
     """Cubic-spline interpolation of the density onto x = exp(t)."""
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(pdf.x, pdf.f, extrapolate=False)
     vals = spline(np.exp(t))
     return np.maximum(np.nan_to_num(vals, nan=0.0), 0.0)
@@ -183,7 +188,11 @@ def smart_search_space(h: GridPdf, lo: int, hi: int) -> SmartPmf:
     order, as one pass over the whole range would add it.  Beyond the
     result, the fold holds one block's integers at a time.
     """
-    pos = np.flatnonzero(nsqf_mask(lo, hi))  # offsets of the NSQF integers from lo
+    from scipy.interpolate import PchipInterpolator
+
+    # offsets of the NSQF integers from lo; the mask holds only 0 and 1, and
+    # its bool view is the cheaper argument for flatnonzero
+    pos = np.flatnonzero(nsqf_mask(lo, hi).view(bool))
     if pos.size == 0:
         raise DomainError(f"no NSQF integers in [{lo}, {hi}]")
     interp = PchipInterpolator(h.x, h.f, extrapolate=False)

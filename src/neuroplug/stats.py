@@ -6,6 +6,9 @@ generator.
 Estimator choices favor determinism: a per-level Gaussian approximation
 with finite-difference scores for FI, and a histogram plug-in with
 Miller-Madow bias correction for MI.
+
+scipy is not loaded with this module: `scipy.stats` loads with the first
+chi-square tail, in the heteroskedasticity tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import _kernels
 from .errors import DomainError
@@ -139,6 +141,8 @@ CVM_CRIT_5PCT = 0.461  # asymptotic 5% critical value of omega^2
 
 
 def _aux_regression_pvalue(design: np.ndarray, resid2: np.ndarray, df: int) -> float:
+    from scipy import stats as sps
+
     coef, *_ = np.linalg.lstsq(design, resid2, rcond=None)
     fitted = design @ coef
     ss_res = np.sum((resid2 - fitted) ** 2)
