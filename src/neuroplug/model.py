@@ -299,6 +299,7 @@ def _int_fields(doc: dict, fields: dict, what: str) -> dict:
 def _layer_from_json(doc) -> Layer:
     _check_object(doc, _LAYER_KEYS, "layer")
     shape = LayerShape(**_int_fields(doc, _SHAPE_FIELDS, "layer"))
+    shape.validate()  # before auto_tile divides by its sides
     til = doc.get("tiling")
     if til is not None:
         _check_object(til, set(_TILING_FIELDS), "tiling")
@@ -337,8 +338,8 @@ def load_network(name_or_path: str) -> NetworkSpec:
         doc = json.loads(candidate.read_text())
     else:
         try:
-            with open(name_or_path) as f:
+            with open(name_or_path, encoding="utf-8") as f:
                 doc = json.load(f)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"cannot load network config {name_or_path!r}: {e}") from None
     return network_from_json(doc)

@@ -1,15 +1,17 @@
 """1-D space-filling-curve order over a layer's 3-D tile space.
 
-A feature map is walked as deep tiles: row-major over the (row, col) grid
-with the channel groups of one position kept adjacent.  `ifmap_walk` and
-`ofmap_walk` are the one walk every trace generator uses.  A walk depends
-on the map and tile shapes alone, so it is made once per shape and shared
-as an immutable tuple (the last 256 shapes are kept).  `curve_image` is
-the map's one stored form: its tiles back to back in walk order, gathered
-in one step through an index made once per (map shape, walk) (the last
-64 kept), in the smallest unsigned type that holds the map's positions.
-Baseline tiles and NeuroPlug storage chunks are slices of that image, so
-it is the only place a walk turns into bytes.  Execution
+A feature map is cut into deep tiles and stored along one curve: tile rows
+outermost, then tile columns, then the channel groups of one position, and
+each tile's elements in C order.  `ifmap_curve` and `ofmap_curve` give the
+one curve every trace generator uses, as arrays: each tile's byte offset
+and size in curve order.  Sizes are the outer product of the per-axis tile
+extents and offsets their running sum, so stating a curve needs no sort.
+`curve_image` is the map's one stored form: its tiles back to back in
+curve order, gathered in one step through the stable argsort of each
+element's tile number.  That index is made once per map and tile shape
+(the last 64 kept), in the smallest unsigned type that holds the map's
+positions.  Baseline tiles and NeuroPlug storage chunks are slices of that
+image, so it is the only place a curve turns into bytes.  Execution
 planning picks the capacity case (AllFit, I, II, III) when weights and/or
 inputs overflow the on-chip capacity.  The case is decided once, in
 `plan_execution`, and the plan owns the layer's read order: the weight
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,58 +41,57 @@ CASE_II = "II"
 CASE_III = "III"
 
 
-@functools.lru_cache(maxsize=256)
-def _walk(h: int, w: int, ch: int, th: int, tw: int, tch: int):
-    """Deep tiles in curve order: rows outer, cols inner, channel groups innermost.
+class Curve(NamedTuple):
+    """A map's deep tiles in curve order: the tile shape (channels, rows,
+    cols), and each tile's byte offset and size in the map's curve image."""
 
-    Returns (((byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...),
-    full_tile_bytes).  The tensor is stored densely in curve order, so
-    offsets are running sums of the actual tile bytes; any tiling of the
-    same tensor covers the identical byte extent.  The walk is a value of
-    its six sizes alone: it is made once and every caller shares it.
-    """
-    out = []
-    offset = 0
-    for r0 in range(0, h, th):
-        r1 = min(h, r0 + th)
-        for w0 in range(0, w, tw):
-            w1 = min(w, w0 + tw)
-            for lo in range(0, ch, tch):
-                hi = min(ch, lo + tch)
-                actual = (hi - lo) * (r1 - r0) * (w1 - w0)
-                out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
-                offset += actual
-    return tuple(out), tch * th * tw
+    tile: tuple
+    offsets: np.ndarray
+    sizes: np.ndarray
 
 
-def ifmap_walk(layer: LayerShape, tiling: TilingSpec):
-    """Read order of the input's deep tiles (see `_walk`)."""
-    return _walk(layer.h, layer.w, layer.c, tiling.th, tiling.tw, tiling.tc)
+def _curve(shape: tuple, tile: tuple) -> Curve:
+    """The curve of a (channels, rows, cols) map cut into tiles of this
+    shape: tile rows outermost, then tile columns, then channel groups.  The
+    map is stored densely in curve order, so offsets are running sums."""
+    (ch, h, w), (tch, th, tw) = shape, tile
+    extents = [np.minimum(t, n - np.arange(0, n, t)) for n, t in ((h, th), (w, tw), (ch, tch))]
+    sizes = functools.reduce(np.multiply.outer, extents).reshape(-1)
+    return Curve(tile, np.cumsum(sizes) - sizes, sizes)
 
 
-def ofmap_walk(layer: LayerShape, tiling: TilingSpec):
-    """Write order of the pooled output; same walk shape as an ifmap read."""
-    return _walk(layer.p_out, layer.q_out, layer.k,
-                 max(1, tiling.th // layer.pool), max(1, tiling.tw // layer.pool), tiling.tk)
+def ifmap_curve(layer: LayerShape, tiling: TilingSpec) -> Curve:
+    """Read order of the input's deep tiles."""
+    return _curve((layer.c, layer.h, layer.w), (tiling.tc, tiling.th, tiling.tw))
 
 
-def curve_image(tensor: np.ndarray, walk) -> np.ndarray:
-    """A (channels, rows, cols) int8 map's stored bytes: the walk's deep
-    tiles back to back in walk order, each in C order.  Tile j of the walk
-    is image[offset : offset + actual_bytes] (see `_walk`)."""
-    return tensor.reshape(-1).take(_curve_index(tensor.shape, walk)).view(np.uint8)
+def ofmap_curve(layer: LayerShape, tiling: TilingSpec) -> Curve:
+    """Write order of the pooled output: tk maps deep, the pooled rows and
+    cols of an input tile wide, the same curve as an ifmap read."""
+    return _curve((layer.k, layer.p_out, layer.q_out),
+                  (tiling.tk, max(1, tiling.th // layer.pool), max(1, tiling.tw // layer.pool)))
+
+
+def curve_image(tensor: np.ndarray, curve: Curve) -> np.ndarray:
+    """A (channels, rows, cols) int8 map's stored bytes: the curve's deep
+    tiles back to back, each in C order.  Tile j of the curve is
+    image[offsets[j] : offsets[j] + sizes[j]]."""
+    return tensor.reshape(-1).take(_curve_index(*tensor.shape, *curve.tile)).view(np.uint8)
 
 
 @functools.lru_cache(maxsize=64)
-def _curve_index(shape: tuple, walk) -> np.ndarray:
-    """The flat C-order positions, in a map of this shape, of its curve
-    image's elements, read-only and made once per (shape, walk).  The
-    smallest unsigned type that holds them keeps the memo small: uint16 for
-    every map of the bundled vgg16-32 and toy-sparse nets."""
-    size = math.prod(shape)
-    flat = np.arange(size, dtype=np.min_scalar_type(size - 1)).reshape(shape)
-    index = np.concatenate([flat[c0:c1, r0:r1, w0:w1].reshape(-1)
-                            for _, (c0, c1, r0, r1, w0, w1), _ in walk])
+def _curve_index(ch: int, h: int, w: int, tch: int, th: int, tw: int) -> np.ndarray:
+    """The flat C-order positions, in a (ch, h, w) map, of its curve image's
+    elements: the stable argsort of each element's tile number, which keeps
+    C order inside a tile.  Read-only, made once per map and tile shape, and
+    in the smallest unsigned type that holds them, which keeps the memo
+    small (uint16 for every map of the bundled vgg16-32 and toy-sparse nets)."""
+    n_w, n_c = -(-w // tw), -(-ch // tch)
+    tile = (((np.arange(h) // th)[:, None] * n_w + np.arange(w) // tw) * n_c
+            + (np.arange(ch) // tch)[:, None, None])
+    # tile numbers of 16 bits or fewer take numpy's radix sort
+    index = tile.astype(np.min_scalar_type(tile.max())).argsort(axis=None, kind="stable")
+    index = index.astype(np.min_scalar_type(ch * h * w - 1))
     index.flags.writeable = False
     return index
 

@@ -24,9 +24,9 @@ clock but is not an event.
 
 Both read a feature map in one stored form, `sfc.curve_image`: a baseline
 tile and a NeuroPlug storage chunk are each a slice of it.  The chunks are
-cut at `chunk_ends`, which depends on the walk alone, so a map's chunk
+cut at `chunk_ends`, which depends on the curve alone, so a map's chunk
 count is public geometry that an attacker computes without the data.
-Likewise a layer's geometry (its walks, the loop-nest order of its dense
+Likewise a layer's geometry (its curves, the loop-nest order of its dense
 table, and where the additive models splice into it) depends on the layer
 alone: `_layer_geometry` computes it once for every input, run and model.
 
@@ -326,16 +326,16 @@ class _Geometry:
     """A layer's value-free trace geometry: what its dense table looks like
     for every input, run and model.
 
-    in_tiles and out_tiles are its input and output walks, each with its
-    tiles' byte offsets and sizes as arrays.  order is the loop-nest order
+    in_tiles and out_tiles are its input and output curves: each tile's
+    byte offset and size in curve order.  order is the loop-nest order
     of the table's rows (weight blocks, then input tiles, then output
     tiles, as `_layer_table` lists them); writes are the ordered table's
     write positions, one per output tile; last_read is its last read of the
     layer's input map; out_cap is a full output tile's bytes.
     """
 
-    in_tiles: tuple
-    out_tiles: tuple
+    in_tiles: sfc.Curve
+    out_tiles: sfc.Curve
     order: np.ndarray
     writes: np.ndarray
     last_read: int
@@ -347,39 +347,36 @@ def _layer_geometry(layer: Layer) -> _Geometry:
     """The layer's `_Geometry`, made once and kept for the last 64 layers."""
     shp, til = layer.shape, layer.tiling
     n_k, n_c = math.ceil(shp.k / til.tk), math.ceil(shp.c / til.tc)
-    in_walk, _ = sfc.ifmap_walk(shp, til)
-    out_walk, out_cap = sfc.ofmap_walk(shp, til)
+    in_tiles, out_tiles = sfc.ifmap_curve(shp, til), sfc.ofmap_curve(shp, til)
     in_row = n_k * n_c
-    out_row = in_row + len(in_walk)
-    # the loop nest as one index order over the table: walk tile j is in channel group j mod n
+    out_row = in_row + len(in_tiles.sizes)
+    # the loop nest as one index order over the table: curve tile j is in channel group j mod n
     order = []
     for ko in range(n_k):
         for co in range(n_c):
             order += [[ko * n_c + co], np.arange(in_row + co, out_row, n_c)]
-        order.append(np.arange(out_row + ko, out_row + len(out_walk), n_k))
+        order.append(np.arange(out_row + ko, out_row + len(out_tiles.sizes), n_k))
     order = np.concatenate(order)
     writes = np.flatnonzero(order >= out_row)
     last_read = int(np.flatnonzero((order >= in_row) & (order < out_row))[-1])
-    in_tiles, out_tiles = ((walk, *np.array([(off, actual) for off, _, actual in walk],
-                                            dtype=np.int64).T) for walk in (in_walk, out_walk))
     for arr in (order, writes, *in_tiles[1:], *out_tiles[1:]):
         arr.flags.writeable = False
-    return _Geometry(in_tiles, out_tiles, order, writes, last_read, out_cap)
+    return _Geometry(in_tiles, out_tiles, order, writes, last_read, math.prod(out_tiles.tile))
 
 
-def _tile_rows(op: int, j: int, tensor, tiles, sparse: bool, observe_values: bool) -> np.ndarray:
-    """(op, addr, size, digest) rows of map j's walked tiles, tiles being a
-    walk with its offsets and sizes.  Each tile is a slice of the map's
-    curve image: sparse sizes count its nonzero bytes in one reduction, and
-    digests hash it through a memoryview.  Without values (tensor None)
-    every tile moves whole and has no hash."""
-    walk, offs, sizes = tiles
+def _tile_rows(op: int, j: int, tensor, curve, sparse: bool, observe_values: bool) -> np.ndarray:
+    """(op, addr, size, digest) rows of map j's tiles along its curve.
+    Each tile is a slice of the map's curve image: sparse sizes count its
+    nonzero bytes in one reduction, and digests hash it through a
+    memoryview.  Without values (tensor None) every tile moves whole and
+    has no hash."""
+    _, offs, sizes = curve
     rows = np.zeros((len(offs), 4), dtype=np.uint64)
     rows[:, 0] = op
     rows[:, 1] = fmap_base(j) + offs
     rows[:, 2] = sizes
     if tensor is not None:
-        image = sfc.curve_image(tensor, walk)
+        image = sfc.curve_image(tensor, curve)
         if sparse:
             rows[:, 2] = np.add.reduceat(image != 0, offs, dtype=np.int64)
         if observe_values:
@@ -395,7 +392,7 @@ def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
     """Layer i's (op, addr, size, digest, dt) rows in loop-nest order, read-only.
 
     Its weight-block rows are looked up in weight_rows, its model's memo
-    (see `_Model`), and built there on first use; its walks and row order
+    (see `_Model`), and built there on first use; its curves and row order
     come from `_layer_geometry`.
     """
     shp, til = layer.shape, layer.tiling
@@ -422,7 +419,7 @@ def _layer_table(i: int, layer: Layer, fmaps, weights, sparse: bool,
                             _tile_rows(OP_WRITE, i + 1, fmaps[i + 1], geo.out_tiles, sparse,
                                        observe_values)))
     dt = _transfer_cycles(table[:, 2])
-    dt[len(wrows):len(wrows) + len(geo.in_tiles[1])] += T_TILE
+    dt[len(wrows):len(wrows) + len(geo.in_tiles.sizes)] += T_TILE
     table = np.column_stack((table, dt))[geo.order]
     table.flags.writeable = False
     return table
@@ -557,28 +554,28 @@ class NeuroPlugCache:
     weight_tiles: list[list[CompressedTile]]  # per layer, one tile per output map
 
 
-def chunk_ends(walk) -> list[int]:
-    """Byte ends of a walked map's storage chunks, the last at the map's end.
+def chunk_ends(curve: sfc.Curve) -> list[int]:
+    """Byte ends of a map's storage chunks, the last at the map's end.
 
     Consecutive curve tiles coalesce until a chunk holds at least
     CHUNK_TARGET bytes, so tiny deep tiles (pooling shrinks them fast) are
     stored as larger units and the bin table stays useful.  The cuts depend
-    on the walk alone: the chunk count is public geometry, known without
+    on the curve alone: the chunk count is public geometry, known without
     the data.
     """
     ends = [0]
-    for off, _, actual in walk:
-        if off + actual - ends[-1] >= CHUNK_TARGET:
-            ends.append(off + actual)
-    total = walk[-1][0] + walk[-1][2]
-    if ends[-1] < total:
-        ends.append(total)
+    tile_ends = (curve.offsets + curve.sizes).tolist()
+    for end in tile_ends:
+        if end - ends[-1] >= CHUNK_TARGET:
+            ends.append(end)
+    if ends[-1] < tile_ends[-1]:
+        ends.append(tile_ends[-1])
     return ends[1:]
 
 
-def _chunks(tensor: np.ndarray, walk) -> list[np.ndarray]:
+def _chunks(tensor: np.ndarray, curve: sfc.Curve) -> list[np.ndarray]:
     """The raw storage chunks: the map's curve image cut at `chunk_ends`."""
-    return np.split(sfc.curve_image(tensor, walk), chunk_ends(walk)[:-1])
+    return np.split(sfc.curve_image(tensor, curve), chunk_ends(curve)[:-1])
 
 
 def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile]]:
@@ -598,7 +595,7 @@ def _weight_tiles(net: NetworkSpec, model_seed: int) -> list[list[CompressedTile
 
 def prepare_neuroplug(net: NetworkSpec, input_tensor: Tensor3D, model_seed: int) -> NeuroPlugCache:
     data = compute_net_data(net, input_tensor, model_seed)
-    fmap_tiles = [binpack.compress_stream(_chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
+    fmap_tiles = [binpack.compress_stream(_chunks(fmap, _layer_geometry(layer).out_tiles))
                   for fmap, layer in zip(data.fmaps[1:], net.layers)]
     return NeuroPlugCache(data=data, fmap_tiles=fmap_tiles,
                           weight_tiles=_weight_tiles(net, model_seed))
@@ -612,8 +609,7 @@ def _first_layer_tiles(
     The dummy bytes are spread over the input's chunks in order, the first
     dummy_bytes_first_layer % len(chunks) of them taking one byte more.
     """
-    layer = net.layers[0]
-    chunks = _chunks(fmap0, sfc.ifmap_walk(layer.shape, layer.tiling)[0])
+    chunks = _chunks(fmap0, _layer_geometry(net.layers[0]).in_tiles)
     rng = np.random.default_rng([key.seed, run_index, 0xD0])
     share, extra = divmod(key.noise.dummy_bytes_first_layer, len(chunks))
     inflated, spans = zip(*(binpack.inject_dummy(raw, share + (j < extra), rng)
@@ -703,14 +699,13 @@ def ground_truth(net: NetworkSpec) -> dict:
     """Out-of-band labels for attack verdicts."""
     layers = []
     for i, layer in enumerate(net.layers):
-        out_tiles, _ = sfc.ofmap_walk(layer.shape, layer.tiling)
         shp = layer.shape
         layers.append(
             {
                 "layer": i,
                 "ifmap_volume": sfc.ifmap_bytes(shp),
                 "ofmap_volume": shp.k * shp.p_out * shp.q_out,
-                "ofmap_write_tiles": len(out_tiles),
+                "ofmap_write_tiles": len(sfc.ofmap_curve(shp, layer.tiling).sizes),
                 "k": shp.k, "c": shp.c, "h": shp.h, "w": shp.w,
                 "r": shp.r, "s": shp.s,
             }

@@ -577,8 +577,8 @@ def baseline_trace_loop(net, input_tensor, seed=0, sparse=False, observe_values=
         shp, til = layer.shape, layer.tiling
         n_k = math.ceil(shp.k / til.tk)
         n_c = math.ceil(shp.c / til.tc)
-        in_tiles, _ = sfc.ifmap_walk(shp, til)
-        out_tiles, _ = sfc.ofmap_walk(shp, til)
+        in_tiles, _ = walk_loop(shp, til)
+        out_tiles, _ = walk_loop(shp, til, output=True)
         wblock_cap = til.tk * til.tc * shp.r * shp.s
         in_tensor = data.fmaps[i] if need_values else None
         out_tensor = data.fmaps[i + 1] if need_values else None
@@ -625,7 +625,7 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
     for i, layer in enumerate(net.layers):
         region = arr["addr"] >> REGION_SHIFT
         if cm_model == "dummy-writes":
-            out_tiles, out_cap = sfc.ofmap_walk(layer.shape, layer.tiling)
+            out_tiles, out_cap = walk_loop(layer.shape, layer.tiling, output=True)
             idx = np.flatnonzero((arr["op"] == OP_WRITE) & (region == FMAP_REGION + i + 1))
             cut = idx[-1] + 1
             chunks.append(arr[pos:cut])
@@ -639,7 +639,7 @@ def additive_cm_loop(base, net, cm_model, seed=0, run_index=0):
             chunks.append(extra)
             pos = cut
         elif cm_model == "const-mean":
-            in_tiles, in_cap = sfc.ifmap_walk(layer.shape, layer.tiling)
+            in_tiles, in_cap = walk_loop(layer.shape, layer.tiling)
             idx = np.flatnonzero((arr["op"] == OP_READ) & (region == FMAP_REGION + i))
             cut = idx[-1] + 1
             chunks.append(arr[pos:cut])
@@ -884,14 +884,43 @@ def generate_weights_lexsort(net, seed):
 
 
 # ---------------------------------------------------------------------------
-# storage chunks: the per-tile concatenation that neuroplug.tracegen's
-# curve image cut at chunk_ends replaced
+# the curve as a loop over deep tiles, which neuroplug.sfc states as arrays,
+# and the per-tile concatenation that neuroplug.tracegen's curve image cut
+# at chunk_ends replaced
+
+
+def walk_loop(shape, tiling, output=False):
+    """A layer's input map, or its pooled output map, as deep tiles in
+    curve order: rows outer, cols inner, channel groups innermost.
+
+    Returns ([(byte_offset, (lo, hi, r0, r1, w0, w1), actual_bytes), ...],
+    full_tile_bytes), offsets being running sums of the actual bytes.  An
+    output tile is tk maps deep and the pooled rows and cols of an input
+    tile wide.
+    """
+    if output:
+        ch, h, w, tch = shape.k, shape.p_out, shape.q_out, tiling.tk
+        th, tw = max(1, tiling.th // shape.pool), max(1, tiling.tw // shape.pool)
+    else:
+        ch, h, w, tch, th, tw = shape.c, shape.h, shape.w, tiling.tc, tiling.th, tiling.tw
+    out = []
+    offset = 0
+    for r0 in range(0, h, th):
+        r1 = min(h, r0 + th)
+        for w0 in range(0, w, tw):
+            w1 = min(w, w0 + tw)
+            for lo in range(0, ch, tch):
+                hi = min(ch, lo + tch)
+                actual = (hi - lo) * (r1 - r0) * (w1 - w0)
+                out.append((offset, (lo, hi, r0, r1, w0, w1), actual))
+                offset += actual
+    return out, tch * th * tw
 
 
 def curve_image_loop(tensor: np.ndarray, walk) -> np.ndarray:
     """The walk's tiles sliced out one at a time and concatenated."""
     return np.concatenate([tensor[c0:c1, r0:r1, w0:w1].reshape(-1)
-                           for _, (c0, c1, r0, r1, w0, w1), _ in walk]).view(np.uint8)
+                           for _, (c0, c1, r0, r1, w0, w1), _ in walk])
 
 
 def coalesced_raw_chunks(tensor: np.ndarray, entries) -> list[np.ndarray]:

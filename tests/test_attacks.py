@@ -108,8 +108,8 @@ class TestHuffDuff:
         assert len(calls) == shape.w + shape.h
         # the compressed tiles: per sweep input its ofmap chunks, per run
         # its input chunks, and for the one model one weight tile per output map
-        out_chunks = len(tracegen.chunk_ends(sfc.ofmap_walk(shape, layer.tiling)[0]))
-        in_chunks = len(tracegen.chunk_ends(sfc.ifmap_walk(shape, layer.tiling)[0]))
+        out_chunks = len(tracegen.chunk_ends(sfc.ofmap_curve(shape, layer.tiling)))
+        in_chunks = len(tracegen.chunk_ends(sfc.ifmap_curve(shape, layer.tiling)))
         runs = 2 * shape.w + shape.h
         assert len(compressed) == len(calls) * out_chunks + runs * in_chunks + shape.k
         assert len(generated) == 1

@@ -177,7 +177,7 @@ class TestStoredDecision:
         tiles = [row for w in data.weights for row in w.view(np.uint8).reshape(len(w), -1)]
         n_rows = len(tiles)
         for fmap, layer in zip(data.fmaps[1:], net.layers):
-            tiles += tracegen._chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])
+            tiles += tracegen._chunks(fmap, sfc.ofmap_curve(layer.shape, layer.tiling))
         missed = 0
         for i, raw in enumerate(tiles):
             raw = np.ascontiguousarray(raw)
@@ -251,7 +251,7 @@ class TestStream:
         monkeypatch.setattr(binpack, "_huffman_lengths",
                             lambda freq: built.append(freq.tolist()) or lengths(freq))
         weight_rows = [list(w.view(np.uint8).reshape(len(w), -1)) for w in data.weights]
-        fmap_chunks = [tracegen._chunks(fmap, sfc.ofmap_walk(layer.shape, layer.tiling)[0])
+        fmap_chunks = [tracegen._chunks(fmap, sfc.ofmap_curve(layer.shape, layer.tiling))
                        for fmap, layer in zip(data.fmaps[1:], net.layers)]
         for n, raws in enumerate(weight_rows + fmap_chunks):
             built.clear()

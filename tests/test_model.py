@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuroplug import _kernels, model, sfc
-from neuroplug.errors import ConfigError, DomainError, ShapeError
+from neuroplug.errors import ConfigError, DomainError, NeuroPlugError, ShapeError
 
 from oracles import (
     conv_brute,
@@ -446,6 +446,18 @@ class TestValidation:
             model.Tensor3D(values)
 
 
+# layer documents with every field odd in turn: small and non-positive
+# ints, nulls, bools, floats and short strings, and a missing or odd tiling
+_FIELD = st.one_of(st.integers(-2, 40), st.none(), st.booleans(), st.floats(), st.text(max_size=3))
+_TILING_DOC = st.one_of(_FIELD, st.fixed_dictionaries(
+    {}, optional={key: _FIELD for key in ("tk", "tc", "th", "tw", "tz")}))
+_LAYER_DOC = st.one_of(
+    st.fixed_dictionaries({key: _FIELD for key in ("k", "c", "h", "w", "r", "s")},
+                          optional={**{key: _FIELD for key in ("stride", "pad", "pool", "sparsity")},
+                                    "tiling": _TILING_DOC}),
+    st.dictionaries(st.sampled_from(["k", "c", "h", "w", "r", "s", "tiling", "strdie"]), _FIELD))
+
+
 class TestVolumesAndConfigs:
     def test_unit_volume(self):
         assert sfc.ifmap_bytes(model.LayerShape(k=1, c=1, h=1, w=1, r=1, s=1)) == 1
@@ -521,6 +533,31 @@ class TestVolumesAndConfigs:
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot load network config"):
             model.load_network(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("content", [b'{"layers": [{"k": 1, "c"', b'{"name": "\xff"}',
+                                         b"[" * 100_000 + b"]" * 100_000],
+                             ids=["truncated", "not-utf8", "nested"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "net.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot load network config"):
+            model.load_network(str(path))
+
+    def test_zero_side_without_tiling_rejected(self):
+        # the shape is checked before auto_tile divides by its sides
+        doc = {"layers": [{"k": 1, "c": 1, "h": 0, "w": 4, "r": 1, "s": 1}]}
+        with pytest.raises(ShapeError, match="field h must be >= 1"):
+            model.network_from_json(doc)
+
+    @settings(max_examples=300)
+    @given(doc=st.fixed_dictionaries({"layers": st.lists(_LAYER_DOC, min_size=1, max_size=3)},
+                                     optional={"name": _FIELD}))
+    @example(doc={"layers": [{"k": 1, "c": 1, "h": 0, "w": 4, "r": 1, "s": 1}]})
+    def test_drawn_documents_raise_only_package_errors(self, doc):
+        try:
+            model.network_from_json(doc)
+        except NeuroPlugError:
+            pass
 
     def test_unknown_input_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown input policy"):

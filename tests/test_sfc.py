@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,63 +9,75 @@ from neuroplug import sfc
 from neuroplug.errors import PlanningError
 from neuroplug.model import LayerShape, TilingSpec
 
-from oracles import curve_image_loop, plan_execution_cases
+from oracles import curve_image_loop, plan_execution_cases, walk_loop
 
 
 def layer(h=8, w=8, c=4, k=4, r=3, s=3, pad=1, pool=1):
     return LayerShape(k=k, c=c, h=h, w=w, r=r, s=s, pad=pad, pool=pool)
 
 
+def corners(lay, til):
+    """(channel, row, col) of each input tile's first element, in curve order."""
+    curve = sfc.ifmap_curve(lay, til)
+    index = sfc._curve_index(lay.c, lay.h, lay.w, *curve.tile)
+    first = np.unravel_index(index[curve.offsets], (lay.c, lay.h, lay.w))
+    return list(zip(*(axis.tolist() for axis in first)))
+
+
+def same_curve(a, b):
+    return (a.tile == b.tile and np.array_equal(a.offsets, b.offsets)
+            and np.array_equal(a.sizes, b.sizes))
+
+
 class TestIfmapSfc:
     def test_single_tile(self):
-        entries, cap = sfc.ifmap_walk(layer(h=4, w=4, c=2), TilingSpec(tk=4, tc=2, th=4, tw=4))
-        assert entries == ((0, (0, 2, 0, 4, 0, 4), 32),)
-        assert cap == 32
+        curve = sfc.ifmap_curve(layer(h=4, w=4, c=2), TilingSpec(tk=4, tc=2, th=4, tw=4))
+        assert curve.tile == (2, 4, 4)
+        assert curve.offsets.tolist() == [0] and curve.sizes.tolist() == [32]
 
     def test_2x2_grid_row_major(self):
-        entries, _ = sfc.ifmap_walk(layer(c=1), TilingSpec(tk=4, tc=1, th=4, tw=4))
-        assert [(sl[2], sl[4]) for _, sl, _ in entries] == [(0, 0), (0, 4), (4, 0), (4, 4)]
+        got = corners(layer(c=1), TilingSpec(tk=4, tc=1, th=4, tw=4))
+        assert [(r0, w0) for _, r0, w0 in got] == [(0, 0), (0, 4), (4, 0), (4, 4)]
 
     def test_2x2_grid_two_channel_groups(self):
         # oracle: the off-chip loop nest with the channel loop innermost
-        entries, _ = sfc.ifmap_walk(layer(c=4), TilingSpec(tk=4, tc=2, th=4, tw=4))
+        got = corners(layer(c=4), TilingSpec(tk=4, tc=2, th=4, tw=4))
         want = [
             (row, col, lo)
             for row in range(2)
             for col in range(2)
             for lo in (0, 2)
         ]
-        got = [(sl[2] // 4, sl[4] // 4, sl[0]) for _, sl, _ in entries]
-        assert got == want
-        assert len(entries) == 8
+        assert [(r0 // 4, w0 // 4, lo) for lo, r0, w0 in got] == want
+        assert len(got) == 8
 
     def test_starts_northwest(self):
-        entries, _ = sfc.ifmap_walk(layer(h=16, w=16), TilingSpec(tk=4, tc=4, th=4, tw=4))
-        offset, (lo, _, r0, _, w0, _), _ = entries[0]
-        assert (offset, lo, r0, w0) == (0, 0, 0, 0)
+        lay, til = layer(h=16, w=16), TilingSpec(tk=4, tc=4, th=4, tw=4)
+        assert sfc.ifmap_curve(lay, til).offsets[0] == 0
+        assert corners(lay, til)[0] == (0, 0, 0)
 
     def test_permutation_no_repeats(self):
         # ragged edges in every dimension; every element is covered exactly once
-        lay = layer(h=10, w=14, c=5)
-        entries, cap = sfc.ifmap_walk(lay, TilingSpec(tk=4, tc=2, th=4, tw=4))
-        keys = [sl for _, sl, _ in entries]
-        assert len(keys) == len(set(keys))
-        assert len(keys) == 3 * 4 * 3
-        hits = np.zeros((lay.c, lay.h, lay.w), dtype=int)
+        lay, til = layer(h=10, w=14, c=5), TilingSpec(tk=4, tc=2, th=4, tw=4)
+        curve = sfc.ifmap_curve(lay, til)
+        shape = (lay.c, lay.h, lay.w)
+        index = sfc._curve_index(*shape, *curve.tile)
+        assert len(set(corners(lay, til))) == len(curve.sizes) == 3 * 4 * 3
+        np.testing.assert_array_equal(np.sort(index), np.arange(math.prod(shape)))
         offset = 0
-        for off, (lo, hi, r0, r1, w0, w1), actual in entries:
-            hits[lo:hi, r0:r1, w0:w1] += 1
-            assert off == offset and 0 < actual <= cap
-            assert actual == hits[lo:hi, r0:r1, w0:w1].size
-            offset += actual
-        assert (hits == 1).all()
+        for off, size in zip(curve.offsets.tolist(), curve.sizes.tolist()):
+            assert off == offset and 0 < size <= math.prod(curve.tile)
+            # the tile's elements fill the box they span
+            box = np.unravel_index(index[off:off + size], shape)
+            assert math.prod(int(np.ptp(axis)) + 1 for axis in box) == size
+            offset += size
+        assert offset == index.size
 
     def test_channel_contiguity(self):
-        entries, _ = sfc.ifmap_walk(layer(c=8), TilingSpec(tk=4, tc=2, th=4, tw=4))
         seen_positions = []
         prev_pos = None
-        for _, sl, _ in entries:
-            pos = (sl[2], sl[4])
+        for _, r0, w0 in corners(layer(c=8), TilingSpec(tk=4, tc=2, th=4, tw=4)):
+            pos = (r0, w0)
             if pos != prev_pos:
                 assert pos not in seen_positions  # channel groups never split
                 seen_positions.append(pos)
@@ -220,32 +234,36 @@ class TestOfmapMatchesNextIfmap:
         ta = TilingSpec(tk=4, tc=4, th=4, tw=4)
         b = layer(h=8, w=8, c=16, k=8)
         tb = TilingSpec(tk=8, tc=4, th=4, tw=4)
-        assert sfc.ofmap_walk(a, ta) == sfc.ifmap_walk(b, tb)
+        assert same_curve(sfc.ofmap_curve(a, ta), sfc.ifmap_curve(b, tb))
 
     def test_pooled_walk_matches_next_ifmap(self):
         a = layer(h=16, w=16, c=4, k=8, pool=2)
         b = layer(h=8, w=8, c=8, k=4)
-        walk, cap = sfc.ofmap_walk(a, TilingSpec(tk=4, tc=4, th=8, tw=8))
-        assert (walk, cap) == sfc.ifmap_walk(b, TilingSpec(tk=4, tc=4, th=4, tw=4))
-        assert sum(actual for _, _, actual in walk) == a.k * a.p_out * a.q_out
+        curve = sfc.ofmap_curve(a, TilingSpec(tk=4, tc=4, th=8, tw=8))
+        assert same_curve(curve, sfc.ifmap_curve(b, TilingSpec(tk=4, tc=4, th=4, tw=4)))
+        assert curve.sizes.sum() == a.k * a.p_out * a.q_out
 
 
-class TestWalkMemo:
-    """A walk is made once per shape and shared as an immutable value; the
-    curve image is one gather that equals slicing the walk's tiles out one
-    by one."""
+class TestCurveMemo:
+    """A curve is stated from its map and tile shapes alone; its gather
+    index is made once per map and tile shape and shared read-only, and
+    both equal the deep-tile loop of `oracles.walk_loop`."""
 
-    def test_walk_shared_and_immutable(self):
+    def test_curve_shared_and_immutable(self):
         a, b = layer(h=8, w=8, c=4, k=16), layer(h=8, w=8, c=16, k=8)
-        walk, cap = sfc.ofmap_walk(a, TilingSpec(tk=4, tc=4, th=4, tw=4))
-        assert walk is sfc.ifmap_walk(b, TilingSpec(tk=8, tc=4, th=4, tw=4))[0]
-        assert walk is sfc.ofmap_walk(a, TilingSpec(tk=4, tc=2, th=4, tw=4))[0]
-        assert isinstance(walk, tuple) and all(isinstance(tile, tuple) for tile in walk)
-        with pytest.raises(TypeError):
-            walk[0] = walk[1]
-        index = sfc._curve_index((a.k, a.p_out, a.q_out), walk)
+        curve = sfc.ofmap_curve(a, TilingSpec(tk=4, tc=4, th=4, tw=4))
+        index = sfc._curve_index(a.k, a.p_out, a.q_out, *curve.tile)
+        # b's input is a's output cut the same way: one index serves both
+        other = sfc.ifmap_curve(b, TilingSpec(tk=8, tc=4, th=4, tw=4))
+        assert index is sfc._curve_index(b.c, b.h, b.w, *other.tile)
+        assert index.dtype == np.uint16
         with pytest.raises(ValueError):
             index[0] = 1
+        misses = sfc._curve_index.cache_info().misses
+        tensor = np.ones((a.k, a.p_out, a.q_out), dtype=np.int8)
+        for c in (curve, other, curve):
+            np.testing.assert_array_equal(sfc.curve_image(tensor, c), 1)
+        assert sfc._curve_index.cache_info().misses == misses
 
     @settings(max_examples=200)
     @given(k=st.integers(1, 12), c=st.integers(1, 12), side=st.integers(1, 10),
@@ -257,16 +275,24 @@ class TestWalkMemo:
         lay = layer(h=side * pool, w=side * pool + pool, c=c, k=k, pool=pool)
         til = TilingSpec(tk=min(tk, k), tc=min(tc, c), th=th, tw=tw)
         rng = np.random.default_rng(seed)
-        for walk, shape in ((sfc.ifmap_walk(lay, til)[0], (lay.c, lay.h, lay.w)),
-                            (sfc.ofmap_walk(lay, til)[0], (lay.k, lay.p_out, lay.q_out))):
+        for curve, output, shape in ((sfc.ifmap_curve(lay, til), False, (lay.c, lay.h, lay.w)),
+                                     (sfc.ofmap_curve(lay, til), True,
+                                      (lay.k, lay.p_out, lay.q_out))):
+            walk, cap = walk_loop(lay, til, output)
+            assert math.prod(curve.tile) == cap
+            assert curve.offsets.tolist() == [off for off, _, _ in walk]
+            assert curve.sizes.tolist() == [actual for _, _, actual in walk]
+            positions = np.arange(math.prod(shape)).reshape(shape)
+            np.testing.assert_array_equal(sfc._curve_index(*shape, *curve.tile),
+                                          curve_image_loop(positions, walk))
             tensor = rng.integers(-128, 128, shape, dtype=np.int8)
             # a strided view of a larger map holds the same values
             strided = np.zeros((shape[0], shape[1], 2 * shape[2]), dtype=np.int8)
             strided[..., ::2] = tensor
-            want = curve_image_loop(tensor, walk)
+            want = curve_image_loop(tensor, walk).view(np.uint8)
             for view in (tensor, strided[..., ::2]):
-                got = sfc.curve_image(view, walk)
+                got = sfc.curve_image(view, curve)
                 assert got.dtype == np.uint8
                 np.testing.assert_array_equal(got, want)
                 got[:] = 0  # the image is the caller's own
-            np.testing.assert_array_equal(sfc.curve_image(tensor, walk), want)
+            np.testing.assert_array_equal(sfc.curve_image(tensor, curve), want)

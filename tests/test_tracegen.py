@@ -35,7 +35,7 @@ from neuroplug.tracegen import (
 )
 
 from oracles import (additive_cm_loop, baseline_trace_loop, bins_of, coalesced_raw_chunks,
-                     generate_weights_lexsort, strip_dummies)
+                     generate_weights_lexsort, strip_dummies, walk_loop)
 
 
 def tiny_net(k=1, c=1, h=4, w=4, r=1, s=1, pad=0, layers=1):
@@ -176,7 +176,7 @@ class TestAdditiveModels:
         base = baseline_trace(net, toy_input(net, 1), 1).arr
         arr = additive_cm_trace(net, toy_input(net, 1), "dummy-writes", seed=1).arr
         assert len(base) == 3 and arr[:3].tobytes() == base.tobytes()
-        _, out_cap = sfc.ofmap_walk(net.layers[0].shape, net.layers[0].tiling)
+        _, out_cap = walk_loop(net.layers[0].shape, net.layers[0].tiling, output=True)
         assert len(arr) == 4
         assert (arr["op"][3], arr["addr"][3], arr["size"][3], arr["t"][3]) == \
             (OP_WRITE, dummy_base(0), out_cap, base["t"][2])
@@ -274,7 +274,7 @@ class TestTableMemo:
         for layer in net.layers:
             shp, til = layer.shape, layer.tiling
             blocks += math.ceil(shp.k / til.tk) * math.ceil(shp.c / til.tc)
-            blocks += len(sfc.ifmap_walk(shp, til)[0]) + len(sfc.ofmap_walk(shp, til)[0])
+            blocks += len(sfc.ifmap_curve(shp, til).sizes) + len(sfc.ofmap_curve(shp, til).sizes)
         base = baseline_trace_loop(net, inp, 1, observe_values=True, data=data)
         counts = []
         for run in range(4):
@@ -299,8 +299,8 @@ class TestTableMemo:
                        * math.ceil(layer.shape.c / layer.tiling.tc) for layer in nn.layers)
 
         def tiles(nn):
-            return sum(len(sfc.ifmap_walk(layer.shape, layer.tiling)[0])
-                       + len(sfc.ofmap_walk(layer.shape, layer.tiling)[0]) for layer in nn.layers)
+            return sum(len(sfc.ifmap_curve(layer.shape, layer.tiling).sizes)
+                       + len(sfc.ofmap_curve(layer.shape, layer.tiling).sizes) for layer in nn.layers)
 
         steps = [
             (net, 1, weight_blocks(net) + tiles(net)),  # a first input of the model
@@ -375,17 +375,20 @@ class TestTableMemo:
 
 
 class TestGeometryMemo:
-    """A layer's trace geometry is value-free, so once one additive trace
-    has laid out a net, no later trace of it walks a map again: not of
-    another input or model, with values or without, of any additive model."""
+    """A layer's trace geometry is value-free, so once a first trace has
+    laid out a net's maps and read them, no later trace states a curve or
+    builds a gather index again: not of another input or model, with values
+    or without, of any additive model or of a NeuroPlug run."""
 
     def test_no_walk_after_the_first_trace(self, generated, monkeypatch):
         net = model.load_network("toy-sparse")
-        walked = []
-        walk = sfc._walk
-        monkeypatch.setattr(sfc, "_walk", lambda *a: walked.append(a) or walk(*a))
-        additive_cm_trace(net, toy_input(net, 1), "dummy-writes", 1)
-        walked.clear()
+        stated = []
+        curve = sfc._curve
+        monkeypatch.setattr(sfc, "_curve", lambda *a: stated.append(a) or curve(*a))
+        additive_cm_trace(net, toy_input(net, 1), "dummy-writes", 1, observe_values=True)
+        neuroplug_trace(net, toy_input(net, 1), NeuroPlugKey(), 0, 1)
+        stated.clear()
+        indexes = sfc._curve_index.cache_info().misses
         for seed in (1, 2):  # two models
             inp = toy_input(net, seed)
             data = tracegen.compute_net_data(net, inp, seed)
@@ -393,7 +396,9 @@ class TestGeometryMemo:
                 for values in (False, True):
                     additive_cm_trace(net, inp, cm_model, seed, 1, values, data)
             additive_cm_trace(net, inp, "dummy-writes", seed, 2)
-        assert walked == []
+            neuroplug_trace(net, inp, NeuroPlugKey(), 1, seed)
+        assert stated == []
+        assert sfc._curve_index.cache_info().misses == indexes
         assert len(generated) == 2
 
 
@@ -496,7 +501,7 @@ class TestModelStore:
             return tiles
 
         monkeypatch.setattr(binpack, "compress_stream", compress_stream)
-        fmap_chunks = sum(len(tracegen.chunk_ends(sfc.ofmap_walk(layer.shape, layer.tiling)[0]))
+        fmap_chunks = sum(len(tracegen.chunk_ends(sfc.ofmap_curve(layer.shape, layer.tiling)))
                           for layer in net.layers)
         weight_rows = sum(layer.shape.k for layer in net.layers)
         caches = []
@@ -606,8 +611,8 @@ class TestNeuroPlug:
         assert sum(c.size for c in chunks) == inp.values.size + key.noise.dummy_bytes_first_layer
         got = np.concatenate([strip_dummies(c, t.dummy_spans)
                               for c, t in zip(chunks, tiles, strict=True)])
-        walk, _ = sfc.ifmap_walk(net.layers[0].shape, net.layers[0].tiling)
-        np.testing.assert_array_equal(got, sfc.curve_image(inp.values, walk))
+        curve = sfc.ifmap_curve(net.layers[0].shape, net.layers[0].tiling)
+        np.testing.assert_array_equal(got, sfc.curve_image(inp.values, curve))
         assert got.size == inp.values.size  # every input byte is in the stream
 
 
@@ -999,7 +1004,7 @@ class TestFindingOne:
 
     The expected counts are what a kappa-aware attacker knows without the
     data: kappa is public, and so is each map's chunk count,
-    len(chunk_ends(walk)) of its public curve walk.  A map of n chunks
+    len(chunk_ends(curve)) of its public curve.  A map of n chunks
     packs into ceil(n / kappa) bins.
 
     When the defaults change so that bins close on bytes, invert these
@@ -1013,12 +1018,12 @@ class TestFindingOne:
         key = NeuroPlugKey()
         kappa = key.bin_cfg.kappa
 
-        def public_bins(walk):
-            return math.ceil(len(tracegen.chunk_ends(walk)) / kappa)
+        def public_bins(curve):
+            return math.ceil(len(tracegen.chunk_ends(curve)) / kappa)
 
         first = net.layers[0]
-        n_in = public_bins(sfc.ifmap_walk(first.shape, first.tiling)[0])
-        n_out = [public_bins(sfc.ofmap_walk(layer.shape, layer.tiling)[0]) for layer in net.layers]
+        n_in = public_bins(sfc.ifmap_curve(first.shape, first.tiling))
+        n_out = [public_bins(sfc.ofmap_curve(layer.shape, layer.tiling)) for layer in net.layers]
         cache = prepare_neuroplug(net, inp, model_seed=seed)
         for r in range(3):
             run = neuroplug_trace(net, inp, key, r, seed, cache)
@@ -1032,7 +1037,7 @@ class TestFindingOne:
 
 
 class TestStoredForm:
-    """A map is stored once, as its curve image: every walk tile is a slice
+    """A map is stored once, as its curve image: every curve tile is a slice
     of it, and the NeuroPlug storage chunks are the image cut at
     `chunk_ends`, the same chunks as coalescing the tiles one by one."""
 
@@ -1046,15 +1051,17 @@ class TestStoredForm:
     @example(k=8, p_out=16, q_out=40, pool=2, tk=8, th=32, tw=16, seed=0)
     def test_chunks_match_per_tile_coalescing(self, k, p_out, q_out, pool, tk, th, tw, seed):
         shape = LayerShape(k=k, c=1, h=p_out * pool, w=q_out * pool, r=1, s=1, pool=pool)
-        walk, _ = sfc.ofmap_walk(shape, TilingSpec(tk=tk, tc=1, th=th, tw=tw))
+        tiling = TilingSpec(tk=tk, tc=1, th=th, tw=tw)
+        curve = sfc.ofmap_curve(shape, tiling)
+        walk, _ = walk_loop(shape, tiling, output=True)
         tensor = np.random.default_rng(seed).integers(-128, 128, (k, p_out, q_out), dtype=np.int8)
-        image = sfc.curve_image(tensor, walk)
+        image = sfc.curve_image(tensor, curve)
         assert image.dtype == np.uint8 and image.size == tensor.size
         for off, (c0, c1, r0, r1, w0, w1), actual in walk:
             np.testing.assert_array_equal(image[off:off + actual],
                                           tensor[c0:c1, r0:r1, w0:w1].reshape(-1).view(np.uint8))
         want = coalesced_raw_chunks(tensor, walk)
-        got = tracegen._chunks(tensor, walk)
-        assert len(tracegen.chunk_ends(walk)) == len(got) == len(want)
+        got = tracegen._chunks(tensor, curve)
+        assert len(tracegen.chunk_ends(curve)) == len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
